@@ -95,9 +95,10 @@ constexpr std::uint64_t kPrePrCommCopiesPerMsg = 10;
 struct GemmRow {
   bool ta, tb;
   std::size_t m, n, k;
-  double packed_gflops;
+  double gflops;  // tensor::gemm: packed path, or small kernels below cutoff
   double reference_gflops;
   double max_abs_diff;
+  bool bitmatch;         // gemm() output memcmp-equal to reference_gemm
   double pre_pr_gflops;  // 0 when no frozen anchor for this shape
 };
 
@@ -123,17 +124,27 @@ GemmRow bench_gemm_shape(bool ta, bool tb, std::size_t m, std::size_t n,
     if (d > max_diff) max_diff = d;
   }
 
+  const bool bitmatch =
+      std::memcmp(c_packed.data(), c_ref.data(), c_elems * sizeof(float)) == 0;
+
+  // Time batches of calls so microsecond-sized problems stay well above the
+  // clock resolution.
+  const int batch = flops < 1e6 ? static_cast<int>(1e6 / flops) + 1 : 1;
   const double t_packed = time_best(reps, [&] {
-    dlion::tensor::gemm(ta, tb, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-                        c_packed.data());
-  });
+    for (int i = 0; i < batch; ++i) {
+      dlion::tensor::gemm(ta, tb, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
+                          c_packed.data());
+    }
+  }) / batch;
   const double t_ref = time_best(reps > 10 ? 10 : 3, [&] {
-    dlion::tensor::reference_gemm(ta, tb, m, n, k, 1.0f, a.data(), b.data(),
-                                  0.0f, c_ref.data());
-  });
+    for (int i = 0; i < batch; ++i) {
+      dlion::tensor::reference_gemm(ta, tb, m, n, k, 1.0f, a.data(), b.data(),
+                                    0.0f, c_ref.data());
+    }
+  }) / batch;
 
   GemmRow row{ta, tb, m, n, k, flops / t_packed / 1e9, flops / t_ref / 1e9,
-              max_diff, 0.0};
+              max_diff, bitmatch, 0.0};
   if (m == 256 && n == 256 && k == 256) {
     for (const auto& p : kPrePrGemm) {
       if (p.ta == ta && p.tb == tb) row.pre_pr_gflops = p.gflops;
@@ -391,6 +402,15 @@ int main(int argc, char** argv) {
   // Training-shaped problems: conv3 of the cipher CNN and the fc1 backward.
   rows.push_back(bench_gemm_shape(false, false, 100, 49, 180, rng));
   rows.push_back(bench_gemm_shape(true, false, 4900, 200, 16, rng));
+  // The costliest below-cutoff shapes of the end-to-end GEMM census
+  // (bench/e2e): cipher-lite's fc1 input gradient and eval forward, and
+  // MobileNet's per-sample pointwise and depthwise-stage convs.
+  std::vector<GemmRow> small_rows;
+  small_rows.push_back(bench_gemm_shape(false, true, 32, 64, 48, rng));
+  small_rows.push_back(bench_gemm_shape(false, false, 512, 10, 48, rng));
+  small_rows.push_back(bench_gemm_shape(false, false, 96, 4, 48, rng));
+  small_rows.push_back(bench_gemm_shape(false, false, 48, 9, 48, rng));
+  small_rows.push_back(bench_gemm_shape(true, false, 64, 48, 32, rng));
   dlion::tensor::set_gemm_parallel(prev_parallel);
 
   // --- Training step latency + allocations (pool default threading). ----
@@ -426,18 +446,36 @@ int main(int argc, char** argv) {
     j += r.tb ? "true" : "false";
     j += ", \"m\": " + std::to_string(r.m) + ", \"n\": " + std::to_string(r.n) +
          ", \"k\": " + std::to_string(r.k);
-    j += ", \"packed_gflops\": " + fmt(r.packed_gflops);
+    j += ", \"packed_gflops\": " + fmt(r.gflops);
     j += ", \"reference_gflops\": " + fmt(r.reference_gflops);
     j += ", \"speedup_vs_reference\": " +
-         fmt(r.packed_gflops / r.reference_gflops, 2);
+         fmt(r.gflops / r.reference_gflops, 2);
     if (r.pre_pr_gflops > 0.0) {
       j += ", \"pre_pr_gflops\": " + fmt(r.pre_pr_gflops);
       j += ", \"speedup_vs_pre_pr\": " +
-           fmt(r.packed_gflops / r.pre_pr_gflops, 2);
+           fmt(r.gflops / r.pre_pr_gflops, 2);
     }
     j += ", \"max_abs_diff_vs_reference\": " + fmt(r.max_abs_diff, 8);
     j += "}";
     if (i + 1 < rows.size()) j += ",";
+    j += "\n";
+  }
+  j += "  ],\n";
+  j += "  \"gemm_small_single_thread\": [\n";
+  for (std::size_t i = 0; i < small_rows.size(); ++i) {
+    const auto& r = small_rows[i];
+    j += std::string("    {\"op\": \"") + (r.ta ? "t" : "n") +
+         (r.tb ? "t" : "n") + "\", \"m\": " + std::to_string(r.m) +
+         ", \"n\": " + std::to_string(r.n) +
+         ", \"k\": " + std::to_string(r.k);
+    j += ", \"small_gflops\": " + fmt(r.gflops);
+    j += ", \"reference_gflops\": " + fmt(r.reference_gflops);
+    j += ", \"speedup_vs_reference\": " +
+         fmt(r.gflops / r.reference_gflops, 2);
+    j += ", \"small_bitmatch_vs_reference\": ";
+    j += r.bitmatch ? "true" : "false";
+    j += "}";
+    if (i + 1 < small_rows.size()) j += ",";
     j += "\n";
   }
   j += "  ],\n";
@@ -500,8 +538,8 @@ int main(int argc, char** argv) {
 
   std::printf("%s", j.c_str());
   std::printf("[hotpath] kernel=%s 256^3 nn: %.2f GF/s (%.2fx vs pre-PR)\n",
-              dlion::tensor::gemm_kernel_name(), rows[0].packed_gflops,
-              rows[0].packed_gflops / kPrePrGemm[0].gflops);
+              dlion::tensor::gemm_kernel_name(), rows[0].gflops,
+              rows[0].gflops / kPrePrGemm[0].gflops);
   std::printf("[hotpath] step: %.2f ms, %llu allocs, %llu bytes (pre-PR %.2f "
               "ms, %llu allocs)\n",
               step.ms_median,
@@ -517,6 +555,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(comm.allocs_per_exchange));
   std::printf("[hotpath] determinism bitmatch: %s\n",
               bitmatch ? "yes" : "NO");
+  const bool small_bitmatch =
+      std::all_of(small_rows.begin(), small_rows.end(),
+                  [](const GemmRow& r) { return r.bitmatch; });
+  std::printf("[hotpath] small GEMM bitmatch vs reference: %s\n",
+              small_bitmatch ? "yes" : "NO");
   std::printf("[hotpath] wrote %s\n", out_path.c_str());
-  return bitmatch ? 0 : 2;
+  return bitmatch && small_bitmatch ? 0 : 2;
 }

@@ -55,14 +55,14 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
       scheduled_gbs_(options_.gbs.initial_gbs),
       compute_rate_(0.3),
       iter_interval_(0.3),
+      last_heard_(fabric.size(), 0.0),
+      suspected_(fabric.size(), false),
       accuracy_trace_("accuracy"),
       loss_trace_("loss"),
       lbs_trace_("lbs"),
       gbs_trace_("gbs"),
       chosen_n_trace_("chosen_n"),
-      entries_traces_(fabric.size()),
-      last_heard_(fabric.size(), 0.0),
-      suspected_(fabric.size(), false) {
+      entries_traces_(fabric.size()) {
   // Fixed evaluation subset: deterministic, shared across the run.
   if (test_set_ != nullptr && test_set_->size() > 0) {
     const std::size_t n = std::min(options_.eval_subset, test_set_->size());

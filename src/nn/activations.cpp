@@ -24,7 +24,8 @@ tensor::Tensor ReLU::forward(const tensor::Tensor& input, bool /*train*/) {
   return out;
 }
 
-tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output,
+                              bool /*need_input_grad*/) {
   if (!(grad_output.shape() == mask_.shape())) {
     throw std::invalid_argument("ReLU::backward: shape mismatch");
   }
@@ -41,7 +42,8 @@ tensor::Tensor Flatten::forward(const tensor::Tensor& input, bool /*train*/) {
   return out;
 }
 
-tensor::Tensor Flatten::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor Flatten::backward(const tensor::Tensor& grad_output,
+                                 bool /*need_input_grad*/) {
   tensor::Tensor grad_in = grad_output;
   grad_in.reshape(input_shape_);
   return grad_in;
@@ -70,7 +72,8 @@ tensor::Tensor Dropout::forward(const tensor::Tensor& input, bool train) {
   return out;
 }
 
-tensor::Tensor Dropout::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor Dropout::backward(const tensor::Tensor& grad_output,
+                                 bool /*need_input_grad*/) {
   if (!train_ || p_ == 0.0) return grad_output;
   tensor::Tensor grad_in = grad_output;
   for (std::size_t i = 0; i < grad_in.size(); ++i) grad_in[i] *= mask_[i];

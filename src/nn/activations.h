@@ -8,7 +8,8 @@ namespace dlion::nn {
 class ReLU : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   const char* kind() const override { return "ReLU"; }
 
  private:
@@ -19,7 +20,8 @@ class ReLU : public Layer {
 class Flatten : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   const char* kind() const override { return "Flatten"; }
 
  private:
@@ -32,7 +34,8 @@ class Dropout : public Layer {
  public:
   Dropout(double p, std::uint64_t seed);
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   const char* kind() const override { return "Dropout"; }
 
  private:

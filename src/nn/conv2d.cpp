@@ -66,7 +66,8 @@ tensor::Tensor Conv2D::forward(const tensor::Tensor& input, bool /*train*/) {
   return out;
 }
 
-tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
+                                bool need_input_grad) {
   const std::size_t n = cached_input_.shape()[0];
   const std::size_t h = cached_input_.shape()[2];
   const std::size_t w = cached_input_.shape()[3];
@@ -89,19 +90,25 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output) {
     tensor::apply_mask(dy, mask_.data(), masked, total);
     dy = masked;
   }
-  tensor::Tensor grad_in(cached_input_.shape());
-  float* dcol = dcol_.ensure(col_rows * col_cols);
+  tensor::Tensor grad_in;
+  float* dcol = nullptr;
+  if (need_input_grad) {
+    grad_in = tensor::Tensor(cached_input_.shape());
+    dcol = dcol_.ensure(col_rows * col_cols);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const float* dout = dy + i * out_c_ * col_cols;
     const float* col = cols_.data() + i * col_rows * col_cols;
     // dW += dout (out_c x col_cols) * col^T (col_cols x col_rows)
     tensor::gemm(false, true, out_c_, col_rows, col_cols, 1.0f, dout, col,
                  1.0f, weight_.grad().data());
-    // dcol = W^T (col_rows x out_c) * dout
-    tensor::gemm(true, false, col_rows, col_cols, out_c_, 1.0f,
-                 weight_.value().data(), dout, 0.0f, dcol);
-    tensor::col2im(dcol, in_c_, h, w, k_, k_, stride_, pad_,
-                   grad_in.data() + i * in_c_ * h * w);
+    if (need_input_grad) {
+      // dcol = W^T (col_rows x out_c) * dout
+      tensor::gemm(true, false, col_rows, col_cols, out_c_, 1.0f,
+                   weight_.value().data(), dout, 0.0f, dcol);
+      tensor::col2im(dcol, in_c_, h, w, k_, k_, stride_, pad_,
+                     grad_in.data() + i * in_c_ * h * w);
+    }
     // db += per-channel sums of dout
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       const float* plane = dout + oc * col_cols;
@@ -177,20 +184,23 @@ tensor::Tensor DepthwiseConv2D::forward(const tensor::Tensor& input,
   return out;
 }
 
-tensor::Tensor DepthwiseConv2D::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor DepthwiseConv2D::backward(
+    const tensor::Tensor& grad_output, bool need_input_grad) {
   const std::size_t n = cached_input_.shape()[0];
   const std::size_t h = cached_input_.shape()[2];
   const std::size_t w = cached_input_.shape()[3];
   const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
   const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
-  tensor::Tensor grad_in(cached_input_.shape());
+  tensor::Tensor grad_in;
+  if (need_input_grad) grad_in = tensor::Tensor(cached_input_.shape());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t c = 0; c < c_; ++c) {
       const float* img = cached_input_.data() + (i * c_ + c) * h * w;
       const float* dout = grad_output.data() + (i * c_ + c) * oh * ow;
       const float* ker = weight_.value().data() + c * k_ * k_;
       float* dker = weight_.grad().data() + c * k_ * k_;
-      float* dimg = grad_in.data() + (i * c_ + c) * h * w;
+      float* dimg =
+          need_input_grad ? grad_in.data() + (i * c_ + c) * h * w : nullptr;
       float dbias = 0.0f;
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
@@ -209,7 +219,7 @@ tensor::Tensor DepthwiseConv2D::backward(const tensor::Tensor& grad_output) {
               const std::size_t pix = static_cast<std::size_t>(iy) * w +
                                       static_cast<std::size_t>(ix);
               dker[ky * k_ + kx] += g * img[pix];
-              dimg[pix] += g * ker[ky * k_ + kx];
+              if (dimg != nullptr) dimg[pix] += g * ker[ky * k_ + kx];
             }
           }
         }

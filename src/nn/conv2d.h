@@ -21,7 +21,8 @@ class Conv2D : public Layer {
          bool fuse_relu = false);
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   std::vector<Variable*> variables() override;
   void init_weights(common::Rng& rng) override;
   const char* kind() const override {
@@ -49,7 +50,8 @@ class DepthwiseConv2D : public Layer {
                   std::size_t stride = 1, std::size_t pad = 0);
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   std::vector<Variable*> variables() override;
   void init_weights(common::Rng& rng) override;
   const char* kind() const override { return "DepthwiseConv2D"; }

@@ -46,7 +46,8 @@ tensor::Tensor Dense::forward(const tensor::Tensor& input, bool /*train*/) {
   return out;
 }
 
-tensor::Tensor Dense::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor Dense::backward(const tensor::Tensor& grad_output,
+                               bool need_input_grad) {
   const std::size_t batch = cached_input_.shape()[0];
   if (grad_output.shape().rank() != 2 || grad_output.shape()[0] != batch ||
       grad_output.shape()[1] != out_) {
@@ -69,6 +70,7 @@ tensor::Tensor Dense::backward(const tensor::Tensor& grad_output) {
     float* __restrict db = bias_.grad().data();
     for (std::size_t c = 0; c < out_; ++c) db[c] += row[c];
   }
+  if (!need_input_grad) return {};
   // dx = dy * W^T
   tensor::Tensor grad_in(tensor::Shape{batch, in_});
   tensor::gemm(false, true, batch, in_, out_, 1.0f, dy,

@@ -20,7 +20,8 @@ class Dense : public Layer {
         bool fuse_relu = false);
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   std::vector<Variable*> variables() override;
   void init_weights(common::Rng& rng) override;
   const char* kind() const override { return fuse_relu_ ? "DenseReLU" : "Dense"; }

@@ -23,8 +23,12 @@ class Layer {
   virtual tensor::Tensor forward(const tensor::Tensor& input, bool train) = 0;
 
   /// Backward pass: consumes dL/d(output), accumulates dL/d(variables) into
-  /// the layer's Variable grads, and returns dL/d(input).
-  virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+  /// the layer's Variable grads, and returns dL/d(input). When
+  /// `need_input_grad` is false the caller discards dL/d(input) (the layer
+  /// sits on the model input), so layers may skip computing it and return an
+  /// empty tensor; the variable grads must not change either way.
+  virtual tensor::Tensor backward(const tensor::Tensor& grad_output,
+                                  bool need_input_grad) = 0;
 
   /// Trainable variables (possibly empty). Pointers remain valid for the
   /// layer's lifetime.

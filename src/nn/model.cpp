@@ -11,6 +11,7 @@ std::size_t Snapshot::num_params() const {
 }
 
 Model& Model::add(LayerPtr layer) {
+  if (variables_.empty()) first_trainable_ = layers_.size();
   for (Variable* v : layer->variables()) variables_.push_back(v);
   layers_.push_back(std::move(layer));
   return *this;
@@ -31,9 +32,12 @@ LossResult Model::compute_gradients(const tensor::Tensor& input,
   zero_grads();
   tensor::Tensor logits = forward(input, /*train=*/true);
   LossResult res = softmax_cross_entropy(logits, labels);
+  // Backpropagate down to the first layer with variables. Its input
+  // gradient (w.r.t. the model input) is never read, so it is not computed,
+  // and the parameterless layers below it are not visited at all.
   tensor::Tensor grad = res.grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size(); i-- > first_trainable_;) {
+    grad = layers_[i]->backward(grad, /*need_input_grad=*/i > first_trainable_);
   }
   return res;
 }

@@ -74,6 +74,9 @@ class Model {
  private:
   std::vector<LayerPtr> layers_;
   std::vector<Variable*> variables_;
+  // Index of the first layer with variables: backward stops there, since
+  // nothing below it has a gradient anyone reads.
+  std::size_t first_trainable_ = 0;
 };
 
 }  // namespace dlion::nn

@@ -54,7 +54,8 @@ tensor::Tensor MaxPool2D::forward(const tensor::Tensor& input, bool /*train*/) {
   return out;
 }
 
-tensor::Tensor MaxPool2D::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor MaxPool2D::backward(const tensor::Tensor& grad_output,
+                                   bool /*need_input_grad*/) {
   if (grad_output.size() != argmax_.size()) {
     throw std::invalid_argument("MaxPool2D::backward: size mismatch");
   }
@@ -85,7 +86,8 @@ tensor::Tensor GlobalAvgPool::forward(const tensor::Tensor& input,
   return out;
 }
 
-tensor::Tensor GlobalAvgPool::backward(const tensor::Tensor& grad_output) {
+tensor::Tensor GlobalAvgPool::backward(const tensor::Tensor& grad_output,
+                                       bool /*need_input_grad*/) {
   const std::size_t n = input_shape_[0], c = input_shape_[1];
   const std::size_t plane = input_shape_[2] * input_shape_[3];
   tensor::Tensor grad_in(input_shape_);

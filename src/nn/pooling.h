@@ -10,7 +10,8 @@ class MaxPool2D : public Layer {
   explicit MaxPool2D(std::size_t kernel, std::size_t stride = 0);
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   const char* kind() const override { return "MaxPool2D"; }
 
  private:
@@ -24,7 +25,8 @@ class MaxPool2D : public Layer {
 class GlobalAvgPool : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
+                          bool need_input_grad) override;
   const char* kind() const override { return "GlobalAvgPool"; }
 
  private:

@@ -30,7 +30,8 @@ void avx2_tile(std::size_t kc, const float* a, const float* b, float alpha,
 }  // namespace
 
 const MicroKernel& avx2_micro_kernel() {
-  static const MicroKernel kernel{kAvx2MR, kAvx2NR, &avx2_tile, "avx2-6x16"};
+  static const MicroKernel kernel{kAvx2MR, kAvx2NR, &avx2_tile, "avx2-6x16",
+                                  avx2_small_kernel()};
   return kernel;
 }
 

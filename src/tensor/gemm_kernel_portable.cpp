@@ -25,36 +25,31 @@ void portable_tile(std::size_t kc, const float* a, const float* b, float alpha,
                                                 mr_eff, nr_eff);
 }
 
-bool cpu_has_avx2_fma() {
-#if defined(DLION_HAVE_AVX2_KERNEL) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
 const MicroKernel& choose_kernel() {
   const char* force = std::getenv("DLION_GEMM_KERNEL");
-  if (force != nullptr) {
-    if (std::strcmp(force, "portable") == 0) return portable_micro_kernel();
-#if defined(DLION_HAVE_AVX2_KERNEL)
-    if (std::strcmp(force, "avx2") == 0 && cpu_has_avx2_fma()) {
-      return avx2_micro_kernel();
-    }
-#endif
-    // Unknown or unsupported request: fall through to auto-detection.
+  if (force != nullptr && std::strcmp(force, "portable") == 0) {
+    return portable_micro_kernel();
   }
-#if defined(DLION_HAVE_AVX2_KERNEL)
-  if (cpu_has_avx2_fma()) return avx2_micro_kernel();
-#endif
-  return portable_micro_kernel();
+  // "avx2", or an unknown or unsupported request: auto-detection.
+  const MicroKernel* avx2 = supported_avx2_micro_kernel();
+  return avx2 != nullptr ? *avx2 : portable_micro_kernel();
 }
 }  // namespace
 
 const MicroKernel& portable_micro_kernel() {
   static const MicroKernel kernel{kPortableMR, kPortableNR, &portable_tile,
-                                  "portable-4x8"};
+                                  "portable-4x8", portable_small_kernel()};
   return kernel;
+}
+
+const MicroKernel* supported_avx2_micro_kernel() {
+#if defined(DLION_HAVE_AVX2_KERNEL) && \
+    (defined(__x86_64__) || defined(__i386__))
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    return &avx2_micro_kernel();
+  }
+#endif
+  return nullptr;
 }
 
 const MicroKernel& active_micro_kernel() {

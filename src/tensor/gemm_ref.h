@@ -1,7 +1,9 @@
 // Reference GEMM: the pre-blocking naive kernels, kept verbatim as the
-// conformance oracle for the packed kernels (tests/tensor/
-// gemm_conformance_test.cpp) and as the "before" side of the tracked
-// hot-path benchmark (bench/hotpath.cpp -> BENCH_hotpath.json).
+// conformance oracle (tests/tensor/gemm_conformance_test.cpp) - bitwise for
+// the small-GEMM kernels, to a tolerance for the packed kernels - and as the
+// "before" side of the tracked hot-path benchmark (bench/hotpath.cpp ->
+// BENCH_hotpath.json). Built with -ffp-contract=off so its multiplies and
+// adds stay separate on every compiler and target.
 //
 // These are intentionally simple row-loop kernels with no packing, no cache
 // blocking, and no threading. Do not optimize them: their value is being

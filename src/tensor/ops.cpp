@@ -10,7 +10,6 @@
 #include "common/scratch.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm_kernel.h"
-#include "tensor/gemm_ref.h"
 
 namespace dlion::tensor {
 
@@ -41,10 +40,10 @@ constexpr std::size_t kKC = 256;
 constexpr std::size_t kMC = 120;
 constexpr std::size_t kNC = 256;
 
-// Below this many multiply-adds the packing overhead is not worth it; the
-// naive reference kernels run serially instead. The cutoff depends only on
-// the problem shape, never on the thread count, so it cannot break
-// determinism.
+// Below this many multiply-adds the cache blocking is not worth it; the
+// small-GEMM kernels (detail::small_gemm) run serially instead and
+// reproduce reference_gemm bit for bit. The cutoff depends only on the
+// problem shape, never on the thread count, so it cannot break determinism.
 constexpr std::size_t kPackedMulAddThreshold = 1u << 19;  // 512K mul-adds
 
 // Above this many FLOPs the packed driver fans out row blocks over the
@@ -192,6 +191,19 @@ void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 }
 }  // namespace
 
+namespace detail {
+void small_gemm(const MicroKernel& kernel, bool trans_a, bool trans_b,
+                std::size_t m, std::size_t n, std::size_t k, float alpha,
+                const float* a, const float* b, float* c) {
+  const std::size_t strip = kernel.small.strip;
+  common::ScratchArena& arena = common::ScratchArena::tls();
+  common::ScratchArena::Scope scope(arena);
+  float* panel =
+      arena.alloc_floats(ceil_div(std::max(m, n), strip) * strip * k);
+  kernel.small.gemm(trans_a, trans_b, m, n, k, alpha, a, b, c, panel);
+}
+}  // namespace detail
+
 bool set_gemm_parallel(bool enabled) {
   return g_gemm_parallel.exchange(enabled, std::memory_order_relaxed);
 }
@@ -210,9 +222,8 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   if (k == 0 || alpha == 0.0f) return;
 
   if (m * n * k < kPackedMulAddThreshold) {
-    // Small problems: packing overhead dominates, use the naive kernels
-    // (beta already applied above).
-    reference_gemm(trans_a, trans_b, m, n, k, alpha, a, b, 1.0f, c);
+    detail::small_gemm(detail::active_micro_kernel(), trans_a, trans_b, m, n,
+                       k, alpha, a, b, c);
     return;
   }
   gemm_packed(trans_a, trans_b, m, n, k, alpha, a, b, c);

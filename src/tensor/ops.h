@@ -3,9 +3,11 @@
 //
 // GEMM is a cache-blocked, panel-packed implementation driving a
 // register-tiled micro-kernel (see DESIGN.md "Numeric kernels" for the
-// blocking scheme and the determinism policy). All four transpose variants
-// share the packed path, which parallelizes over row blocks on the global
-// thread pool while staying bit-deterministic at any thread count.
+// blocking scheme and the determinism policy). Problems of 512K
+// multiply-adds or more take the packed path, which parallelizes over row
+// blocks on the global thread pool while staying bit-deterministic at any
+// thread count. Smaller ones run serial register-tiled small-GEMM kernels
+// that are bit-identical to reference_gemm.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +22,10 @@ namespace dlion::tensor {
 ///
 /// Deterministic: for a fixed host and build, the result is bit-identical
 /// across runs and thread counts (fixed k-blocking order, one writer per C
-/// element). Bit-compatibility with the pre-blocking kernels or across
-/// hosts with different vector ISAs is NOT promised; see reference_gemm in
-/// gemm_ref.h for the conformance oracle.
+/// element). Below 512K multiply-adds (m*n*k) the result is also
+/// bit-identical to reference_gemm (gemm_ref.h) on every ISA. Above it,
+/// bit-compatibility with reference_gemm or across hosts with different
+/// vector ISAs is NOT promised.
 void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
           std::size_t k, float alpha, const float* a, const float* b,
           float beta, float* c);

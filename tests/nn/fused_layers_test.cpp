@@ -58,8 +58,8 @@ TEST(FusedDense, ForwardBackwardBitIdenticalToDensePlusReLU) {
     tensor::Tensor y_plain = relu.forward(plain.forward(x, true), true);
     expect_bitwise_equal(y_fused, y_plain, "forward");
 
-    tensor::Tensor dx_fused = fused.backward(dy);
-    tensor::Tensor dx_plain = plain.backward(relu.backward(dy));
+    tensor::Tensor dx_fused = fused.backward(dy, true);
+    tensor::Tensor dx_plain = plain.backward(relu.backward(dy, true), true);
     expect_bitwise_equal(dx_fused, dx_plain, "input grad");
     expect_grads_equal(fused, plain);
   }
@@ -84,8 +84,8 @@ TEST(FusedConv2D, ForwardBackwardBitIdenticalToConvPlusReLU) {
     tensor::Tensor y_plain = relu.forward(plain.forward(x, true), true);
     expect_bitwise_equal(y_fused, y_plain, "forward");
 
-    tensor::Tensor dx_fused = fused.backward(dy);
-    tensor::Tensor dx_plain = plain.backward(relu.backward(dy));
+    tensor::Tensor dx_fused = fused.backward(dy, true);
+    tensor::Tensor dx_plain = plain.backward(relu.backward(dy, true), true);
     expect_bitwise_equal(dx_fused, dx_plain, "input grad");
     expect_grads_equal(fused, plain);
   }

@@ -35,7 +35,7 @@ void gradcheck_layer(Layer& layer, const tensor::Tensor& input,
   // Analytic gradients.
   for (Variable* v : layer.variables()) v->zero_grad();
   (void)layer.forward(input, /*train=*/true);
-  tensor::Tensor grad_in = layer.backward(loss_weights);
+  tensor::Tensor grad_in = layer.backward(loss_weights, true);
 
   // Numerical input gradient.
   const float eps = 1e-3f;
@@ -56,7 +56,7 @@ void gradcheck_layer(Layer& layer, const tensor::Tensor& input,
     // Re-run analytic pass to have fresh grads for this check.
     var->zero_grad();
     (void)layer.forward(input, /*train=*/true);
-    (void)layer.backward(loss_weights);
+    (void)layer.backward(loss_weights, true);
     const std::size_t stride = std::max<std::size_t>(1, var->size() / 24);
     for (std::size_t i = 0; i < var->size(); i += stride) {
       float& w = var->value()[i];
@@ -169,7 +169,7 @@ TEST(ReLU, BackwardMasksGradient) {
   tensor::Tensor x(tensor::Shape{3}, {-1, 1, 2});
   (void)layer.forward(x, true);
   tensor::Tensor g(tensor::Shape{3}, {5, 5, 5});
-  const tensor::Tensor gi = layer.backward(g);
+  const tensor::Tensor gi = layer.backward(g, true);
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
   EXPECT_FLOAT_EQ(gi[1], 5.0f);
   EXPECT_FLOAT_EQ(gi[2], 5.0f);
@@ -180,7 +180,7 @@ TEST(Flatten, RoundTripsShape) {
   tensor::Tensor x = random_tensor(tensor::Shape{2, 3, 4, 5}, 7);
   const tensor::Tensor y = layer.forward(x, false);
   EXPECT_TRUE(y.shape() == tensor::Shape({2, 60}));
-  const tensor::Tensor back = layer.backward(y);
+  const tensor::Tensor back = layer.backward(y, true);
   EXPECT_TRUE(back.shape() == x.shape());
 }
 
@@ -231,7 +231,7 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   tensor::Tensor x(tensor::Shape{1, 1, 2, 2}, {1, 5, 3, 2});
   (void)layer.forward(x, true);
   tensor::Tensor g(tensor::Shape{1, 1, 1, 1}, {7});
-  const tensor::Tensor gi = layer.backward(g);
+  const tensor::Tensor gi = layer.backward(g, true);
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
   EXPECT_FLOAT_EQ(gi[1], 7.0f);
   EXPECT_FLOAT_EQ(gi[2], 0.0f);
@@ -257,7 +257,7 @@ TEST(GlobalAvgPool, BackwardSpreadsUniformly) {
   tensor::Tensor x = random_tensor(tensor::Shape{1, 1, 2, 2}, 10);
   (void)layer.forward(x, true);
   tensor::Tensor g(tensor::Shape{1, 1}, {8});
-  const tensor::Tensor gi = layer.backward(g);
+  const tensor::Tensor gi = layer.backward(g, true);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(gi[i], 2.0f);
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic.h"
+#include "nn/loss.h"
 #include "nn/model_zoo.h"
 
 namespace dlion::nn {
@@ -70,6 +74,42 @@ TEST(Model, ZeroGradsClearsAll) {
   for (Variable* v : bm.model.variables()) {
     for (std::size_t i = 0; i < v->size(); ++i) {
       EXPECT_FLOAT_EQ(v->grad()[i], 0.0f);
+    }
+  }
+}
+
+// compute_gradients skips the input gradient of the first layer with
+// variables (and every layer below it); the variable grads must still equal
+// those of a backward pass through every layer, bit for bit.
+TEST(Model, SkippedInputGradientKeepsGradsBitIdentical) {
+  for (const char* name : {"cipher-lite", "cipher", "mobilenet-20"}) {
+    common::Rng ra(11), rb(11), rx(12);
+    BuiltModel skipped = make_model(name, ra);
+    BuiltModel full = make_model(name, rb);
+    const ModelProfile& pr = skipped.profile;
+    const std::size_t batch = 3;
+    tensor::Tensor x(
+        tensor::Shape{batch, pr.channels, pr.height, pr.width});
+    for (float& v : x.span()) v = static_cast<float>(rx.normal());
+    const std::vector<std::int32_t> labels = {0, 1, 2};
+
+    (void)skipped.model.compute_gradients(x, labels);
+
+    full.model.zero_grads();
+    const LossResult res = softmax_cross_entropy(full.model.forward(x, true),
+                                                 labels);
+    tensor::Tensor grad = res.grad_logits;
+    for (std::size_t i = full.model.num_layers(); i-- > 0;) {
+      grad = full.model.layer(i).backward(grad, true);
+    }
+
+    ASSERT_EQ(skipped.model.num_variables(), full.model.num_variables());
+    for (std::size_t v = 0; v < full.model.num_variables(); ++v) {
+      const tensor::Tensor& g1 = skipped.model.variables()[v]->grad();
+      const tensor::Tensor& g2 = full.model.variables()[v]->grad();
+      ASSERT_EQ(g1.size(), g2.size());
+      EXPECT_EQ(0, std::memcmp(g1.data(), g2.data(), g1.size() * sizeof(float)))
+          << name << " " << full.model.variables()[v]->name();
     }
   }
 }
