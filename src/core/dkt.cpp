@@ -103,26 +103,6 @@ bool DktModule::should_request(std::uint64_t iter) const {
   return false;
 }
 
-void DktModule::merge(nn::Model& model, const nn::Snapshot& best) const {
-  auto& vars = model.variables();
-  if (best.values.size() != vars.size()) {
-    throw std::invalid_argument("DktModule::merge: variable count mismatch");
-  }
-  const float lambda = static_cast<float>(config_.lambda);
-  for (std::size_t v = 0; v < vars.size(); ++v) {
-    float* w = vars[v]->value().data();
-    const tensor::Tensor& b = best.values[v];
-    if (b.size() != vars[v]->size()) {
-      throw std::invalid_argument("DktModule::merge: size mismatch at " +
-                                  vars[v]->name());
-    }
-    const float* wb = b.data();
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      w[i] -= lambda * (w[i] - wb[i]);
-    }
-  }
-}
-
 void DktModule::merge(nn::Model& model,
                       const comm::WeightPayload& best) const {
   auto& vars = model.variables();

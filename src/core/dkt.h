@@ -82,10 +82,9 @@ class DktModule {
   /// Whether this worker should request the best weights at a boundary.
   bool should_request(std::uint64_t iter) const;
 
-  /// Merge the best weights into `model`: w -= lambda * (w - w_best).
-  void merge(nn::Model& model, const nn::Snapshot& best_weights) const;
-  /// Same merge, reading the best weights directly from a received
-  /// snapshot's payload views - no intermediate weight copy.
+  /// Merge the best weights into `model`: w -= lambda * (w - w_best),
+  /// reading them directly from a received snapshot's payload views - no
+  /// intermediate weight copy.
   void merge(nn::Model& model, const comm::WeightPayload& best_weights) const;
 
  private:

@@ -13,13 +13,7 @@ std::string SyncPolicy::to_string() const {
 
 bool can_start_iteration(const SyncPolicy& policy, std::uint64_t next_iter,
                          std::span<const std::int64_t> peer_latest,
-                         std::size_t self) {
-  return can_start_iteration(policy, next_iter, peer_latest, self, {});
-}
-
-bool can_start_iteration(const SyncPolicy& policy, std::uint64_t next_iter,
-                         std::span<const std::int64_t> peer_latest,
-                         std::size_t self, const std::vector<bool>& suspected) {
+                         std::size_t self, const std::vector<bool>& excluded) {
   if (policy.async) return true;
   if (next_iter == 0) return true;  // first iteration never waits
   const auto required_iter =
@@ -30,7 +24,7 @@ bool can_start_iteration(const SyncPolicy& policy, std::uint64_t next_iter,
   std::size_t n_peers = 0;
   for (std::size_t j = 0; j < peer_latest.size(); ++j) {
     if (j == self) continue;
-    if (j < suspected.size() && suspected[j]) continue;  // not waited for
+    if (j < excluded.size() && excluded[j]) continue;  // not waited for
     ++n_peers;
     if (peer_latest[j] >= required_iter) ++fresh_peers;
   }

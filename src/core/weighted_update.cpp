@@ -7,15 +7,6 @@
 
 namespace dlion::core {
 
-double dynamic_batching_weight(std::size_t lbs_sender, std::size_t lbs_self,
-                               bool enabled) {
-  if (!enabled) return 1.0;
-  if (lbs_sender == 0 || lbs_self == 0) {
-    throw std::invalid_argument("dynamic_batching_weight: zero LBS");
-  }
-  return static_cast<double>(lbs_sender) / static_cast<double>(lbs_self);
-}
-
 double normalized_batching_weight(std::size_t lbs_sender, std::size_t gbs,
                                   std::size_t n_workers, bool enabled) {
   if (!enabled) return 1.0;

@@ -19,11 +19,6 @@
 
 namespace dlion::core {
 
-/// Dynamic batching weight db_j^k for a receiver with LBS `lbs_self`
-/// applying gradients computed over `lbs_sender` samples (Eq. 7 literal).
-double dynamic_batching_weight(std::size_t lbs_sender, std::size_t lbs_self,
-                               bool enabled = true);
-
 /// Normalized dynamic batching weight: db_j = n * LBS_j / GBS. Same
 /// *direction* as Eq. 7 (both weight gradients proportionally to the sample
 /// count they were computed over: n*LBS_j/GBS = (LBS_j/LBS_k) * (n*LBS_k /
@@ -31,9 +26,8 @@ double dynamic_batching_weight(std::size_t lbs_sender, std::size_t lbs_self,
 /// the sum of weights is n at every worker - i.e. every replica takes the
 /// same-magnitude step. The literal Eq. 7 makes small-LBS workers take
 /// GBS/(n*LBS_k)-times larger steps, which destabilizes them when the LBS
-/// spread is large; the paper does not discuss this regime. DLion defaults
-/// to the normalized form; the literal form is available via
-/// WorkerOptions::db_normalized = false.
+/// spread is large; the paper does not discuss this regime. DLion uses the
+/// normalized form only.
 double normalized_batching_weight(std::size_t lbs_sender, std::size_t gbs,
                                   std::size_t n_workers, bool enabled = true);
 
@@ -43,8 +37,7 @@ void apply_gradient_update(nn::Model& model, const comm::GradientUpdate& update,
                            double eta, std::size_t n_workers, double db);
 
 /// Apply the local model's own freshly computed gradients:
-/// w -= eta/n * db * g (db = 1 under literal Eq. 7; n*LBS_k/GBS when
-/// normalized weights are in use).
+/// w -= eta/n * db * g (db = n*LBS_k/GBS under weighted update, else 1).
 void apply_own_gradients(nn::Model& model, double eta, std::size_t n_workers,
                          double db = 1.0);
 

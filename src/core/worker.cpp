@@ -16,7 +16,7 @@ namespace dlion::core {
 
 namespace {
 constexpr double kRcpChangeThreshold = 0.05;  // re-broadcast if >5% change
-/// RCP substituted for suspected peers when renormalizing LBS allocation:
+/// RCP substituted for excluded peers when renormalizing LBS allocation:
 /// allocate_lbs rejects non-positive compute powers, so "dead" is modeled as
 /// vanishingly small instead of zero.
 constexpr double kDeadRcp = 1e-12;
@@ -53,10 +53,8 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
       peer_latest_(fabric.size(), -1),
       current_lbs_(options_.fixed_lbs),
       scheduled_gbs_(options_.gbs.initial_gbs),
-      compute_rate_(0.3),
       iter_interval_(0.3),
       last_heard_(fabric.size(), 0.0),
-      suspected_(fabric.size(), false),
       accuracy_trace_("accuracy"),
       loss_trace_("loss"),
       lbs_trace_("lbs"),
@@ -77,15 +75,47 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
   } else {
     roster_ = RosterView(fabric.size());
   }
-  excluded_.assign(fabric.size(), false);
-  for (std::size_t j = 0; j < fabric.size(); ++j) {
-    excluded_[j] = !roster_.is_member(j);
-  }
+  excluded_.resize(fabric.size());
+  reset_exclusions();
   dormant_ = options_.elastic.enabled && options_.elastic.start_dormant;
-  if (!dormant_) {
-    fabric_->attach(id_, [this](std::size_t from, comm::MessagePtr msg) {
-      on_message(from, std::move(msg));
-    });
+  if (!dormant_) attach_to_fabric();
+}
+
+template <void (Worker::*Fn)()>
+void Worker::after(double delay) {
+  engine_->after(delay, [this, inc = incarnation_] {
+    if (inc == incarnation_) (this->*Fn)();
+  });
+}
+
+template <typename OnResult>
+void Worker::send_control(std::size_t to, comm::Message msg,
+                          OnResult on_result) {
+  if (ft().enabled) {
+    fabric_->send_reliable(id_, to, std::move(msg), ft().control_retry,
+                           std::move(on_result));
+  } else {
+    fabric_->send(id_, to, std::move(msg));
+  }
+}
+
+void Worker::record_batch(sim::Trace& trace, std::size_t value) {
+  trace.record(engine_->now(), static_cast<double>(value));
+  if (obs::on(obs_)) {
+    obs_->tracer().counter(obs_track_, trace.name(), engine_->now(),
+                           static_cast<double>(value));
+  }
+}
+
+void Worker::attach_to_fabric() {
+  fabric_->attach(id_, [this](std::size_t from, comm::MessagePtr msg) {
+    on_message(from, std::move(msg));
+  });
+}
+
+void Worker::reset_exclusions() {
+  for (std::size_t j = 0; j < excluded_.size(); ++j) {
+    excluded_[j] = !roster_.is_member(j);
   }
 }
 
@@ -121,8 +151,6 @@ std::size_t Worker::current_gbs() const {
 }
 
 std::size_t Worker::live_worker_count() const {
-  // excluded_ merges suspicion with roster membership; with elastic
-  // membership off it equals suspected_, so this is the legacy count.
   std::size_t live = 0;
   for (std::size_t j = 0; j < excluded_.size(); ++j) {
     if (j == id_ || !excluded_[j]) ++live;
@@ -131,33 +159,20 @@ std::size_t Worker::live_worker_count() const {
 }
 
 std::size_t Worker::effective_gbs() const {
-  if (options_.dynamic_batching || options_.gbs_schedule) {
-    return std::max<std::size_t>(1, current_gbs());
-  }
+  if (lbs_controlled()) return std::max<std::size_t>(1, current_gbs());
   return std::max<std::size_t>(1, options_.fixed_lbs * live_worker_count());
 }
 
 void Worker::start(common::SimTime until) {
   end_time_ = until;
   std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
-  if (options_.dynamic_batching || options_.gbs_schedule) {
-    profile_rcp(/*broadcast_if_changed=*/false);
-    broadcast_msg(comm::RcpReport{static_cast<std::uint32_t>(id_),
-                                  rcp_table_[id_]});
-    recompute_lbs();
+  if (lbs_controlled()) {
+    announce_rcp();
   } else {
     current_lbs_ = options_.fixed_lbs;
-    lbs_trace_.record(engine_->now(), static_cast<double>(current_lbs_));
-    if (obs::on(obs_)) {
-      obs_->tracer().counter(obs_track_, "lbs", engine_->now(),
-                             static_cast<double>(current_lbs_));
-    }
+    record_batch(lbs_trace_, current_lbs_);
   }
-  gbs_trace_.record(engine_->now(), static_cast<double>(current_gbs()));
-  if (obs::on(obs_)) {
-    obs_->tracer().counter(obs_track_, "gbs", engine_->now(),
-                           static_cast<double>(current_gbs()));
-  }
+  record_batch(gbs_trace_, current_gbs());
   // Batch size update module: periodic profiling + GBS controller ticks
   // (plus the fault-tolerance heartbeat/checkpoint modules when enabled).
   schedule_ticks();
@@ -165,17 +180,10 @@ void Worker::start(common::SimTime until) {
 }
 
 void Worker::schedule_ticks() {
-  const std::uint64_t inc = incarnation_;
-  engine_->after(options_.batch_update_period_s, [this, inc] {
-    if (inc == incarnation_) batch_tick();
-  });
+  after<&Worker::batch_tick>(options_.batch_update_period_s);
   if (ft().enabled) {
-    engine_->after(ft().heartbeat_period_s, [this, inc] {
-      if (inc == incarnation_) heartbeat_tick();
-    });
-    engine_->after(ft().checkpoint_period_s, [this, inc] {
-      if (inc == incarnation_) checkpoint_tick();
-    });
+    after<&Worker::heartbeat_tick>(ft().heartbeat_period_s);
+    after<&Worker::checkpoint_tick>(ft().checkpoint_period_s);
   }
 }
 
@@ -186,21 +194,13 @@ void Worker::batch_tick() {
   if (engine_->now() >= end_time_) return;
   if (options_.gbs_schedule) {
     scheduled_gbs_ = options_.gbs_schedule(iteration_, engine_->now());
-    profile_rcp(/*broadcast_if_changed=*/true);
-    recompute_lbs();
-  } else if (options_.dynamic_batching) {
+  }
+  if (lbs_controlled()) {
     profile_rcp(/*broadcast_if_changed=*/true);
     recompute_lbs();
   }
-  gbs_trace_.record(engine_->now(), static_cast<double>(current_gbs()));
-  if (obs::on(obs_)) {
-    obs_->tracer().counter(obs_track_, "gbs", engine_->now(),
-                           static_cast<double>(current_gbs()));
-  }
-  const std::uint64_t inc = incarnation_;
-  engine_->after(options_.batch_update_period_s, [this, inc] {
-    if (inc == incarnation_) batch_tick();
-  });
+  record_batch(gbs_trace_, current_gbs());
+  after<&Worker::batch_tick>(options_.batch_update_period_s);
 }
 
 void Worker::heartbeat_tick() {
@@ -212,11 +212,10 @@ void Worker::heartbeat_tick() {
   // non-members are already excluded and never swept.
   const common::SimTime now = engine_->now();
   bool changed = false;
-  for (std::size_t j = 0; j < suspected_.size(); ++j) {
+  for (std::size_t j = 0; j < excluded_.size(); ++j) {
     if (j == id_ || !roster_.is_member(j)) continue;
     const bool sus = (now - last_heard_[j]) > ft().suspicion_timeout_s;
-    if (sus != suspected_[j]) {
-      suspected_[j] = sus;
+    if (sus != excluded_[j]) {
       excluded_[j] = sus;
       changed = true;
     }
@@ -224,27 +223,16 @@ void Worker::heartbeat_tick() {
   if (changed) {
     // Degrade gracefully: reallocate batch shares across live workers and
     // re-check the (possibly shrunken) synchronization wait-set.
-    if (options_.dynamic_batching || options_.gbs_schedule) recompute_lbs();
-    if (waiting_) {
-      const std::uint64_t inc0 = incarnation_;
-      engine_->after(0.0, [this, inc0] {
-        if (inc0 == incarnation_) try_start_iteration();
-      });
-    }
+    if (lbs_controlled()) recompute_lbs();
+    if (waiting_) after<&Worker::try_start_iteration>(0.0);
   }
-  const std::uint64_t inc = incarnation_;
-  engine_->after(ft().heartbeat_period_s, [this, inc] {
-    if (inc == incarnation_) heartbeat_tick();
-  });
+  after<&Worker::heartbeat_tick>(ft().heartbeat_period_s);
 }
 
 void Worker::checkpoint_tick() {
   if (engine_->now() >= end_time_) return;
   take_checkpoint();
-  const std::uint64_t inc = incarnation_;
-  engine_->after(ft().checkpoint_period_s, [this, inc] {
-    if (inc == incarnation_) checkpoint_tick();
-  });
+  after<&Worker::checkpoint_tick>(ft().checkpoint_period_s);
 }
 
 void Worker::take_checkpoint() {
@@ -267,14 +255,18 @@ void Worker::crash() {
     obs_h_.crashes->inc();
     obs_->tracer().instant(obs_track_, "crash", engine_->now(),
                            {{"iteration", static_cast<double>(iteration_)}});
-    stall_start_ = -1.0;  // a crash voids any open stall/pull span
-    pull_start_ = -1.0;
   }
   ++crash_count_;
+  end_tenure();
+}
+
+void Worker::end_tenure() {
   ++incarnation_;  // cancels every lambda scheduled by the old incarnation
   running_ = false;
   waiting_ = false;
   catching_up_ = false;
+  stall_start_ = -1.0;  // the tenure's end voids any open stall/pull span
+  pull_start_ = -1.0;
   fabric_->detach(id_);  // in-flight messages to this worker dead-letter
 }
 
@@ -289,32 +281,21 @@ void Worker::recover() {
         {{"checkpoint_iteration",
           static_cast<double>(checkpoint_iteration_)}});
   }
-  fabric_->attach(id_, [this](std::size_t from, comm::MessagePtr msg) {
-    on_message(from, std::move(msg));
-  });
+  attach_to_fabric();
   // Restore the last pre-crash snapshot; training state between the
   // checkpoint and the crash is lost (that is the point of catch-up below).
   if (checkpoint_valid_) {
     nn::restore_checkpoint(built_.model, checkpoint_buf_);
     iteration_ = checkpoint_iteration_;
   }
-  compute_rate_.reset();
   iter_interval_.reset();
   last_finish_ = -1.0;
   // Grace period: give every peer a fresh liveness stamp so the recovering
   // worker does not instantly suspect the whole cluster.
   std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
-  std::fill(suspected_.begin(), suspected_.end(), false);
-  for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    excluded_[j] = !roster_.is_member(j);
-  }
+  reset_exclusions();
   // Re-announce compute power and liveness to peers.
-  if (options_.dynamic_batching || options_.gbs_schedule) {
-    profile_rcp(/*broadcast_if_changed=*/false);
-    broadcast_msg(comm::RcpReport{static_cast<std::uint32_t>(id_),
-                                  rcp_table_[id_]});
-    recompute_lbs();
-  }
+  if (lbs_controlled()) announce_rcp();
   if (ft().enabled) {
     broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_),
                                   iteration_});
@@ -356,6 +337,13 @@ void Worker::profile_rcp(bool broadcast_if_changed) {
   }
 }
 
+void Worker::announce_rcp() {
+  profile_rcp(/*broadcast_if_changed=*/false);
+  broadcast_msg(
+      comm::RcpReport{static_cast<std::uint32_t>(id_), rcp_table_[id_]});
+  recompute_lbs();
+}
+
 void Worker::recompute_lbs() {
   std::vector<std::size_t> allocation;
   if (options_.elastic.enabled) {
@@ -373,9 +361,11 @@ void Worker::recompute_lbs() {
     // Suspected peers contribute (effectively) zero compute power, so their
     // batch share is redistributed across live workers. With no suspicion
     // the table is used verbatim - identical to the non-fault-tolerant path.
+    // (Every slot is a member here, so excluded_ holds exactly the
+    // suspicions.)
     std::vector<double> rcp = rcp_table_;
     for (std::size_t j = 0; j < rcp.size(); ++j) {
-      if (j != id_ && suspected_[j]) rcp[j] = kDeadRcp;
+      if (j != id_ && excluded_[j]) rcp[j] = kDeadRcp;
     }
     allocation = allocate_lbs(current_gbs(), rcp, options_.lbs.min_lbs);
   }
@@ -387,14 +377,8 @@ void Worker::recompute_lbs() {
   DLION_ASSERT(lbs <= std::max<std::size_t>(1, current_gbs()),
                "LBS " + std::to_string(lbs) + " exceeds GBS " +
                    std::to_string(current_gbs()));
-  if (lbs != current_lbs_) {
-    current_lbs_ = lbs;
-  }
-  lbs_trace_.record(engine_->now(), static_cast<double>(current_lbs_));
-  if (obs::on(obs_)) {
-    obs_->tracer().counter(obs_track_, "lbs", engine_->now(),
-                           static_cast<double>(current_lbs_));
-  }
+  current_lbs_ = lbs;
+  record_batch(lbs_trace_, current_lbs_);
 }
 
 void Worker::try_start_iteration() {
@@ -463,7 +447,6 @@ void Worker::try_start_iteration() {
     }
   }
   const double dt = compute_.iteration_seconds(lbs, engine_->now());
-  compute_rate_.add(dt);
   const std::uint64_t inc = incarnation_;
   engine_->after(dt, [this, inc, lbs, dt] {
     if (inc == incarnation_) finish_iteration(lbs, dt);
@@ -483,19 +466,17 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
       wd->on_iteration(id_, engine_->now());
     }
   }
-  // Apply own gradients (Eq. 7's j = k term: db = 1 literal, n*LBS_k/GBS
-  // normalized). Averaging runs over *live* workers so updates keep their
-  // magnitude when peers die (n = fabric size when nothing is suspected).
+  // Apply own gradients (Eq. 7's j = k term, db = n*LBS_k/GBS). Averaging
+  // runs over *live* workers so updates keep their magnitude when peers die
+  // (n = fabric size when nothing is excluded).
   const std::size_t n_live = live_worker_count();
   // GBS bounds contract: the effective global batch always covers this
   // worker's own contribution and never exceeds what the live cluster can
   // actually supply in fixed-LBS mode.
   DLION_ASSERT(n_live >= 1 && n_live <= fabric_->size());
   DLION_DCHECK(effective_gbs() >= 1, "effective GBS collapsed to zero");
-  double own_db = 1.0;
-  if (options_.weighted_update && options_.db_normalized) {
-    own_db = normalized_batching_weight(lbs, effective_gbs(), n_live);
-  }
+  const double own_db = normalized_batching_weight(
+      lbs, effective_gbs(), n_live, options_.weighted_update);
   apply_own_gradients(built_.model, options_.learning_rate, n_live, own_db);
 
   // Iter_com_i (§3.3) is the worker's achieved iteration rate - the full
@@ -576,11 +557,7 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
       gbs_ctrl_.tick();
       profile_rcp(/*broadcast_if_changed=*/false);
       recompute_lbs();
-      gbs_trace_.record(engine_->now(), static_cast<double>(current_gbs()));
-      if (obs::on(obs_)) {
-        obs_->tracer().counter(obs_track_, "gbs", engine_->now(),
-                               static_cast<double>(current_gbs()));
-      }
+      record_batch(gbs_trace_, current_gbs());
     }
   }
 
@@ -593,10 +570,7 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
   if (dkt_.is_boundary(iteration_)) run_dkt_boundary();
 
   running_ = false;
-  const std::uint64_t inc = incarnation_;
-  engine_->after(0.0, [this, inc] {
-    if (inc == incarnation_) try_start_iteration();
-  });
+  after<&Worker::try_start_iteration>(0.0);
 }
 
 void Worker::run_dkt_boundary() {
@@ -612,24 +586,21 @@ void Worker::run_dkt_boundary() {
   if (ft().enabled) {
     // Reliable pull with next-best fallback: an unacked request (crashed or
     // partitioned best worker) falls through to the next-best candidate.
-    // The merged exclusion mask keeps departed members out of the chain.
+    // The exclusion mask keeps departed members out of the chain.
     send_weight_pull(excluded_, live_worker_count(), /*catch_up=*/false);
-  } else {
-    std::size_t best;
-    if (options_.elastic.enabled) {
-      best = dkt_.best_worker(iteration_, excluded_);
-      if (best == id_) return;  // no usable member to pull from
-    } else {
-      best = dkt_.best_worker(iteration_);
-    }
-    if (obs::on(obs_)) {
-      obs_h_.dkt_pulls->inc();
-      if (pull_start_ < 0.0) pull_start_ = engine_->now();
-    }
-    fabric_->send(id_, best,
-                  comm::DktRequest{static_cast<std::uint32_t>(id_),
-                                   iteration_});
+    return;
   }
+  // Without fault tolerance only roster changes exclude peers. With every
+  // slot a member the mask is all false and should_request has already
+  // ruled out pulling from ourselves.
+  const std::size_t best = dkt_.best_worker(iteration_, excluded_);
+  if (best == id_) return;  // no usable member to pull from
+  if (obs::on(obs_)) {
+    obs_h_.dkt_pulls->inc();
+    if (pull_start_ < 0.0) pull_start_ = engine_->now();
+  }
+  fabric_->send(id_, best,
+                comm::DktRequest{static_cast<std::uint32_t>(id_), iteration_});
 }
 
 void Worker::send_weight_pull(std::vector<bool> excluded,
@@ -673,7 +644,6 @@ void Worker::send_weight_pull(std::vector<bool> excluded,
        target](bool acked) mutable {
         if (inc != incarnation_) return;
         if (acked) return;  // the WeightSnapshot reply is on its way
-        ++pull_fallbacks_;
         excluded[target] = true;
         send_weight_pull(std::move(excluded), attempts_left - 1, catch_up);
       });
@@ -702,16 +672,14 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
       std::holds_alternative<comm::RosterUpdate>(*msg);
   if (options_.elastic.enabled && !is_roster_update &&
       !roster_.is_member(from)) {
-    ++nonmember_rejected_;
     return;
   }
   // Any message is proof of life: refresh the liveness stamp and clear
-  // suspicion (a no-op whenever fault tolerance is disabled). The merged
+  // suspicion (a no-op whenever fault tolerance is disabled). The
   // exclusion bit clears only for members (a RosterUpdate from a joiner
   // clears it inside apply_roster once the roster is adopted).
   if (from < last_heard_.size()) {
     last_heard_[from] = engine_->now();
-    suspected_[from] = false;
     if (roster_.is_member(from)) excluded_[from] = false;
   }
   std::visit(
@@ -722,15 +690,9 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
               std::max(peer_latest_[from],
                        static_cast<std::int64_t>(m.iteration));
           const std::size_t n_live = live_worker_count();
-          const double db =
-              options_.db_normalized
-                  ? normalized_batching_weight(std::max<std::size_t>(1, m.lbs),
-                                               effective_gbs(), n_live,
-                                               options_.weighted_update)
-                  : dynamic_batching_weight(std::max<std::size_t>(1, m.lbs),
-                                            std::max<std::size_t>(
-                                                1, current_lbs_),
-                                            options_.weighted_update);
+          const double db = normalized_batching_weight(
+              std::max<std::size_t>(1, m.lbs), effective_gbs(), n_live,
+              options_.weighted_update);
           apply_gradient_update(built_.model, m, options_.learning_rate,
                                 n_live, db);
           if (obs::on(obs_) && obs_->causal()) {
@@ -743,12 +705,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
             obs_->tracer().complete(obs_track_, "apply", engine_->now(),
                                     engine_->now());
           }
-          if (waiting_) {
-            const std::uint64_t inc = incarnation_;
-            engine_->after(0.0, [this, inc] {
-              if (inc == incarnation_) try_start_iteration();
-            });
-          }
+          if (waiting_) after<&Worker::try_start_iteration>(0.0);
         } else if constexpr (std::is_same_v<T, comm::LossReport>) {
           // Stamped with the *receiver's* iteration: one coherent freshness
           // clock even when peers' own iteration counts diverge.
@@ -759,12 +716,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
           snap.iteration = iteration_;
           snap.loss = dkt_.avg_loss();
           snap.weights = stage_weights(0, built_.model.num_variables());
-          if (ft().enabled) {
-            fabric_->send_reliable(id_, from, std::move(snap),
-                                   ft().control_retry);
-          } else {
-            fabric_->send(id_, from, std::move(snap));
-          }
+          send_control(from, std::move(snap));
         } else if constexpr (std::is_same_v<T, comm::WeightSnapshot>) {
           if (obs::on(obs_) && pull_start_ >= 0.0) {
             // Close the DKT weight-pull phase opened when the (first)
@@ -781,20 +733,13 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
             iteration_ = std::max(iteration_, m.iteration);
             catching_up_ = false;
             take_checkpoint();  // fresh restore point post-rejoin
-            if (waiting_) {
-              const std::uint64_t inc = incarnation_;
-              engine_->after(0.0, [this, inc] {
-                if (inc == incarnation_) try_start_iteration();
-              });
-            }
+            if (waiting_) after<&Worker::try_start_iteration>(0.0);
           } else {
             dkt_.merge(built_.model, m.weights);
           }
         } else if constexpr (std::is_same_v<T, comm::RcpReport>) {
           rcp_table_[from] = m.rcp;
-          if (options_.dynamic_batching || options_.gbs_schedule) {
-            recompute_lbs();
-          }
+          if (lbs_controlled()) recompute_lbs();
         } else if constexpr (std::is_same_v<T, comm::Heartbeat>) {
           // Liveness handled above; the beacon carries no training payload.
         } else if constexpr (std::is_same_v<T, comm::RosterUpdate>) {
@@ -821,12 +766,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
             // Only the requested slice is staged - serving a chunk never
             // snapshots (or copies) the rest of the model.
             chunk.weights = stage_weights(m.first_var, m.var_count);
-            if (ft().enabled) {
-              fabric_->send_reliable(id_, from, std::move(chunk),
-                                     ft().control_retry);
-            } else {
-              fabric_->send(id_, from, std::move(chunk));
-            }
+            send_control(from, std::move(chunk));
           }
         } else if constexpr (std::is_same_v<T, comm::BootstrapChunk>) {
           // Accept chunks from this bootstrap tenure (epoch >= the epoch we
@@ -917,11 +857,12 @@ void Worker::apply_roster(std::uint64_t epoch,
       // bootstrap before sending its first gradient, so bounded-staleness
       // training must not stall on its (empty) history.
       last_heard_[j] = engine_->now();
-      suspected_[j] = false;
       peer_latest_[j] = std::max(peer_latest_[j],
                                  static_cast<std::int64_t>(iteration_));
     }
-    excluded_[j] = !members[j] || suspected_[j];
+    // Leavers are excluded, joiners start live, and a member who stays
+    // keeps its suspicion bit.
+    excluded_[j] = !members[j] || (prev[j] && excluded_[j]);
   }
   if (obs::on(obs_)) {
     obs_->tracer().instant(
@@ -930,15 +871,18 @@ void Worker::apply_roster(std::uint64_t epoch,
          {"members", static_cast<double>(roster_.member_count())}});
   }
   // GBS/LBS renormalization over the new live set (Eq. 5 across members).
-  if (!dormant_ && (options_.dynamic_batching || options_.gbs_schedule)) {
-    recompute_lbs();
-  }
-  if (waiting_) {
-    const std::uint64_t inc = incarnation_;
-    engine_->after(0.0, [this, inc] {
-      if (inc == incarnation_) try_start_iteration();
-    });
-  }
+  if (!dormant_ && lbs_controlled()) recompute_lbs();
+  if (waiting_) after<&Worker::try_start_iteration>(0.0);
+}
+
+void Worker::broadcast_roster(std::uint64_t epoch,
+                              const std::vector<bool>& members) {
+  comm::RosterUpdate ru;
+  ru.from = static_cast<std::uint32_t>(id_);
+  ru.epoch = epoch;
+  ru.capacity = static_cast<std::uint32_t>(fabric_->size());
+  ru.member_words = comm::pack_members(members);
+  broadcast_msg(ru);
 }
 
 void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
@@ -953,14 +897,14 @@ void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
   catching_up_ = false;
   end_time_ = until;
   ++incarnation_;  // a previous tenure's scheduled lambdas become no-ops
-  fabric_->attach(id_, [this](std::size_t from, comm::MessagePtr msg) {
-    on_message(from, std::move(msg));
-  });
+  attach_to_fabric();
   // Raising the floor to the join epoch makes in-flight traffic addressed
   // to this slot's previous tenure undeliverable — deterministically.
   fabric_->set_epoch_floor(id_, epoch);
+  // Fresh liveness, as after recover(): suspicions from a previous tenure
+  // do not carry over.
   std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
-  std::fill(suspected_.begin(), suspected_.end(), false);
+  reset_exclusions();
   apply_roster(epoch, members);
   if (obs::on(obs_)) {
     obs_->tracer().instant(obs_track_, "join", engine_->now(),
@@ -968,20 +912,12 @@ void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
   }
   // Announce the roster FIRST: per-link FIFO delivery guarantees every
   // member admits us before any of our subsequent traffic arrives.
-  comm::RosterUpdate ru;
-  ru.from = static_cast<std::uint32_t>(id_);
-  ru.epoch = epoch;
-  ru.capacity = static_cast<std::uint32_t>(fabric_->size());
-  ru.member_words = comm::pack_members(members);
-  broadcast_msg(ru);
-  if (options_.dynamic_batching || options_.gbs_schedule) {
-    profile_rcp(/*broadcast_if_changed=*/false);
-    broadcast_msg(comm::RcpReport{static_cast<std::uint32_t>(id_),
-                                  rcp_table_[id_]});
-    recompute_lbs();
+  broadcast_roster(epoch, members);
+  if (lbs_controlled()) {
+    announce_rcp();
   } else {
     current_lbs_ = options_.fixed_lbs;
-    lbs_trace_.record(engine_->now(), static_cast<double>(current_lbs_));
+    record_batch(lbs_trace_, current_lbs_);
   }
   if (ft().enabled) {
     broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_),
@@ -1000,31 +936,18 @@ void Worker::leave(std::uint64_t epoch, const std::vector<bool>& members) {
   // members (the farewell carries the new epoch, so nobody's floor rejects
   // it).
   apply_roster(epoch, members);
-  comm::RosterUpdate ru;
-  ru.from = static_cast<std::uint32_t>(id_);
-  ru.epoch = epoch;
-  ru.capacity = static_cast<std::uint32_t>(fabric_->size());
-  ru.member_words = comm::pack_members(members);
-  broadcast_msg(ru);
+  broadcast_roster(epoch, members);
   if (obs::on(obs_)) {
     obs_->tracer().instant(obs_track_, "leave", engine_->now(),
                            {{"epoch", static_cast<double>(epoch)}});
-    stall_start_ = -1.0;
-    pull_start_ = -1.0;
   }
-  ++incarnation_;
-  running_ = false;
-  waiting_ = false;
-  catching_up_ = false;
   bootstrapping_ = false;
-  fabric_->detach(id_);
+  end_tenure();
   dormant_ = true;
 }
 
 void Worker::rebind_compute(sim::ComputeResource compute) {
   compute_ = std::move(compute);
-  // The RCP estimate and iteration-time EWMA described the old machine.
-  compute_rate_.reset();
   if (obs::on(obs_)) {
     obs_->tracer().instant(obs_track_, "rebind_compute", engine_->now());
   }
@@ -1085,20 +1008,14 @@ void Worker::send_bootstrap_request(BootstrapRange range,
   req.epoch = roster_.epoch();
   req.first_var = range.first_var;
   req.var_count = range.var_count;
-  if (ft().enabled) {
-    const std::uint64_t inc = incarnation_;
-    fabric_->send_reliable(
-        id_, donor, req, ft().control_retry,
-        [this, inc, range, excluded = std::move(excluded), attempts_left,
-         donor](bool acked) mutable {
-          if (inc != incarnation_ || acked) return;
-          excluded[donor] = true;
-          send_bootstrap_request(range, std::move(excluded),
-                                 attempts_left - 1);
-        });
-  } else {
-    fabric_->send(id_, donor, req);
-  }
+  send_control(donor, req,
+               [this, inc = incarnation_, range, excluded = std::move(excluded),
+                attempts_left, donor](bool acked) mutable {
+                 if (inc != incarnation_ || acked) return;
+                 excluded[donor] = true;
+                 send_bootstrap_request(range, std::move(excluded),
+                                        attempts_left - 1);
+               });
 }
 
 void Worker::finish_bootstrap() {
@@ -1125,7 +1042,7 @@ void Worker::finish_bootstrap() {
   }
   bootstrapping_ = false;
   bootstrap_complete_time_ = engine_->now();
-  if (options_.dynamic_batching || options_.gbs_schedule) recompute_lbs();
+  if (lbs_controlled()) recompute_lbs();
   if (ft().enabled) take_checkpoint();
   if (obs::on(obs_)) {
     obs_->tracer().instant(

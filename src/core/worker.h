@@ -8,6 +8,7 @@
 // paper's module boundaries while keeping runs deterministic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -81,12 +82,9 @@ struct WorkerOptions {
   /// Weighted dynamic batching (§3.2): GBS + LBS controllers. When false,
   /// every worker uses `fixed_lbs` (the traditional even split).
   bool dynamic_batching = true;
-  /// Weighted model update (Eq. 7 db weights). When false, db = 1.
+  /// Weighted model update (Eq. 7 db weights, normalized to n*LBS_j/GBS;
+  /// see weighted_update.h). When false, db = 1.
   bool weighted_update = true;
-  /// Use the normalized batching weights n*LBS_j/GBS instead of the literal
-  /// Eq. 7 LBS_j/LBS_k (same direction, receiver-independent magnitude; see
-  /// weighted_update.h).
-  bool db_normalized = true;
   std::size_t fixed_lbs = 32;
   GbsConfig gbs;
   LbsConfig lbs;
@@ -128,7 +126,6 @@ class Worker {
   /// The global batch size in effect: the controller's GBS under dynamic
   /// batching, n * fixed_lbs otherwise.
   std::size_t effective_gbs() const;
-  double current_rcp() const { return rcp_table_[id_]; }
 
   const sim::Trace& accuracy_trace() const { return accuracy_trace_; }
   const sim::Trace& loss_trace() const { return loss_trace_; }
@@ -170,15 +167,15 @@ class Worker {
   /// peer (catch-up), and resume training.
   void recover();
   bool crashed() const { return crashed_; }
-  /// Workers not currently suspected crashed, self included. Equals the
-  /// fabric size whenever fault tolerance is disabled.
+  /// Workers not currently excluded, self included. Equals the fabric
+  /// size whenever fault tolerance and elastic membership are disabled.
   std::size_t live_worker_count() const;
-  const std::vector<bool>& suspected_peers() const { return suspected_; }
+  /// Per-slot exclusion mask: peers suspected crashed or outside the
+  /// roster (self is false while this worker is a member).
+  const std::vector<bool>& excluded_peers() const { return excluded_; }
   std::uint64_t crash_count() const { return crash_count_; }
   std::uint64_t recover_count() const { return recover_count_; }
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
-  /// DKT / catch-up weight pulls re-targeted after an unacked request.
-  std::uint64_t pull_fallbacks() const { return pull_fallbacks_; }
 
   // --- Elastic membership (DESIGN.md, "Elastic membership") ---
 
@@ -209,8 +206,6 @@ class Worker {
   common::SimTime bootstrap_complete_time() const {
     return bootstrap_complete_time_;
   }
-  /// Messages rejected because the sender is not in the current roster.
-  std::uint64_t nonmember_rejected() const { return nonmember_rejected_; }
   /// EWMA of the full iteration cycle time (autoscaler straggler signal).
   double iteration_interval() const { return iter_interval_.value(); }
   /// Last iteration-finish time (-1 = none yet; autoscaler stall signal).
@@ -241,6 +236,33 @@ class Worker {
   void run_dkt_boundary();
 
   const FaultToleranceOptions& ft() const { return options_.fault_tolerance; }
+  /// LBS comes from the LBS controller (dynamic batching or a scripted
+  /// GBS), not from fixed_lbs.
+  bool lbs_controlled() const {
+    return options_.dynamic_batching || options_.gbs_schedule != nullptr;
+  }
+  /// Run member `Fn` after `delay` unless this incarnation ends first. The
+  /// closure holds only `this` and the incarnation (16 bytes), which fits
+  /// std::function's small buffer.
+  template <void (Worker::*Fn)()>
+  void after(double delay);
+  /// Control-plane send: reliable (ack + retry, outcome to `on_result`)
+  /// under fault tolerance, a plain send otherwise. `on_result` is a
+  /// template argument so the plain path never builds a std::function.
+  template <typename OnResult = std::nullptr_t>
+  void send_control(std::size_t to, comm::Message msg,
+                    OnResult on_result = nullptr);
+  /// Record `value` on `trace` and, when observing, as the same-named
+  /// counter sample on this worker's track.
+  void record_batch(sim::Trace& trace, std::size_t value);
+  /// Profile compute power, announce it to peers, and re-derive LBS.
+  void announce_rcp();
+  void attach_to_fabric();
+  /// Exclude exactly the non-members (clears every suspicion).
+  void reset_exclusions();
+  /// End this tenure (crash or leave): cancel the incarnation's scheduled
+  /// lambdas, drop in-progress training state and open spans, and detach.
+  void end_tenure();
   /// Schedule the periodic modules (batch tick; plus heartbeat + checkpoint
   /// ticks when fault tolerance is enabled) under the current incarnation.
   void schedule_ticks();
@@ -263,10 +285,11 @@ class Worker {
   /// everyone-but-self broadcast otherwise.
   void broadcast_msg(const comm::Message& msg);
   /// Adopt a (strictly newer) roster: stamp outgoing traffic with the new
-  /// epoch, refresh the merged exclusion mask, give newly added members an
+  /// epoch, refresh the exclusion mask, give newly added members an
   /// optimistic liveness/staleness baseline, renormalize LBS, and re-check
   /// a pending synchronization wait.
   void apply_roster(std::uint64_t epoch, const std::vector<bool>& members);
+  void broadcast_roster(std::uint64_t epoch, const std::vector<bool>& members);
   void begin_bootstrap();
   /// Reliable chunk request with next-donor fallback (mirrors
   /// send_weight_pull's retry shape).
@@ -307,8 +330,7 @@ class Worker {
   bool running_ = false;
   bool waiting_ = false;
   common::SimTime end_time_ = 0.0;
-  common::Ewma compute_rate_;    // EWMA of iteration compute seconds
-  common::Ewma iter_interval_;   // EWMA of full iteration cycle seconds
+  common::Ewma iter_interval_;  // EWMA of full iteration cycle seconds
   common::SimTime last_finish_ = -1.0;
 
   // Fault-tolerance state. All of it stays in its initial "everything live"
@@ -320,21 +342,19 @@ class Worker {
   /// created under and become no-ops when it no longer matches.
   std::uint64_t incarnation_ = 0;
   std::vector<common::SimTime> last_heard_;  // per peer; self unused
-  std::vector<bool> suspected_;              // per peer; self always false
   std::vector<std::uint8_t> checkpoint_buf_;  // DLCK bytes, crash restore
   std::uint64_t checkpoint_iteration_ = 0;
   bool checkpoint_valid_ = false;
   std::uint64_t crash_count_ = 0;
   std::uint64_t recover_count_ = 0;
   std::uint64_t checkpoints_taken_ = 0;
-  std::uint64_t pull_fallbacks_ = 0;
 
   // Elastic-membership state. With the layer disabled, roster_ is the
-  // all-member epoch-0 view and excluded_ mirrors suspected_ exactly, so
-  // the shared training paths below behave bit-identically to the
-  // pre-elastic worker.
+  // all-member epoch-0 view, so the shared training paths below behave
+  // bit-identically to the pre-elastic worker.
   RosterView roster_;
-  /// Merged synchronization exclusion mask: suspected_[j] || !member(j).
+  /// Per-peer exclusion mask: peers suspected crashed (heartbeat sweep) or
+  /// outside the roster; self is false while this worker is a member.
   /// Maintained incrementally (never rebuilt on the iteration hot path).
   std::vector<bool> excluded_;
   bool dormant_ = false;
@@ -353,7 +373,6 @@ class Worker {
   std::size_t bootstrap_donor_count_ = 0;
   std::uint64_t bootstrap_bytes_ = 0;
   common::SimTime bootstrap_complete_time_ = -1.0;
-  std::uint64_t nonmember_rejected_ = 0;
 
   sim::Trace accuracy_trace_;
   sim::Trace loss_trace_;

@@ -49,35 +49,4 @@ tensor::Tensor Flatten::backward(const tensor::Tensor& grad_output,
   return grad_in;
 }
 
-Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
-  if (p < 0.0 || p >= 1.0) {
-    throw std::invalid_argument("Dropout: p must be in [0, 1)");
-  }
-}
-
-tensor::Tensor Dropout::forward(const tensor::Tensor& input, bool train) {
-  train_ = train;
-  if (!train_ || p_ == 0.0) return input;
-  tensor::Tensor out = input;
-  mask_ = tensor::Tensor(input.shape());
-  const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (rng_.bernoulli(p_)) {
-      out[i] = 0.0f;
-    } else {
-      mask_[i] = keep_scale;
-      out[i] *= keep_scale;
-    }
-  }
-  return out;
-}
-
-tensor::Tensor Dropout::backward(const tensor::Tensor& grad_output,
-                                 bool /*need_input_grad*/) {
-  if (!train_ || p_ == 0.0) return grad_output;
-  tensor::Tensor grad_in = grad_output;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) grad_in[i] *= mask_[i];
-  return grad_in;
-}
-
 }  // namespace dlion::nn

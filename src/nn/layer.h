@@ -19,7 +19,8 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass. `train` toggles train-only behaviour (e.g. dropout).
+  /// Forward pass. `train` marks a training pass (vs. evaluation); no
+  /// layer behaves differently in it today.
   virtual tensor::Tensor forward(const tensor::Tensor& input, bool train) = 0;
 
   /// Backward pass: consumes dL/d(output), accumulates dL/d(variables) into

@@ -1,5 +1,6 @@
 #include "obs/trace_sink.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/trace_format.h"
@@ -17,23 +18,7 @@ void fnv1a(std::uint64_t& hash, const std::string& bytes) {
   }
 }
 
-bool pid_seen(std::vector<std::uint32_t>& named, std::uint32_t pid) {
-  for (std::uint32_t p : named) {
-    if (p == pid) return true;
-  }
-  named.push_back(pid);
-  return false;
-}
-
-void note_track(std::vector<std::pair<std::uint32_t, std::uint32_t>>& tracks,
-                TrackId id, std::uint32_t pid, std::uint32_t tid) {
-  if (tracks.size() < id) tracks.resize(id);
-  tracks[id - 1] = {pid, tid};
-}
-
 }  // namespace
-
-// ---------------------------------------------------------- ChromeStreamSink
 
 ChromeStreamSink::ChromeStreamSink(std::ostream& out) : out_(&out) {}
 
@@ -71,8 +56,11 @@ std::pair<std::uint32_t, std::uint32_t> ChromeStreamSink::ids(
 void ChromeStreamSink::on_track(TrackId id, std::uint32_t pid,
                                 std::uint32_t tid, const std::string& process,
                                 const std::string& thread) {
-  note_track(tracks_, id, pid, tid);
-  if (!pid_seen(pids_named_, pid)) {
+  if (tracks_.size() < id) tracks_.resize(id);
+  tracks_[id - 1] = {pid, tid};
+  if (std::find(pids_named_.begin(), pids_named_.end(), pid) ==
+      pids_named_.end()) {
+    pids_named_.push_back(pid);
     emit(trace_format::process_meta(pid, process));
   }
   emit(trace_format::thread_meta(pid, tid, thread));
@@ -107,80 +95,6 @@ void ChromeStreamSink::finish() {
   bytes_ += tail.size();
   fnv1a(hash_, tail);
   out_->flush();
-}
-
-// ----------------------------------------------------------------- RingSink
-
-RingSink::RingSink(std::size_t capacity) : cap_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(cap_);
-}
-
-void RingSink::push(std::string event_json) {
-  DLION_AFFINITY_DCHECK(affinity_);
-  ++total_;
-  if (ring_.size() < cap_) {
-    ring_.push_back(std::move(event_json));
-    return;
-  }
-  ring_[next_] = std::move(event_json);
-  next_ = (next_ + 1) % cap_;
-}
-
-std::pair<std::uint32_t, std::uint32_t> RingSink::ids(TrackId id) const {
-  if (id == 0 || id > tracks_.size()) return {0, 0};
-  return tracks_[id - 1];
-}
-
-void RingSink::on_track(TrackId id, std::uint32_t pid, std::uint32_t tid,
-                        const std::string& process,
-                        const std::string& thread) {
-  note_track(tracks_, id, pid, tid);
-  if (!pid_seen(pids_named_, pid)) {
-    meta_.push_back(trace_format::process_meta(pid, process));
-  }
-  meta_.push_back(trace_format::thread_meta(pid, tid, thread));
-}
-
-void RingSink::on_span(const Tracer::Span& s) {
-  const auto [pid, tid] = ids(s.track);
-  push(trace_format::span_event(s, pid, tid));
-}
-
-void RingSink::on_instant(const Tracer::Instant& i) {
-  const auto [pid, tid] = ids(i.track);
-  push(trace_format::instant_event(i, pid, tid));
-}
-
-void RingSink::on_sample(const Tracer::Sample& c) {
-  const auto [pid, tid] = ids(c.track);
-  push(trace_format::sample_event(c, pid, tid));
-}
-
-void RingSink::on_flow(const Tracer::Flow& f) {
-  const auto [pid, tid] = ids(f.track);
-  push(trace_format::flow_event(f, pid, tid));
-}
-
-std::string RingSink::chrome_json() const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&out, &first] {
-    if (!first) out += ",\n";
-    first = false;
-  };
-  for (const std::string& m : meta_) {
-    sep();
-    out += m;
-  }
-  // Oldest-first: the slot at next_ is the oldest once the ring has wrapped.
-  const std::size_t n = ring_.size();
-  const std::size_t start = n < cap_ ? 0 : next_;
-  for (std::size_t k = 0; k < n; ++k) {
-    sep();
-    out += ring_[(start + k) % n];
-  }
-  out += "\n]}";
-  return out;
 }
 
 }  // namespace dlion::obs

@@ -1,23 +1,19 @@
-// Streaming trace sinks: consume admitted Tracer events as they are
+// Streaming trace sink: consumes admitted Tracer events as they are
 // recorded (spans as they close) instead of letting them accumulate in the
 // tracer's vectors — the memory story for 1,000-worker runs (DESIGN.md
 // "Observability at scale").
 //
-//  - ChromeStreamSink: incremental Chrome trace-event JSON writer. Emits
-//    the {"traceEvents":[ header up front, one event object per callback
-//    (track metadata interleaved as tracks appear, which Perfetto and
-//    chrome://tracing both accept), and the closing ]} on finish(). Event
-//    records are built by obs/trace_format.h, so a streamed event is
-//    byte-identical to its batch-exported twin. Keeps a running FNV-1a
-//    checksum of everything written — the determinism fingerprint the
-//    scale tests compare across DLION_THREADS values.
-//  - RingSink: bounded ring of the last `capacity` formatted events (plus
-//    the full track table, which is O(tracks), not O(events)) for
-//    post-mortem export of "what just happened".
-//  - TeeSink: fan-out to two sinks (e.g. stream to disk AND keep a ring).
+// ChromeStreamSink is an incremental Chrome trace-event JSON writer. It
+// emits the {"traceEvents":[ header up front, one event object per
+// callback (track metadata interleaved as tracks appear, which Perfetto
+// and chrome://tracing both accept), and the closing ]} on finish(). Event
+// records are built by obs/trace_format.h, so a streamed event is
+// byte-identical to its batch-exported twin. It keeps a running FNV-1a
+// checksum of everything written — the determinism fingerprint the scale
+// tests compare across DLION_THREADS values.
 //
-// Sinks are driven synchronously from the recording thread; like the
-// tracer itself they never read wall clocks or draw randomness.
+// The sink is driven synchronously from the recording thread; like the
+// tracer itself it never reads wall clocks or draws randomness.
 #pragma once
 
 #include <cstdint>
@@ -31,28 +27,11 @@
 
 namespace dlion::obs {
 
-/// Receiver for admitted trace events. All callbacks fire in recording
-/// order (deterministic for a deterministic run).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  /// A new track was registered (or replayed on attach). `id` is 1-based
-  /// and dense; pid/tid match the batch exporter's numbering.
-  virtual void on_track(TrackId id, std::uint32_t pid, std::uint32_t tid,
-                        const std::string& process,
-                        const std::string& thread) = 0;
-  virtual void on_span(const Tracer::Span& s) = 0;
-  virtual void on_instant(const Tracer::Instant& i) = 0;
-  virtual void on_sample(const Tracer::Sample& c) = 0;
-  virtual void on_flow(const Tracer::Flow& f) = 0;
-  /// The run is over: flush/close the output. Must be idempotent.
-  virtual void finish() {}
-};
-
 /// Incremental Chrome-JSON writer. The output is a valid trace file once
 /// finish() has run (and most viewers tolerate a truncated tail, so even
-/// a crashed run's stream loads).
-class ChromeStreamSink final : public TraceSink {
+/// a crashed run's stream loads). Callbacks fire in recording order
+/// (deterministic for a deterministic run).
+class ChromeStreamSink {
  public:
   /// Stream to a caller-owned ostream (kept by reference; must outlive
   /// the sink).
@@ -60,16 +39,18 @@ class ChromeStreamSink final : public TraceSink {
   /// Stream to a file (owned; truncated). Throws std::runtime_error when
   /// the file cannot be opened.
   explicit ChromeStreamSink(const std::string& path);
-  ~ChromeStreamSink() override;
+  ~ChromeStreamSink();
 
+  /// A new track was registered (or replayed on attach). `id` is 1-based
+  /// and dense; pid/tid match the batch exporter's numbering.
   void on_track(TrackId id, std::uint32_t pid, std::uint32_t tid,
-                const std::string& process,
-                const std::string& thread) override;
-  void on_span(const Tracer::Span& s) override;
-  void on_instant(const Tracer::Instant& i) override;
-  void on_sample(const Tracer::Sample& c) override;
-  void on_flow(const Tracer::Flow& f) override;
-  void finish() override;
+                const std::string& process, const std::string& thread);
+  void on_span(const Tracer::Span& s);
+  void on_instant(const Tracer::Instant& i);
+  void on_sample(const Tracer::Sample& c);
+  void on_flow(const Tracer::Flow& f);
+  /// The run is over: write the closing bracket and flush. Idempotent.
+  void finish();
 
   std::uint64_t events_written() const { return events_; }
   std::uint64_t bytes_written() const { return bytes_; }
@@ -92,85 +73,6 @@ class ChromeStreamSink final : public TraceSink {
   /// Driven synchronously from the recording thread (single-threaded by
   /// contract; checked in debug/sanitize builds).
   common::ThreadAffinity affinity_;
-};
-
-/// Bounded in-memory ring of the last `capacity` events (formatted JSON
-/// records). Memory is O(capacity + tracks) no matter how long the run.
-class RingSink final : public TraceSink {
- public:
-  explicit RingSink(std::size_t capacity);
-
-  void on_track(TrackId id, std::uint32_t pid, std::uint32_t tid,
-                const std::string& process,
-                const std::string& thread) override;
-  void on_span(const Tracer::Span& s) override;
-  void on_instant(const Tracer::Instant& i) override;
-  void on_sample(const Tracer::Sample& c) override;
-  void on_flow(const Tracer::Flow& f) override;
-
-  std::size_t capacity() const { return cap_; }
-  /// Events currently held (<= capacity).
-  std::size_t size() const { return ring_.size(); }
-  std::uint64_t total_events() const { return total_; }
-  /// Events evicted to stay within capacity.
-  std::uint64_t dropped() const {
-    return total_ - static_cast<std::uint64_t>(ring_.size());
-  }
-
-  /// Chrome trace JSON of the current window: full track metadata, then
-  /// the ring's events oldest-first.
-  std::string chrome_json() const;
-
- private:
-  void push(std::string event_json);
-  std::pair<std::uint32_t, std::uint32_t> ids(TrackId id) const;
-
-  std::size_t cap_;
-  std::vector<std::string> ring_;  // circular once full; next_ = oldest
-  std::size_t next_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<std::string> meta_;  // process/thread metadata records
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> tracks_;
-  std::vector<std::uint32_t> pids_named_;
-  common::ThreadAffinity affinity_;  // single-threaded by contract
-};
-
-/// Forwards every callback to two sinks (both non-owning, either may be
-/// nullptr).
-class TeeSink final : public TraceSink {
- public:
-  TeeSink(TraceSink* a, TraceSink* b) : a_(a), b_(b) {}
-
-  void on_track(TrackId id, std::uint32_t pid, std::uint32_t tid,
-                const std::string& process,
-                const std::string& thread) override {
-    if (a_ != nullptr) a_->on_track(id, pid, tid, process, thread);
-    if (b_ != nullptr) b_->on_track(id, pid, tid, process, thread);
-  }
-  void on_span(const Tracer::Span& s) override {
-    if (a_ != nullptr) a_->on_span(s);
-    if (b_ != nullptr) b_->on_span(s);
-  }
-  void on_instant(const Tracer::Instant& i) override {
-    if (a_ != nullptr) a_->on_instant(i);
-    if (b_ != nullptr) b_->on_instant(i);
-  }
-  void on_sample(const Tracer::Sample& c) override {
-    if (a_ != nullptr) a_->on_sample(c);
-    if (b_ != nullptr) b_->on_sample(c);
-  }
-  void on_flow(const Tracer::Flow& f) override {
-    if (a_ != nullptr) a_->on_flow(f);
-    if (b_ != nullptr) b_->on_flow(f);
-  }
-  void finish() override {
-    if (a_ != nullptr) a_->finish();
-    if (b_ != nullptr) b_->finish();
-  }
-
- private:
-  TraceSink* a_;
-  TraceSink* b_;
 };
 
 }  // namespace dlion::obs

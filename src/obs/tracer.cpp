@@ -183,7 +183,7 @@ TrackId Tracer::track(const std::string& process, const std::string& thread) {
   return id;
 }
 
-void Tracer::set_sink(TraceSink* sink) {
+void Tracer::set_sink(ChromeStreamSink* sink) {
   sink_ = sink;
   if (sink_ == nullptr) return;
   for (std::size_t i = 0; i < tracks_.size(); ++i) {

@@ -13,7 +13,7 @@
 // push_back.
 //
 // Scale mode (DESIGN.md "Observability at scale"): for large-N runs the
-// tracer can (a) stream admitted events to a TraceSink as they close
+// tracer can (a) stream admitted events to a ChromeStreamSink as they close
 // instead of — or in addition to — retaining them, and (b) sample
 // deterministically via TraceSampleConfig, keyed off track ids and flow
 // sequence numbers, never entropy. Both default off: an unconfigured
@@ -34,7 +34,7 @@ namespace dlion::obs {
 /// Opaque track handle; 0 is reserved as "invalid / not yet created".
 using TrackId = std::uint32_t;
 
-class TraceSink;  // obs/trace_sink.h
+class ChromeStreamSink;  // obs/trace_sink.h
 
 /// Deterministic sampling policy for large-N traces. Every decision is a
 /// pure function of (track name, flow id, event time) — same run, same
@@ -152,8 +152,7 @@ class Tracer {
   /// events are forwarded as they close; already-known tracks are replayed
   /// to the new sink immediately. Call finish() when the run ends so the
   /// sink can close its output.
-  void set_sink(TraceSink* sink);
-  TraceSink* sink() const { return sink_; }
+  void set_sink(ChromeStreamSink* sink);
   /// Forwards to the sink's finish() (no-op without one).
   void finish();
 
@@ -249,7 +248,7 @@ class Tracer {
   std::vector<Sample> samples_;
   std::vector<Flow> flows_;
 
-  TraceSink* sink_ = nullptr;  // non-owning, optional
+  ChromeStreamSink* sink_ = nullptr;  // non-owning, optional
   /// Recording is single-threaded by contract (no lock on the hot path);
   /// debug/sanitize builds verify every mutating entry point stays on the
   /// binding thread (common/thread_affinity.h).

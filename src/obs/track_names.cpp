@@ -4,19 +4,9 @@
 
 namespace dlion::obs {
 
-namespace {
-int g_pad_width = kDefaultIdPadWidth;
-}  // namespace
-
-void set_id_pad_width(int width) {
-  g_pad_width = width < 0 ? 0 : (width > 16 ? 16 : width);
-}
-
-int id_pad_width() { return g_pad_width; }
-
 std::string id_str(std::size_t id) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%0*zu", g_pad_width, id);
+  std::snprintf(buf, sizeof(buf), "%0*zu", kIdPadWidth, id);
   return buf;
 }
 

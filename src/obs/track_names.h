@@ -4,16 +4,9 @@
 // was the old failure mode). Width 4 covers the 1,000+-worker target of
 // ROADMAP item 1.
 //
-// The pad width is a process-global formatting knob (set once at startup,
-// before any observer is attached; recording itself never touches it).
-// `set_id_pad_width(0)` restores the pre-v2 unpadded names for consumers
-// pinned to the dlion-trace-v1 track naming — the compat flag promised by
-// the trace schema bump to dlion-trace-v2 (DESIGN.md "Observability at
-// scale").
-//
 // Everything that parses lane names (critical_path's "worker %u" /
 // "link %u->%u" scans, the tracer's sampling-id extraction) reads the
-// first digit run, so padded and unpadded names parse identically.
+// first digit run, so it does not depend on the pad width.
 #pragma once
 
 #include <cstddef>
@@ -21,15 +14,10 @@
 
 namespace dlion::obs {
 
-/// Default zero-pad width for numeric ids in lane names and label values.
-inline constexpr int kDefaultIdPadWidth = 4;
+/// Zero-pad width for numeric ids in lane names and label values.
+inline constexpr int kIdPadWidth = 4;
 
-/// Set the global pad width (0 = legacy unpadded names). Call before
-/// attaching observers; names are formatted at track/series creation.
-void set_id_pad_width(int width);
-int id_pad_width();
-
-/// "0007" at the current pad width ("7" when width is 0).
+/// "0007".
 std::string id_str(std::size_t id);
 
 /// "worker 0007" — worker swim lanes and the fabric's per-worker tracks.

@@ -3,12 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/model_zoo.h"
 
 namespace dlion::core {
 namespace {
+
+// A received weight snapshot holding `value` in every weight of `model`.
+comm::WeightPayload filled_payload(const nn::Model& model, float value) {
+  comm::WeightPayload p;
+  for (const nn::Variable* v : model.variables()) {
+    const std::vector<float> values(v->size(), value);
+    p.parts.push_back(
+        comm::Payload<float>::materialize(values.data(), values.size()));
+  }
+  return p;
+}
 
 DktConfig best2all() {
   DktConfig cfg;
@@ -108,8 +120,7 @@ TEST(Dkt, Best2WorstOnlyWorstRequests) {
 TEST(Dkt, MergeLambdaInterpolates) {
   common::Rng rng(1);
   nn::BuiltModel bm = nn::make_logistic_regression(rng, 4, 2);
-  nn::Snapshot best = bm.model.weights();
-  for (auto& t : best.values) t.fill(1.0f);
+  const comm::WeightPayload best = filled_payload(bm.model, 1.0f);
   for (nn::Variable* v : bm.model.variables()) v->value().fill(0.0f);
 
   DktConfig cfg = best2all();
@@ -126,8 +137,7 @@ TEST(Dkt, MergeLambdaInterpolates) {
 TEST(Dkt, MergeLambdaOneReplaces) {
   common::Rng rng(2);
   nn::BuiltModel bm = nn::make_logistic_regression(rng, 4, 2);
-  nn::Snapshot best = bm.model.weights();
-  for (auto& t : best.values) t.fill(3.0f);
+  const comm::WeightPayload best = filled_payload(bm.model, 3.0f);
   DktConfig cfg = best2all();
   cfg.lambda = 1.0;
   DktModule dkt(cfg, 0, 2);
@@ -143,8 +153,7 @@ TEST(Dkt, MergeLambdaZeroIsNoop) {
   common::Rng rng(3);
   nn::BuiltModel bm = nn::make_logistic_regression(rng, 4, 2);
   const nn::Snapshot before = bm.model.weights();
-  nn::Snapshot best = before;
-  for (auto& t : best.values) t.fill(9.0f);
+  const comm::WeightPayload best = filled_payload(bm.model, 9.0f);
   DktConfig cfg = best2all();
   cfg.lambda = 0.0;
   DktModule dkt(cfg, 0, 2);
@@ -160,7 +169,7 @@ TEST(Dkt, MergeLambdaZeroIsNoop) {
 TEST(Dkt, MergeCountMismatchThrows) {
   common::Rng rng(4);
   nn::BuiltModel bm = nn::make_logistic_regression(rng, 4, 2);
-  nn::Snapshot bad;
+  const comm::WeightPayload bad;
   DktModule dkt(best2all(), 0, 2);
   EXPECT_THROW(dkt.merge(bm.model, bad), std::invalid_argument);
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "data/synthetic.h"
 #include "exp/environments.h"
 #include "obs/obs.h"
+#include "obs/track_names.h"
 #include "systems/registry.h"
 
 namespace dlion::core {
@@ -29,8 +31,9 @@ namespace {
 
 data::TrainTest blobs_data() { return data::make_blobs(31, 16, 4, 2048, 512); }
 
-ClusterSpec spec_for(std::size_t capacity, double duration) {
-  const systems::SystemSpec system = systems::make_system("dlion");
+ClusterSpec spec_for(std::size_t capacity, double duration,
+                     const std::string& system_name = "dlion") {
+  const systems::SystemSpec system = systems::make_system(system_name);
   ClusterSpec spec;
   spec.model = "logreg";
   spec.seed = 13;
@@ -78,9 +81,9 @@ struct ChurnOut {
   std::string metrics_json;
 };
 
-ChurnOut run_churn(obs::Observability* o) {
+ChurnOut run_churn(obs::Observability* o,
+                   ClusterSpec spec = churn_spec(90.0)) {
   const data::TrainTest data = blobs_data();
-  ClusterSpec spec = churn_spec(90.0);
   spec.obs = o;
   Cluster cluster(spec, data.train, data.test);
   cluster.run();
@@ -255,6 +258,90 @@ TEST(ElasticMembership, DisabledElasticMatchesLegacyRunExactly) {
       }
     }
   }
+}
+
+TEST(ElasticMembership, FixedLbsJoinerRecordsLbsCounterAtJoin) {
+  // A fixed-LBS joiner charts its LBS on its worker track at join time,
+  // exactly as a worker starting at t=0 does.
+  if (!DLION_OBS_ENABLED)
+    GTEST_SKIP() << "observability compiled out (DLION_OBS=OFF)";
+  const data::TrainTest data = blobs_data();
+  ClusterSpec spec = spec_for(4, 40.0, "baseline");
+  ASSERT_FALSE(spec.worker_options.dynamic_batching);
+  ElasticSpec elastic;
+  elastic.initial_workers = 3;
+  elastic.membership.schedule.join(3, 20.0);
+  spec.elastic = std::move(elastic);
+  obs::Observability o;
+  spec.obs = &o;
+  Cluster cluster(spec, data.train, data.test);
+  cluster.run();
+
+  const obs::TrackId joiner =
+      o.tracer().track("workers", obs::worker_track(3));
+  std::size_t at_join = 0;
+  for (const obs::Tracer::Sample& c : o.tracer().samples()) {
+    if (c.track != joiner || c.name != "lbs") continue;
+    EXPECT_EQ(c.t, 20.0);
+    EXPECT_EQ(c.value, 16.0);  // fixed_lbs
+    ++at_join;
+  }
+  EXPECT_EQ(at_join, 1u);
+}
+
+/// Fault tolerance and elastic membership together. A partition between
+/// workers 0 and 3 makes each suspect the other; worker 2 leaves while
+/// those suspicions stand; worker 3 then leaves (its farewell to worker 0
+/// is lost in the partition) and rejoins after the partition heals.
+ClusterSpec suspect_leave_rejoin_spec() {
+  ClusterSpec spec = spec_for(4, 80.0);
+  spec.faults.partition({0}, {3}, 10.0, 30.0);
+  ElasticSpec elastic;
+  elastic.membership.schedule.leave(2, 20.0).leave(3, 26.0).join(3, 40.0);
+  spec.elastic = std::move(elastic);
+  return spec;
+}
+
+TEST(ElasticMembership, SuspectedMemberWhoLeavesAndRejoinsIsLiveEverywhere) {
+  const data::TrainTest data = blobs_data();
+  Cluster cluster(suspect_leave_rejoin_spec(), data.train, data.test);
+  // Before the next suspicion sweep (t=22), workers 0 and 3 have adopted
+  // worker 2's leave and still suspect each other: a member who stays
+  // keeps its exclusion bit, and the leaver is excluded.
+  cluster.run_until(21.0);
+  for (const auto& [self, peer] : {std::pair{0u, 3u}, std::pair{3u, 0u}}) {
+    const Worker& w = cluster.worker(self);
+    ASSERT_EQ(w.roster().epoch(), 1u) << "worker " << self;
+    EXPECT_TRUE(w.excluded_peers()[peer]) << "worker " << self;
+    EXPECT_TRUE(w.excluded_peers()[2]) << "worker " << self;
+    EXPECT_EQ(w.live_worker_count(), 2u) << "worker " << self;
+  }
+
+  cluster.run();
+  EXPECT_EQ(cluster.membership()->stats().joins, 1u);
+  EXPECT_EQ(cluster.membership()->stats().leaves, 2u);
+  EXPECT_TRUE(cluster.worker(2).dormant());
+  // The rejoiner dropped its old suspicion of worker 0, so it bootstrapped
+  // from both live donors.
+  EXPECT_GE(cluster.worker(3).bootstrap_donor_count(), 2u);
+  EXPECT_GT(cluster.worker(3).iterations(), 0u);
+  for (std::size_t w : {0u, 1u, 3u}) {
+    const Worker& peer = cluster.worker(w);
+    EXPECT_FALSE(peer.dormant()) << "worker " << w;
+    for (std::size_t live : {0u, 1u, 3u}) {
+      EXPECT_FALSE(peer.excluded_peers()[live]) << w << " excludes " << live;
+    }
+    EXPECT_TRUE(peer.excluded_peers()[2]) << "worker " << w;
+    EXPECT_EQ(peer.live_worker_count(), 3u) << "worker " << w;
+  }
+}
+
+TEST(ElasticMembership, SuspectLeaveRejoinReplaysBitIdentically) {
+  const ChurnOut a = run_churn(nullptr, suspect_leave_rejoin_spec());
+  const ChurnOut b = run_churn(nullptr, suspect_leave_rejoin_spec());
+  expect_identical(a, b);
+  EXPECT_EQ(a.leaves, 2u);
+  EXPECT_EQ(a.joins, 1u);
 }
 
 // --- Unit tests for the pure protocol pieces. ----------------------------

@@ -99,12 +99,12 @@ TEST(FaultTolerance, SuspicionRisesDuringCrashAndClearsAfterRecovery) {
   // suspected worker 2.
   cluster.run_until(40.0);
   EXPECT_TRUE(cluster.worker(2).crashed());
-  EXPECT_TRUE(cluster.worker(0).suspected_peers()[2]);
+  EXPECT_TRUE(cluster.worker(0).excluded_peers()[2]);
   EXPECT_EQ(cluster.worker(0).live_worker_count(), 2u);
   // After recovery plus a few heartbeats the suspicion has cleared.
   cluster.run();
   EXPECT_FALSE(cluster.worker(2).crashed());
-  EXPECT_FALSE(cluster.worker(0).suspected_peers()[2]);
+  EXPECT_FALSE(cluster.worker(0).excluded_peers()[2]);
   EXPECT_EQ(cluster.worker(0).live_worker_count(), 3u);
 }
 

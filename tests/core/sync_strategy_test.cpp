@@ -16,13 +16,13 @@ TEST(SyncPolicy, Names) {
 TEST(CanStart, AsyncNeverWaits) {
   const SyncPolicy async = SyncPolicy::asynchronous();
   std::vector<std::int64_t> peers = {-1, -1, -1};
-  EXPECT_TRUE(can_start_iteration(async, 100, peers, 0));
+  EXPECT_TRUE(can_start_iteration(async, 100, peers, 0, {}));
 }
 
 TEST(CanStart, FirstIterationNeverWaits) {
   const SyncPolicy sync = SyncPolicy::synchronous();
   std::vector<std::int64_t> peers = {-1, -1, -1};
-  EXPECT_TRUE(can_start_iteration(sync, 0, peers, 0));
+  EXPECT_TRUE(can_start_iteration(sync, 0, peers, 0, {}));
 }
 
 TEST(CanStart, SynchronousRequiresAllPeersFresh) {
@@ -30,26 +30,26 @@ TEST(CanStart, SynchronousRequiresAllPeersFresh) {
   // To start iteration 3, every peer must have delivered iteration >= 2.
   std::vector<std::int64_t> fresh = {0, 2, 2};
   std::vector<std::int64_t> stale = {0, 2, 1};
-  EXPECT_TRUE(can_start_iteration(sync, 3, fresh, 0));
-  EXPECT_FALSE(can_start_iteration(sync, 3, stale, 0));
+  EXPECT_TRUE(can_start_iteration(sync, 3, fresh, 0, {}));
+  EXPECT_FALSE(can_start_iteration(sync, 3, stale, 0, {}));
 }
 
 TEST(CanStart, StalenessBoundRelaxesRequirement) {
   const SyncPolicy bounded = SyncPolicy::bounded(2, 0);
   // Iteration 5 requires peers at >= 5-1-2 = 2.
   std::vector<std::int64_t> peers = {0, 2, 2};
-  EXPECT_TRUE(can_start_iteration(bounded, 5, peers, 0));
+  EXPECT_TRUE(can_start_iteration(bounded, 5, peers, 0, {}));
   std::vector<std::int64_t> too_stale = {0, 2, 1};
-  EXPECT_FALSE(can_start_iteration(bounded, 5, too_stale, 0));
+  EXPECT_FALSE(can_start_iteration(bounded, 5, too_stale, 0, {}));
 }
 
 TEST(CanStart, BackupWorkersAreSkippable) {
   const SyncPolicy hop = SyncPolicy::bounded(0, 1);
   // One straggler peer may be ignored.
   std::vector<std::int64_t> one_behind = {0, 5, -1};
-  EXPECT_TRUE(can_start_iteration(hop, 6, one_behind, 0));
+  EXPECT_TRUE(can_start_iteration(hop, 6, one_behind, 0, {}));
   std::vector<std::int64_t> two_behind = {0, -1, -1};
-  EXPECT_FALSE(can_start_iteration(hop, 6, two_behind, 0));
+  EXPECT_FALSE(can_start_iteration(hop, 6, two_behind, 0, {}));
 }
 
 TEST(CanStart, EarlyIterationsWithinBoundDontWait) {
@@ -57,15 +57,15 @@ TEST(CanStart, EarlyIterationsWithinBoundDontWait) {
   std::vector<std::int64_t> nothing = {0, -1, -1};
   // Iterations 1..5 require peers at >= iter-6 < 0: always allowed. From
   // iteration 6 onwards a peer delivery (iter >= 0) is required.
-  EXPECT_TRUE(can_start_iteration(bounded, 5, nothing, 0));
-  EXPECT_FALSE(can_start_iteration(bounded, 6, nothing, 0));
+  EXPECT_TRUE(can_start_iteration(bounded, 5, nothing, 0, {}));
+  EXPECT_FALSE(can_start_iteration(bounded, 6, nothing, 0, {}));
 }
 
 TEST(CanStart, SelfEntryIgnored) {
   const SyncPolicy sync = SyncPolicy::synchronous();
   // Worker 1's own slot is stale but that must not block it.
   std::vector<std::int64_t> peers = {5, -1, 5};
-  EXPECT_TRUE(can_start_iteration(sync, 6, peers, 1));
+  EXPECT_TRUE(can_start_iteration(sync, 6, peers, 1, {}));
 }
 
 struct SyncCase {
@@ -81,7 +81,8 @@ class SyncPolicySweep : public ::testing::TestWithParam<SyncCase> {};
 TEST_P(SyncPolicySweep, MatchesExpectation) {
   const SyncCase& c = GetParam();
   const SyncPolicy policy = SyncPolicy::bounded(c.staleness, c.backup);
-  EXPECT_EQ(can_start_iteration(policy, c.next_iter, c.peers, 0), c.expect);
+  EXPECT_EQ(can_start_iteration(policy, c.next_iter, c.peers, 0, {}),
+            c.expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -8,21 +8,6 @@
 namespace dlion::core {
 namespace {
 
-TEST(DbWeight, RatioOfBatchSizes) {
-  EXPECT_DOUBLE_EQ(dynamic_batching_weight(64, 32), 2.0);
-  EXPECT_DOUBLE_EQ(dynamic_batching_weight(16, 32), 0.5);
-  EXPECT_DOUBLE_EQ(dynamic_batching_weight(32, 32), 1.0);
-}
-
-TEST(DbWeight, DisabledIsOne) {
-  EXPECT_DOUBLE_EQ(dynamic_batching_weight(64, 32, /*enabled=*/false), 1.0);
-}
-
-TEST(DbWeight, ZeroLbsThrows) {
-  EXPECT_THROW(dynamic_batching_weight(0, 32), std::invalid_argument);
-  EXPECT_THROW(dynamic_batching_weight(32, 0), std::invalid_argument);
-}
-
 TEST(NormalizedDbWeight, SampleProportional) {
   // n=4 workers, GBS=128: a sender with LBS 64 carries half the samples.
   EXPECT_DOUBLE_EQ(normalized_batching_weight(64, 128, 4), 2.0);
@@ -139,12 +124,13 @@ TEST(ApplyOwnGradients, MatchesManualSgd) {
 }
 
 TEST(Eq7ReducesToEq4, EqualLbsMakesWeightedAndPlainIdentical) {
-  // With identical LBS everywhere, db = 1 and Eq. 7 must equal Eq. 4.
+  // With identical LBS everywhere (GBS = n * LBS), db = 1 and Eq. 7 must
+  // equal Eq. 4.
   nn::BuiltModel weighted = tiny_model(7);
   nn::BuiltModel plain = tiny_model(7);
   const comm::GradientUpdate u = dense_update(weighted.model, 0.7f);
-  const double db_weighted = dynamic_batching_weight(32, 32, true);
-  const double db_plain = dynamic_batching_weight(32, 32, false);
+  const double db_weighted = normalized_batching_weight(32, 6 * 32, 6, true);
+  const double db_plain = normalized_batching_weight(32, 6 * 32, 6, false);
   apply_gradient_update(weighted.model, u, 0.1, 6, db_weighted);
   apply_gradient_update(plain.model, u, 0.1, 6, db_plain);
   const nn::Snapshot a = weighted.model.weights();

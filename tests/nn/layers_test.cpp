@@ -184,40 +184,6 @@ TEST(Flatten, RoundTripsShape) {
   EXPECT_TRUE(back.shape() == x.shape());
 }
 
-TEST(Dropout, InferencePassesThrough) {
-  Dropout layer(0.5, 1);
-  tensor::Tensor x = random_tensor(tensor::Shape{2, 8}, 8);
-  const tensor::Tensor y = layer.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainZeroesApproximatelyPFraction) {
-  Dropout layer(0.5, 2);
-  tensor::Tensor x(tensor::Shape{10000}, 1.0f);
-  const tensor::Tensor y = layer.forward(x, /*train=*/true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.size(), 0.5, 0.03);
-}
-
-TEST(Dropout, KeptUnitsAreRescaled) {
-  Dropout layer(0.5, 3);
-  tensor::Tensor x(tensor::Shape{100}, 1.0f);
-  const tensor::Tensor y = layer.forward(x, /*train=*/true);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] != 0.0f) {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);
-    }
-  }
-}
-
-TEST(Dropout, InvalidProbabilityThrows) {
-  EXPECT_THROW(Dropout(1.0, 1), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1, 1), std::invalid_argument);
-}
-
 TEST(MaxPool2D, ForwardPicksMaxima) {
   MaxPool2D layer(2);
   tensor::Tensor x(tensor::Shape{1, 1, 2, 2}, {1, 5, 3, 2});

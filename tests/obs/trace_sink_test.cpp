@@ -1,8 +1,8 @@
-// Streaming trace sinks and deterministic sampling (DESIGN.md,
+// Streaming trace sink and deterministic sampling (DESIGN.md,
 // "Observability at scale"): streamed events must be byte-identical to
-// their batch-exported twins, the ring must bound memory, and every
-// sampling decision must be a pure function of track names / flow sequence
-// numbers — never entropy — so a sampled trace is reproducible.
+// their batch-exported twins, and every sampling decision must be a pure
+// function of track names / flow sequence numbers — never entropy — so a
+// sampled trace is reproducible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,68 +157,6 @@ TEST(ChromeStreamSink, AttachingLateReplaysKnownTracks) {
   EXPECT_TRUE(saw_meta);
   EXPECT_TRUE(saw_late);
   EXPECT_FALSE(saw_early);  // streamed from attach time, not replayed
-}
-
-// ------------------------------------------------------------------ RingSink
-
-TEST(RingSink, KeepsLastCapacityEventsOldestFirst) {
-  RingSink ring(4);
-  Tracer tracer;
-  tracer.set_sink(&ring);
-  const TrackId t = tracer.track("workers", "worker 0000");
-  for (int i = 0; i < 10; ++i) {
-    tracer.instant(t, "e" + std::to_string(i), i * 1.0);
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.total_events(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-
-  Json doc;
-  ASSERT_TRUE(parses(ring.chrome_json(), doc));
-  const Json* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  std::vector<std::string> names;
-  for (const Json& e : events->array) {
-    const Json* name = e.find("name");
-    const Json* ph = e.find("ph");
-    if (name != nullptr && ph != nullptr && ph->str == "i") {
-      names.push_back(name->str);
-    }
-  }
-  EXPECT_EQ(names, (std::vector<std::string>{"e6", "e7", "e8", "e9"}));
-}
-
-TEST(RingSink, TrackMetadataSurvivesEviction) {
-  RingSink ring(2);
-  Tracer tracer;
-  tracer.set_sink(&ring);
-  const TrackId a = tracer.track("workers", "worker 0000");
-  tracer.instant(a, "x", 0.0);
-  tracer.instant(a, "y", 1.0);
-  tracer.instant(a, "z", 2.0);  // evicts "x"
-  Json doc;
-  ASSERT_TRUE(parses(ring.chrome_json(), doc));
-  bool saw_thread_name = false;
-  for (const Json& e : doc.find("traceEvents")->array) {
-    const Json* name = e.find("name");
-    if (name != nullptr && name->str == "thread_name") saw_thread_name = true;
-  }
-  EXPECT_TRUE(saw_thread_name);
-}
-
-TEST(TeeSink, FansOutToBothSinks) {
-  std::ostringstream out;
-  ChromeStreamSink stream(out);
-  RingSink ring(8);
-  TeeSink tee(&stream, &ring);
-  Tracer tracer;
-  tracer.set_sink(&tee);
-  const TrackId t = tracer.track("workers", "worker 0000");
-  tracer.complete(t, "step", 0.0, 1.0);
-  tracer.finish();
-  // 1 span + 2 metadata records (process_name, thread_name).
-  EXPECT_EQ(stream.events_written(), 3u);
-  EXPECT_EQ(ring.total_events(), 1u);
 }
 
 // ------------------------------------------------------------------ sampling

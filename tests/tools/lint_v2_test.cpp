@@ -256,19 +256,12 @@ TEST(LintV2Test, V1FixtureOutputMatchesCommittedGoldenByteForByte) {
   std::ostringstream golden;
   golden << golden_in.rdbuf();
 
-  // Default (v2) mode: the semantic rules are active but silent on the v1
-  // fixtures, so output is byte-identical to the v1 linter.
+  // The semantic rules are active but silent on the v1 fixtures, so the
+  // output pins the text rules' diagnostics byte for byte.
   const RunResult full =
       run_lint("--root " + v1_fixture_dir() + " " + v1_fixture_dir());
   EXPECT_EQ(full.exit_code, 1);
   EXPECT_EQ(full.output, golden.str());
-
-  // Explicit v1 compatibility mode must match too.
-  const RunResult text_only = run_lint("--root " + v1_fixture_dir() +
-                                       " --text-rules-only " +
-                                       v1_fixture_dir());
-  EXPECT_EQ(text_only.exit_code, 1);
-  EXPECT_EQ(text_only.output, golden.str());
 }
 
 TEST(LintV2Test, StaleAllowlistEntryIsReportedAndGateable) {

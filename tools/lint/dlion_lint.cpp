@@ -78,7 +78,6 @@ struct Options {
   fs::path allowlist_path;
   fs::path json_path;
   bool verbose = false;
-  bool text_rules_only = false;  // v1 compatibility mode
   bool stale_check = true;       // report dead allowlist entries
 };
 
@@ -88,8 +87,7 @@ const std::regex kArtifactWriter(
 
 const std::regex kInlineAllow(R"(dlion-lint:\s*allow\(([^)]*)\))");
 
-FileContext load_file(const fs::path& path, const fs::path& root,
-                      bool build_semantic_view) {
+FileContext load_file(const fs::path& path, const fs::path& root) {
   FileContext ctx;
   std::error_code ec;
   fs::path rel = fs::relative(path, root, ec);
@@ -127,10 +125,8 @@ FileContext load_file(const fs::path& path, const fs::path& root,
       }
     }
   }
-  if (build_semantic_view) {
-    ctx.tokens = lex(src);
-    ctx.model = build_scope_model(ctx.tokens);
-  }
+  ctx.tokens = lex(src);
+  ctx.model = build_scope_model(ctx.tokens);
   return ctx;
 }
 
@@ -211,8 +207,7 @@ void write_json_report(const fs::path& path,
 void usage() {
   std::cerr
       << "usage: dlion-lint [--root DIR] [--allowlist FILE] [--json FILE]\n"
-         "                  [--text-rules-only] [--no-stale-check]\n"
-         "                  [--verbose] [PATH...]\n"
+         "                  [--no-stale-check] [--verbose] [PATH...]\n"
          "Scans PATH (default: <root>/src) for nondeterminism hazards.\n"
          "Exit: 0 clean, 1 diagnostics found, 2 usage/IO error.\n";
 }
@@ -244,8 +239,6 @@ int run(int argc, char** argv) {
       opt.json_path = need_value("--json");
     } else if (arg == "--verbose") {
       opt.verbose = true;
-    } else if (arg == "--text-rules-only") {
-      opt.text_rules_only = true;
     } else if (arg == "--no-stale-check") {
       opt.stale_check = false;
     } else if (arg == "--help" || arg == "-h") {
@@ -287,11 +280,11 @@ int run(int argc, char** argv) {
   std::vector<Diagnostic> diags;
   std::vector<std::string> scanned_paths;
   for (const fs::path& file : files) {
-    const FileContext ctx = load_file(file, opt.root, !opt.text_rules_only);
+    const FileContext ctx = load_file(file, opt.root);
     scanned_paths.push_back(ctx.rel_path);
     if (opt.verbose) std::cerr << "dlion-lint: scanning " << ctx.rel_path << "\n";
     run_text_rules(ctx, diags);
-    if (!opt.text_rules_only) run_semantic_rules(ctx, diags);
+    run_semantic_rules(ctx, diags);
   }
   std::vector<std::size_t> suppressed_by(allow.size(), 0);
   diags.erase(std::remove_if(diags.begin(), diags.end(),
