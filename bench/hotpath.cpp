@@ -1,5 +1,6 @@
 // Hot-path benchmark: GEMM throughput, training-step latency/allocations,
-// Max-N selection throughput, and training determinism checksums.
+// Max-N selection throughput, DLion's per-link selection fan-out, and
+// training determinism checksums.
 //
 // Emits a machine-readable BENCH_hotpath.json (fixed key order; only the
 // timing fields vary run-to-run, the checksum fields are deterministic) so
@@ -27,6 +28,7 @@
 #include "comm/fabric.h"
 #include "common/rng.h"
 #include "core/gradient_select.h"
+#include "core/link_prioritizer.h"
 #include "core/weighted_update.h"
 #include "nn/model_zoo.h"
 #include "sim/engine.h"
@@ -250,6 +252,119 @@ MaxNStats bench_max_n(std::size_t elems, double n) {
           static_cast<double>(elems) / t_cnt / 1e9};
 }
 
+struct LinkSelectionStats {
+  std::size_t variables = 0;
+  std::size_t selections_per_iteration = 0;  ///< distinct payloads made
+  double iterations_per_sec = 0.0;
+  double fresh_iterations_per_sec = 0.0;
+  bool bitmatch = false;
+};
+
+constexpr std::size_t kIntraLinks = 7;
+constexpr std::size_t kInterLinks = 56;
+
+/// DLion's per-link selection for one sender on the scale64-dlion link
+/// shape: a cipher-lite gradient fans out to 63 peers, 7 inside its
+/// micro-cloud and 56 beyond it (the two bandwidth classes of
+/// make_scale_environment(64)). The shared path is one LinkPrioritizer per
+/// iteration, which selects once per distinct (variable, k); the fresh path
+/// builds a prioritizer per link, so every link redoes its own magnitude
+/// pass, floor count and top-k.
+LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
+  using dlion::comm::VariableGrad;
+  using dlion::core::LinkContext;
+  using dlion::core::LinkPrioritizer;
+  dlion::common::Rng rng(31);
+  auto bm = dlion::nn::make_cipher_lite(rng);
+  for (dlion::nn::Variable* v : bm.model.variables()) {
+    for (auto& g : v->grad().span()) {
+      g = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+  }
+  dlion::comm::PayloadArena arena;
+  // Budgets of ~18% (intra) and ~5% (inter) of the model's entries.
+  std::vector<LinkContext> links(kIntraLinks + kInterLinks);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].peer = i + 1;
+    links[i].available_mbps = i < kIntraLinks ? 0.1 : 0.03;
+    links[i].arena = &arena;
+  }
+
+  struct LinkOut {
+    std::vector<VariableGrad> vars;
+    double last_n;
+    std::size_t last_entries;
+  };
+  const auto generate = [&](LinkPrioritizer& lp, const LinkContext& ctx) {
+    LinkOut out{lp.generate(bm.model, ctx), 0.0, 0};
+    out.last_n = lp.last_n();
+    out.last_entries = lp.last_entries();
+    return out;
+  };
+  LinkPrioritizer shared_lp({});
+  const auto shared_iteration = [&](std::uint64_t iter,
+                                    std::vector<LinkOut>* keep) {
+    shared_lp.begin_iteration(bm.model, iter);
+    for (LinkContext ctx : links) {
+      ctx.iteration = iter;
+      LinkOut out = generate(shared_lp, ctx);
+      if (keep != nullptr) keep->push_back(std::move(out));
+    }
+  };
+  const auto fresh_iteration = [&](std::uint64_t iter,
+                                   std::vector<LinkOut>* keep) {
+    for (LinkContext ctx : links) {
+      ctx.iteration = iter;
+      LinkPrioritizer lp({});
+      lp.begin_iteration(bm.model, iter);
+      LinkOut out = generate(lp, ctx);
+      if (keep != nullptr) keep->push_back(std::move(out));
+    }
+  };
+
+  std::vector<LinkOut> shared, fresh;
+  shared_iteration(0, &shared);
+  fresh_iteration(0, &fresh);
+  LinkSelectionStats s;
+  s.variables = bm.model.num_variables();
+  s.bitmatch = shared.size() == fresh.size();
+  for (std::size_t l = 0; s.bitmatch && l < shared.size(); ++l) {
+    const LinkOut& a = shared[l];
+    const LinkOut& b = fresh[l];
+    s.bitmatch = a.vars.size() == b.vars.size() &&
+                 std::memcmp(&a.last_n, &b.last_n, sizeof(double)) == 0 &&
+                 a.last_entries == b.last_entries;
+    for (std::size_t v = 0; s.bitmatch && v < a.vars.size(); ++v) {
+      s.bitmatch = a.vars[v].var_index == b.vars[v].var_index &&
+                   a.vars[v].dense_size == b.vars[v].dense_size &&
+                   a.vars[v].indices == b.vars[v].indices &&
+                   a.vars[v].values == b.vars[v].values;
+    }
+  }
+  for (std::size_t v = 0; v < s.variables; ++v) {
+    std::vector<const float*> payloads;
+    for (const LinkOut& out : shared) {
+      payloads.push_back(out.vars[v].values.data());
+    }
+    std::sort(payloads.begin(), payloads.end());
+    s.selections_per_iteration += static_cast<std::size_t>(
+        std::unique(payloads.begin(), payloads.end()) - payloads.begin());
+  }
+  shared.clear();
+  fresh.clear();
+
+  std::uint64_t iter = 1;
+  const double t_shared = time_best(3, [&] {
+    for (int i = 0; i < shared_iters; ++i) shared_iteration(iter++, nullptr);
+  });
+  const double t_fresh = time_best(3, [&] {
+    for (int i = 0; i < fresh_iters; ++i) fresh_iteration(iter++, nullptr);
+  });
+  s.iterations_per_sec = shared_iters / t_shared;
+  s.fresh_iterations_per_sec = fresh_iters / t_fresh;
+  return s;
+}
+
 struct CommStats {
   double msgs_per_sec = 0.0;
   std::uint64_t allocs_per_msg_total = 0;      ///< incl. simulator transport
@@ -419,6 +534,9 @@ int main(int argc, char** argv) {
   // --- Max-N selection throughput. ---------------------------------------
   const MaxNStats maxn = bench_max_n(1'000'000, 1.0);
 
+  // --- DLion per-link selection: shared vs one prioritizer per link. -----
+  const LinkSelectionStats links = bench_link_selection(400, 40);
+
   // --- Comm data plane: gradient exchange over the fabric. ---------------
   const CommStats comm = bench_comm(100);
 
@@ -496,6 +614,23 @@ int main(int argc, char** argv) {
   j += "    \"select_gelems_per_s\": " + fmt(maxn.select_gelems) + ",\n";
   j += "    \"count_gelems_per_s\": " + fmt(maxn.count_gelems) + "\n";
   j += "  },\n";
+  j += "  \"link_selection\": {\n";
+  j += "    \"model\": \"cipher-lite\", \"variables\": " +
+       std::to_string(links.variables) +
+       ", \"intra_links\": " + std::to_string(kIntraLinks) +
+       ", \"inter_links\": " + std::to_string(kInterLinks) + ",\n";
+  j += "    \"selections_per_iteration\": " +
+       std::to_string(links.selections_per_iteration) + ",\n";
+  j += "    \"iterations_per_sec\": " + fmt(links.iterations_per_sec, 1) +
+       ",\n";
+  j += "    \"fresh_iterations_per_sec\": " +
+       fmt(links.fresh_iterations_per_sec, 1) + ",\n";
+  j += "    \"speedup_vs_fresh\": " +
+       fmt(links.iterations_per_sec / links.fresh_iterations_per_sec, 2) +
+       ",\n";
+  j += "    \"bitmatch_vs_fresh\": ";
+  j += links.bitmatch ? "true" : "false";
+  j += "\n  },\n";
   j += "  \"comm\": {\n";
   j += "    \"slots\": 4, \"peers\": 3, \"exchanges\": 100,\n";
   j += "    \"msgs_per_sec\": " + fmt(comm.msgs_per_sec, 1) + ",\n";
@@ -553,6 +688,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(comm.copies_per_msg),
               static_cast<unsigned long long>(comm.copy_bytes_per_msg),
               static_cast<unsigned long long>(comm.allocs_per_exchange));
+  std::printf("[hotpath] link selection: %.0f it/s shared vs %.0f it/s fresh "
+              "per link, %zu selections/iteration, bitmatch %s\n",
+              links.iterations_per_sec, links.fresh_iterations_per_sec,
+              links.selections_per_iteration, links.bitmatch ? "yes" : "NO");
   std::printf("[hotpath] determinism bitmatch: %s\n",
               bitmatch ? "yes" : "NO");
   const bool small_bitmatch =
@@ -561,5 +700,5 @@ int main(int argc, char** argv) {
   std::printf("[hotpath] small GEMM bitmatch vs reference: %s\n",
               small_bitmatch ? "yes" : "NO");
   std::printf("[hotpath] wrote %s\n", out_path.c_str());
-  return bitmatch && small_bitmatch ? 0 : 2;
+  return bitmatch && small_bitmatch && links.bitmatch ? 0 : 2;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
 #include "core/gradient_select.h"
 
 namespace dlion::core {
@@ -10,23 +11,50 @@ namespace dlion::core {
 LinkPrioritizer::LinkPrioritizer(LinkPrioritizerConfig config)
     : config_(config) {}
 
+void LinkPrioritizer::begin_iteration(const nn::Model& model,
+                                      std::uint64_t iteration) {
+  (void)iteration;
+  const auto& vars = model.variables();
+  vars_.resize(vars.size());
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    VarState& st = vars_[v];
+    st.selections.clear();
+    if (!config_.adaptive) continue;
+    // One magnitude pass feeds the quality floor, every link's top-k
+    // selection, and the equivalent-N report.
+    st.max_abs = magnitudes(vars[v]->grad().span(), st.mags);
+    // Quality floor: never select less than Max N at min_n would.
+    st.k_floor = count_max_n_mags(st.mags, st.max_abs, config_.min_n);
+  }
+}
+
 std::vector<comm::VariableGrad> LinkPrioritizer::generate(
     const nn::Model& model, const LinkContext& ctx) {
   const auto& vars = model.variables();
+  DLION_ASSERT(vars.size() == vars_.size(),
+               "generate() needs begin_iteration() on the same model");
+  // Selections this link is the first to need are written through its
+  // arena; later links with the same k share the views.
   comm::PayloadWriter writer(payload_arena(ctx));
   std::vector<comm::VariableGrad> out;
   out.reserve(vars.size());
 
   if (!config_.adaptive) {
     // Data quality assurance only: fixed Max N on every link.
+    last_entries_ = 0;
     for (std::size_t v = 0; v < vars.size(); ++v) {
-      out.push_back(select_max_n(vars[v]->grad().span(),
-                                 static_cast<std::uint32_t>(v),
-                                 config_.fixed_n, writer));
+      auto& selections = vars_[v].selections;
+      if (selections.empty()) {
+        selections.push_back(
+            {0, config_.fixed_n,
+             select_max_n(vars[v]->grad().span(),
+                          static_cast<std::uint32_t>(v), config_.fixed_n,
+                          writer)});
+      }
+      last_entries_ += selections.front().vg.num_entries();
+      out.push_back(selections.front().vg);
     }
     last_n_ = config_.fixed_n;
-    last_entries_ = 0;
-    for (const auto& vg : out) last_entries_ += vg.num_entries();
     return out;
   }
 
@@ -42,11 +70,11 @@ std::vector<comm::VariableGrad> LinkPrioritizer::generate(
   const std::size_t total_params = model.num_params();
   double weighted_n = 0.0;
   std::size_t total_entries = 0;
-  // Magnitude buffer reused across variables *and* calls: one scan per
-  // gradient, no steady-state allocation.
-  std::vector<float>& mags = mags_;
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const auto grad = vars[v]->grad().span();
+    VarState& st = vars_[v];
+    DLION_DCHECK(st.mags.size() == grad.size(),
+                 "variable resized since begin_iteration()");
     // The budget is split across weight variables proportionally to size;
     // Max N is applied per variable (§3.3).
     const double share = total_params == 0
@@ -54,31 +82,30 @@ std::vector<comm::VariableGrad> LinkPrioritizer::generate(
                              : entries_budget * static_cast<double>(grad.size()) /
                                    static_cast<double>(total_params);
     const auto k_budget = static_cast<std::size_t>(std::floor(share));
-    // One magnitude pass feeds the quality floor, the top-k selection, and
-    // the equivalent-N report (the naive composition rescanned the gradient
-    // for each).
-    const float mx = magnitudes(grad, mags);
-    // Quality floor: never select less than Max N at min_n would.
-    const std::size_t k_floor = count_max_n_mags(mags, mx, config_.min_n);
     const std::size_t k = std::max<std::size_t>(
-        std::max(k_budget, k_floor), grad.empty() ? 0 : 1);
-    float kth_mag = 0.0f;
-    comm::VariableGrad vg =
-        select_top_k_mags(grad, mags, static_cast<std::uint32_t>(v), k,
-                          writer, &kth_mag);
-    // equivalent_n(grad, min(k, size)) without the second partial sort:
-    // the selection already exposes its effective threshold.
-    double eq_n;
-    if (grad.empty() || k >= grad.size() || mx == 0.0f) {
-      eq_n = 100.0;
-    } else if (k == 0) {
-      eq_n = 0.0;
-    } else {
-      eq_n = equivalent_n_from_threshold(mx, kth_mag);
+        std::max(k_budget, st.k_floor), grad.empty() ? 0 : 1);
+    const Selection* sel = nullptr;
+    for (const Selection& s : st.selections) {
+      if (s.k == k) sel = &s;
     }
-    weighted_n += eq_n * static_cast<double>(grad.size());
-    total_entries += vg.num_entries();
-    out.push_back(std::move(vg));
+    if (sel == nullptr) {
+      float kth_mag = 0.0f;
+      Selection fresh{k, 100.0,
+                      select_top_k_mags(grad, st.mags,
+                                        static_cast<std::uint32_t>(v), k,
+                                        writer, &kth_mag)};
+      // equivalent_n(grad, k) without the second partial sort: the
+      // selection already exposes its effective threshold. k is 0 only for
+      // an empty gradient.
+      if (k < grad.size() && st.max_abs != 0.0f) {
+        fresh.eq_n = equivalent_n_from_threshold(st.max_abs, kth_mag);
+      }
+      st.selections.push_back(std::move(fresh));
+      sel = &st.selections.back();
+    }
+    weighted_n += sel->eq_n * static_cast<double>(grad.size());
+    total_entries += sel->vg.num_entries();
+    out.push_back(sel->vg);
   }
   last_n_ = total_params == 0 ? 100.0
                               : weighted_n / static_cast<double>(total_params);

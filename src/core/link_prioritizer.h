@@ -10,6 +10,13 @@
 // coincide: the k-th largest magnitude is exactly the Max N threshold). A
 // configurable floor `min_n` (paper: 0.85) guarantees a minimum data
 // quality even on starved links.
+//
+// A link's selection depends only on the sender's gradient and the link's
+// entry count k, so the per-gradient work happens once per iteration:
+// begin_iteration() computes each variable's magnitudes, max and Max N
+// floor, and generate() makes at most one top-k selection per distinct
+// (variable, k). Every link asking for the same k gets refcounted views of
+// that one payload.
 #pragma once
 
 #include "core/strategy.h"
@@ -33,6 +40,10 @@ class LinkPrioritizer : public PartialGradientStrategy {
  public:
   explicit LinkPrioritizer(LinkPrioritizerConfig config);
 
+  /// Computes the per-variable state this iteration's links share and drops
+  /// the previous iteration's selections. Required before generate().
+  void begin_iteration(const nn::Model& model,
+                       std::uint64_t iteration) override;
   std::vector<comm::VariableGrad> generate(const nn::Model& model,
                                            const LinkContext& ctx) override;
   const char* name() const override { return "dlion-perlink"; }
@@ -43,11 +54,25 @@ class LinkPrioritizer : public PartialGradientStrategy {
   std::size_t last_entries() const { return last_entries_; }
 
  private:
+  /// One selection of a variable made this iteration, shared by every link
+  /// that asks for `k` entries.
+  struct Selection {
+    std::size_t k = 0;
+    double eq_n = 100.0;  ///< equivalent N of the selected set
+    comm::VariableGrad vg;
+  };
+  /// A variable's per-iteration state, filled by begin_iteration().
+  struct VarState {
+    std::vector<float> mags;  ///< |g|; the buffer is reused across iterations
+    float max_abs = 0.0f;
+    std::size_t k_floor = 0;  ///< entries Max N at min_n selects
+    std::vector<Selection> selections;  ///< one per distinct k
+  };
+
   LinkPrioritizerConfig config_;
   double last_n_ = 100.0;
   std::size_t last_entries_ = 0;
-  /// Magnitude workspace reused across generate() calls.
-  std::vector<float> mags_;
+  std::vector<VarState> vars_;
 };
 
 }  // namespace dlion::core

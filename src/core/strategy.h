@@ -44,8 +44,10 @@ class PartialGradientStrategy {
   virtual ~PartialGradientStrategy() = default;
 
   /// Called once per iteration, before any per-link generation, with the
-  /// model holding the fresh local gradients. Strategies with cross-link
-  /// state (accumulators, partitions) update it here.
+  /// model holding the fresh local gradients. Strategies put cross-link
+  /// per-iteration state here: accumulators, partitions, or work every
+  /// link shares (LinkPrioritizer computes its magnitudes and floors here
+  /// and requires the call before generate()).
   virtual void begin_iteration(const nn::Model& model,
                                std::uint64_t iteration) {
     (void)model;
