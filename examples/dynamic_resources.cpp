@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   espec.worker_options = options;
   core::ElasticSpec elastic;
   elastic.initial_workers = 4;
-  elastic.membership.schedule.join(4, 0.25 * duration)
+  elastic.schedule.join(4, 0.25 * duration)
       .join(5, 0.35 * duration)
       .leave(2, 0.65 * duration);
   espec.elastic = std::move(elastic);

@@ -12,21 +12,15 @@
 namespace dlion::comm {
 
 Fabric::Fabric(sim::Network& network, double byte_scale)
-    : Fabric(network, FabricOptions{byte_scale, FabricOptions{}.dead_letter_cap,
-                                    FabricOptions{}.dead_letter_max_bytes}) {}
-
-Fabric::Fabric(sim::Network& network, const FabricOptions& options)
     : network_(&network),
-      byte_scale_(options.byte_scale),
-      dead_letter_cap_(options.dead_letter_cap),
-      dead_letter_max_bytes_(options.dead_letter_max_bytes),
+      byte_scale_(byte_scale),
       handlers_(network.size()),
       dead_letters_to_(network.size(), 0),
       epoch_stamp_(network.size(), 0),
       epoch_floor_(network.size(), 0),
       flow_seq_(network.size(), 0),
       delivered_seqs_(network.size()) {
-  if (options.byte_scale <= 0.0) {
+  if (byte_scale <= 0.0) {
     throw std::invalid_argument("Fabric: byte_scale must be positive");
   }
 }
@@ -141,7 +135,6 @@ bool Fabric::deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
 void Fabric::record_dead_letter(std::size_t from, std::size_t to,
                                 const MessagePtr& msg) {
   DLION_AFFINITY_DCHECK(affinity_);
-  if (dead_letter_cap_ == 0) return;  // counters only, no records
   const common::Bytes pinned = payload_bytes(*msg);
   dead_letter_queue_.push_back(
       DeadLetter{engine().now(), from, to, msg->index(), msg, pinned});
@@ -149,8 +142,8 @@ void Fabric::record_dead_letter(std::size_t from, std::size_t to,
   // Evict oldest-first until both bounds hold: record count and total
   // pinned payload bytes (a retained data-lane message keeps its arena
   // blocks alive, so the byte bound is what actually caps memory).
-  while (dead_letter_queue_.size() > dead_letter_cap_ ||
-         dead_letter_pinned_bytes_ > dead_letter_max_bytes_) {
+  while (dead_letter_queue_.size() > kDeadLetterCap ||
+         dead_letter_pinned_bytes_ > kDeadLetterMaxBytes) {
     dead_letter_pinned_bytes_ -= dead_letter_queue_.front().payload_bytes;
     dead_letter_queue_.pop_front();
     ++dead_letter_evictions_;

@@ -46,10 +46,10 @@ struct RetryPolicy {
 /// worker, or exhausted its reliable-send retry budget). The record retains
 /// the message for diagnosis — for a data-lane message that pins its
 /// arena-backed payload blocks — so retention is bounded two ways: at most
-/// `FabricOptions::dead_letter_cap` records, and at most
-/// `FabricOptions::dead_letter_max_bytes` of pinned payload across the
-/// queue (`payload_bytes` is each record's contribution). Whichever bound
-/// is exceeded first evicts the oldest records.
+/// `Fabric::kDeadLetterCap` records, and at most
+/// `Fabric::kDeadLetterMaxBytes` of pinned payload across the queue
+/// (`payload_bytes` is each record's contribution). Whichever bound is
+/// exceeded first evicts the oldest records.
 struct DeadLetter {
   common::SimTime time = 0.0;
   std::size_t from = 0;
@@ -59,19 +59,6 @@ struct DeadLetter {
   common::Bytes payload_bytes = 0;  ///< arena bytes this record pins
 };
 
-struct FabricOptions {
-  /// Data-queue wire-size multiplier (> 0; 1 = exact). See class comment.
-  double byte_scale = 1.0;
-  /// Maximum retained DeadLetter records. When full, the oldest record is
-  /// evicted (counted in dead_letter_evictions) — long churn runs cannot
-  /// grow the queue without limit. 0 keeps counters only, no records.
-  std::size_t dead_letter_cap = 256;
-  /// Maximum payload bytes the retained records may pin in total; records
-  /// are evicted oldest-first until the sum fits. Bounds the arena memory
-  /// a burst of dead-lettered gradient/weight messages can hold alive.
-  common::Bytes dead_letter_max_bytes = 8 * 1024 * 1024;
-};
-
 class Fabric {
  public:
   using Handler = std::function<void(std::size_t from, MessagePtr msg)>;
@@ -79,9 +66,17 @@ class Fabric {
   /// ack arrives; false when every attempt timed out.
   using ReliableCallback = std::function<void(bool acked)>;
 
-  /// `byte_scale` multiplies data-queue wire sizes (>= 0; 1 = exact).
+  /// Maximum retained DeadLetter records. When full, the oldest record is
+  /// evicted (counted in dead_letter_evictions) — long churn runs cannot
+  /// grow the queue without limit.
+  static constexpr std::size_t kDeadLetterCap = 256;
+  /// Maximum payload bytes the retained records may pin in total; records
+  /// are evicted oldest-first until the sum fits. Bounds the arena memory
+  /// a burst of dead-lettered gradient/weight messages can hold alive.
+  static constexpr common::Bytes kDeadLetterMaxBytes = 8 * 1024 * 1024;
+
+  /// `byte_scale` multiplies data-queue wire sizes (> 0; 1 = exact).
   Fabric(sim::Network& network, double byte_scale = 1.0);
-  Fabric(sim::Network& network, const FabricOptions& options);
 
   std::size_t size() const { return network_->size(); }
 
@@ -117,7 +112,8 @@ class Fabric {
   std::uint64_t dead_letters(std::size_t to) const {
     return dead_letters_to_.at(to);
   }
-  /// Most recent dead-letter records (bounded by options.dead_letter_cap).
+  /// Most recent dead-letter records (bounded by kDeadLetterCap records
+  /// and kDeadLetterMaxBytes of pinned payload).
   const std::deque<DeadLetter>& recent_dead_letters() const {
     return dead_letter_queue_;
   }
@@ -217,13 +213,11 @@ class Fabric {
   /// All sends and deliveries run on the simulation thread (no locks on
   /// the message path); checked in debug/sanitize builds.
   common::ThreadAffinity affinity_;
-  std::size_t dead_letter_cap_;
-  common::Bytes dead_letter_max_bytes_;
   std::vector<Handler> handlers_;
   std::vector<std::uint64_t> dead_letters_to_;
   std::uint64_t dead_letters_ = 0;
-  /// Bounded by dead_letter_cap_ records and dead_letter_max_bytes_ of
-  /// pinned payload.
+  /// Bounded by kDeadLetterCap records and kDeadLetterMaxBytes of pinned
+  /// payload.
   std::deque<DeadLetter> dead_letter_queue_;
   common::Bytes dead_letter_pinned_bytes_ = 0;
   std::uint64_t dead_letter_evictions_ = 0;

@@ -74,13 +74,10 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
     WorkerOptions options = spec.worker_options;
     options.gbs.dataset_size = train.size();
     if (faults_ != nullptr && spec.auto_fault_tolerance) {
-      options.fault_tolerance.enabled = true;
+      options.fault_tolerance = true;
     }
     if (elastic_) {
-      options.elastic.enabled = true;
-      options.elastic.bootstrap_fanout = spec.elastic->bootstrap_fanout;
-      options.elastic.start_dormant = !initial_members[i];
-      options.elastic.initial_members = initial_members;
+      options.initial_members = initial_members;
     } else if (extra > 0) {
       // Serving slots must never receive worker broadcasts. A static
       // roster of exactly the worker slots rides the elastic layer's
@@ -89,8 +86,7 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
       // identity), just over a fabric with extra non-member slots.
       std::vector<bool> worker_slots(n + extra, false);
       for (std::size_t j = 0; j < n; ++j) worker_slots[j] = true;
-      options.elastic.enabled = true;
-      options.elastic.initial_members = std::move(worker_slots);
+      options.initial_members = std::move(worker_slots);
     }
     workers_.push_back(std::make_unique<Worker>(
         i, engine_, *fabric_,
@@ -106,8 +102,8 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
     raw.reserve(workers_.size());
     for (auto& w : workers_) raw.push_back(w.get());
     membership_ = std::make_unique<MembershipController>(
-        engine_, *fabric_, std::move(raw), spec.elastic->membership,
-        initial_members, spec_duration_, spec.seed);
+        engine_, *fabric_, std::move(raw), spec.elastic->schedule,
+        initial_members, spec_duration_);
   }
 
   // Crash windows drive the workers directly: the worker object crashes

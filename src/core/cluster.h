@@ -20,14 +20,12 @@ namespace dlion::core {
 /// Elastic-membership configuration for a cluster (DESIGN.md, "Elastic
 /// membership"). `compute.size()` becomes the slot *capacity*; only the
 /// first `initial_workers` slots start as members, the rest sit dormant
-/// until a scripted membership event or the autoscaler activates them.
+/// until a scripted membership event activates them.
 struct ElasticSpec {
   /// Slots that are members at t=0 (0 = all of them).
   std::size_t initial_workers = 0;
-  /// Donors each joiner splits its bootstrap download across.
-  std::size_t bootstrap_fanout = 2;
-  /// Scripted joins/leaves + autoscaler policy + machine pool.
-  MembershipConfig membership;
+  /// Scripted joins and leaves.
+  sim::MembershipSchedule schedule;
 };
 
 struct ClusterSpec {
@@ -51,15 +49,15 @@ struct ClusterSpec {
   sim::FaultSchedule faults;
   /// Auto-enable the workers' fault-tolerance layer whenever `faults` is
   /// non-empty. Set false to study an undefended system under churn (the
-  /// bench's "no-FT" baseline); explicit worker_options.fault_tolerance
-  /// settings always win.
+  /// bench's "no-FT" baseline); worker_options.fault_tolerance = true
+  /// always wins.
   bool auto_fault_tolerance = true;
   /// Observer wired through engine, network, fabric, and every worker
   /// (non-owning; must outlive the cluster). nullptr (the default) records
   /// nothing and leaves the run's hot paths untouched beyond a pointer
   /// check per potential record site.
   obs::Observability* obs = nullptr;
-  /// Elastic membership: dormant slots, scripted churn, autoscaling.
+  /// Elastic membership: dormant slots and scripted churn.
   /// Disabled (nullopt, the default) leaves every run bit-identical to the
   /// pre-elastic cluster.
   std::optional<ElasticSpec> elastic;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "core/link_prioritizer.h"
 #include "core/weighted_update.h"
 #include "nn/checkpoint.h"
@@ -24,8 +23,8 @@ constexpr double kDeadRcp = 1e-12;
 /// When fault tolerance is enabled but the caller left DKT peer-loss expiry
 /// at its disabled default, age reports out after a few DKT periods so a
 /// silent (crashed or partitioned) peer cannot stay "best" forever.
-DktConfig with_ft_expiry(DktConfig cfg, const FaultToleranceOptions& ft) {
-  if (ft.enabled && cfg.peer_loss_expiry_iters == 0) {
+DktConfig with_ft_expiry(DktConfig cfg, bool fault_tolerance) {
+  if (fault_tolerance && cfg.peer_loss_expiry_iters == 0) {
     cfg.peer_loss_expiry_iters = 3 * cfg.period_iters;
   }
   return cfg;
@@ -70,14 +69,14 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
   }
   // Roster (all-member at epoch 0 unless the elastic layer narrows it) and
   // the merged exclusion mask derived from it.
-  if (options_.elastic.enabled && !options_.elastic.initial_members.empty()) {
-    roster_ = RosterView(fabric.size(), options_.elastic.initial_members, 0);
+  if (elastic()) {
+    roster_ = RosterView(fabric.size(), options_.initial_members, 0);
   } else {
     roster_ = RosterView(fabric.size());
   }
   excluded_.resize(fabric.size());
   reset_exclusions();
-  dormant_ = options_.elastic.enabled && options_.elastic.start_dormant;
+  dormant_ = elastic() && !options_.initial_members.at(id_);
   if (!dormant_) attach_to_fabric();
 }
 
@@ -91,8 +90,8 @@ void Worker::after(double delay) {
 template <typename OnResult>
 void Worker::send_control(std::size_t to, comm::Message msg,
                           OnResult on_result) {
-  if (ft().enabled) {
-    fabric_->send_reliable(id_, to, std::move(msg), ft().control_retry,
+  if (ft()) {
+    fabric_->send_reliable(id_, to, std::move(msg), kControlRetry,
                            std::move(on_result));
   } else {
     fabric_->send(id_, to, std::move(msg));
@@ -181,9 +180,9 @@ void Worker::start(common::SimTime until) {
 
 void Worker::schedule_ticks() {
   after<&Worker::batch_tick>(options_.batch_update_period_s);
-  if (ft().enabled) {
-    after<&Worker::heartbeat_tick>(ft().heartbeat_period_s);
-    after<&Worker::checkpoint_tick>(ft().checkpoint_period_s);
+  if (ft()) {
+    after<&Worker::heartbeat_tick>(kHeartbeatPeriodS);
+    after<&Worker::checkpoint_tick>(kCheckpointPeriodS);
   }
 }
 
@@ -214,7 +213,7 @@ void Worker::heartbeat_tick() {
   bool changed = false;
   for (std::size_t j = 0; j < excluded_.size(); ++j) {
     if (j == id_ || !roster_.is_member(j)) continue;
-    const bool sus = (now - last_heard_[j]) > ft().suspicion_timeout_s;
+    const bool sus = (now - last_heard_[j]) > kSuspicionTimeoutS;
     if (sus != excluded_[j]) {
       excluded_[j] = sus;
       changed = true;
@@ -226,13 +225,13 @@ void Worker::heartbeat_tick() {
     if (lbs_controlled()) recompute_lbs();
     if (waiting_) after<&Worker::try_start_iteration>(0.0);
   }
-  after<&Worker::heartbeat_tick>(ft().heartbeat_period_s);
+  after<&Worker::heartbeat_tick>(kHeartbeatPeriodS);
 }
 
 void Worker::checkpoint_tick() {
   if (engine_->now() >= end_time_) return;
   take_checkpoint();
-  after<&Worker::checkpoint_tick>(ft().checkpoint_period_s);
+  after<&Worker::checkpoint_tick>(kCheckpointPeriodS);
 }
 
 void Worker::take_checkpoint() {
@@ -296,7 +295,7 @@ void Worker::recover() {
   reset_exclusions();
   // Re-announce compute power and liveness to peers.
   if (lbs_controlled()) announce_rcp();
-  if (ft().enabled) {
+  if (ft()) {
     broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_),
                                   iteration_});
   }
@@ -306,7 +305,7 @@ void Worker::recover() {
 }
 
 void Worker::request_catch_up() {
-  if (!ft().enabled) return;
+  if (!ft()) return;
   // Pull fresh weights + iteration state from a live peer; until the
   // snapshot arrives the worker trains from its (stale) checkpoint. The
   // wait-set is recomputed from the *current* roster (merged suspicion +
@@ -346,7 +345,7 @@ void Worker::announce_rcp() {
 
 void Worker::recompute_lbs() {
   std::vector<std::size_t> allocation;
-  if (options_.elastic.enabled) {
+  if (elastic()) {
     // Membership-aware Eq. 5: the GBS renormalizes over exactly the live
     // roster — dormant slots get zero batch (not the min-LBS floor the
     // kDeadRcp path below would hand them), so a 4->64 scale-out spreads
@@ -583,7 +582,7 @@ void Worker::run_dkt_boundary() {
   broadcast_msg(comm::LossReport{static_cast<std::uint32_t>(id_), iteration_,
                                  dkt_.avg_loss()});
   if (!dkt_.should_request(iteration_)) return;
-  if (ft().enabled) {
+  if (ft()) {
     // Reliable pull with next-best fallback: an unacked request (crashed or
     // partitioned best worker) falls through to the next-best candidate.
     // The exclusion mask keeps departed members out of the chain.
@@ -639,7 +638,7 @@ void Worker::send_weight_pull(std::vector<bool> excluded,
   fabric_->send_reliable(
       id_, target,
       comm::DktRequest{static_cast<std::uint32_t>(id_), iteration_},
-      ft().control_retry,
+      kControlRetry,
       [this, inc, excluded = std::move(excluded), attempts_left, catch_up,
        target](bool acked) mutable {
         if (inc != incarnation_) return;
@@ -670,10 +669,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
   // which may be the sender's own join announcement.
   const bool is_roster_update =
       std::holds_alternative<comm::RosterUpdate>(*msg);
-  if (options_.elastic.enabled && !is_roster_update &&
-      !roster_.is_member(from)) {
-    return;
-  }
+  if (elastic() && !is_roster_update && !roster_.is_member(from)) return;
   // Any message is proof of life: refresh the liveness stamp and clear
   // suspicion (a no-op whenever fault tolerance is disabled). The
   // exclusion bit clears only for members (a RosterUpdate from a joiner
@@ -831,7 +827,7 @@ comm::WeightPayload Worker::stage_weights(std::size_t first_var,
 // --- Elastic membership (DESIGN.md, "Elastic membership") ---
 
 void Worker::broadcast_msg(const comm::Message& msg) {
-  if (options_.elastic.enabled) {
+  if (elastic()) {
     fabric_->broadcast(id_, msg, roster_.members());
   } else {
     fabric_->broadcast(id_, msg);
@@ -887,7 +883,7 @@ void Worker::broadcast_roster(std::uint64_t epoch,
 
 void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
                   common::SimTime until) {
-  DLION_ASSERT(options_.elastic.enabled,
+  DLION_ASSERT(elastic(),
                "Worker::join requires the elastic membership layer");
   if (!dormant_) return;
   dormant_ = false;
@@ -919,7 +915,7 @@ void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
     current_lbs_ = options_.fixed_lbs;
     record_batch(lbs_trace_, current_lbs_);
   }
-  if (ft().enabled) {
+  if (ft()) {
     broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_),
                                   iteration_});
   }
@@ -929,7 +925,7 @@ void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
 }
 
 void Worker::leave(std::uint64_t epoch, const std::vector<bool>& members) {
-  DLION_ASSERT(options_.elastic.enabled,
+  DLION_ASSERT(elastic(),
                "Worker::leave requires the elastic membership layer");
   if (dormant_) return;
   // Adopt + stamp the shrunken roster, then say goodbye to the remaining
@@ -944,13 +940,6 @@ void Worker::leave(std::uint64_t epoch, const std::vector<bool>& members) {
   bootstrapping_ = false;
   end_tenure();
   dormant_ = true;
-}
-
-void Worker::rebind_compute(sim::ComputeResource compute) {
-  compute_ = std::move(compute);
-  if (obs::on(obs_)) {
-    obs_->tracer().instant(obs_track_, "rebind_compute", engine_->now());
-  }
 }
 
 void Worker::begin_bootstrap() {
@@ -973,7 +962,7 @@ void Worker::begin_bootstrap() {
   bootstrap_bytes_ = 0;
   bootstrap_complete_time_ = -1.0;
   const std::vector<BootstrapRange> ranges =
-      plan_bootstrap(nvars, donors, options_.elastic.bootstrap_fanout);
+      plan_bootstrap(nvars, donors, kBootstrapFanout);
   if (obs::on(obs_)) {
     obs_->tracer().instant(obs_track_, "bootstrap_begin", engine_->now(),
                            {{"ranges", static_cast<double>(ranges.size())}});
@@ -1043,7 +1032,7 @@ void Worker::finish_bootstrap() {
   bootstrapping_ = false;
   bootstrap_complete_time_ = engine_->now();
   if (lbs_controlled()) recompute_lbs();
-  if (ft().enabled) take_checkpoint();
+  if (ft()) take_checkpoint();
   if (obs::on(obs_)) {
     obs_->tracer().instant(
         obs_track_, "bootstrap_done", engine_->now(),

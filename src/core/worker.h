@@ -29,53 +29,38 @@
 
 namespace dlion::core {
 
-/// Fault-tolerance / graceful-degradation layer (DESIGN.md §4).
+/// Fault-tolerance / graceful-degradation layer (DESIGN.md §4), switched by
+/// WorkerOptions::fault_tolerance.
 ///
-/// When enabled the worker broadcasts periodic heartbeats, suspects peers it
-/// has not heard from within `suspicion_timeout_s`, excludes suspected peers
-/// from synchronization wait-sets and weighted-update renormalization, takes
-/// periodic in-memory DLCK checkpoints for crash recovery, and sends DKT
-/// weight pulls over the reliable (ack + retry) control channel with
-/// fallback to the next-best peer on timeout.
+/// When enabled the worker broadcasts a heartbeat every kHeartbeatPeriodS,
+/// suspects peers it has not heard from within kSuspicionTimeoutS, excludes
+/// suspected peers from synchronization wait-sets and weighted-update
+/// renormalization, takes an in-memory DLCK checkpoint every
+/// kCheckpointPeriodS for crash recovery, and sends DKT weight pulls over
+/// the reliable (ack + retry, kControlRetry) control channel with fallback
+/// to the next-best peer on timeout.
 ///
 /// Disabled (the default) the worker's event sequence is bit-identical to a
 /// build without this layer: no heartbeats, no checkpoints, no retries, and
 /// every liveness structure stays in its all-live state.
-struct FaultToleranceOptions {
-  bool enabled = false;
-  /// Heartbeat broadcast + suspicion sweep period.
-  double heartbeat_period_s = 2.0;
-  /// A peer unheard-from for longer than this is suspected crashed.
-  double suspicion_timeout_s = 6.0;
-  /// Period of in-memory crash-recovery checkpoints (DLCK buffers).
-  double checkpoint_period_s = 20.0;
-  /// Retry policy for reliable control-plane sends (DKT weight pulls and
-  /// post-recovery catch-up requests).
-  comm::RetryPolicy control_retry;
-};
+inline constexpr double kHeartbeatPeriodS = 2.0;
+inline constexpr double kSuspicionTimeoutS = 6.0;
+inline constexpr double kCheckpointPeriodS = 20.0;
+inline constexpr comm::RetryPolicy kControlRetry{};
 
-/// Elastic-membership layer (DESIGN.md, "Elastic membership").
+/// Elastic-membership layer (DESIGN.md, "Elastic membership"), switched on
+/// by a non-empty WorkerOptions::initial_members.
 ///
 /// When enabled the worker keeps a RosterView (epoch + member bitmap over
 /// the cluster's fixed slot capacity), addresses every broadcast to the
 /// current roster only, excludes non-members from synchronization wait-sets
 /// and batch-share renormalization, and — when joining mid-run — bootstraps
-/// its weights from >= 2 live peers via disjoint variable-range chunks
-/// before training its first iteration.
+/// its weights from kBootstrapFanout live peers via disjoint variable-range
+/// chunks before training its first iteration.
 ///
 /// Disabled (the default) the roster is the all-member view at epoch 0 and
 /// every code path reduces bit-identically to the non-elastic worker.
-struct ElasticOptions {
-  bool enabled = false;
-  /// Donors a joiner splits its bootstrap download across (>= 2 whenever
-  /// the roster allows).
-  std::size_t bootstrap_fanout = 2;
-  /// Construct dormant: not attached to the fabric, not training, waiting
-  /// for a MembershipController join() call.
-  bool start_dormant = false;
-  /// Roster at construction time (epoch 0). Empty = every slot a member.
-  std::vector<bool> initial_members;
-};
+inline constexpr std::size_t kBootstrapFanout = 2;
 
 struct WorkerOptions {
   double learning_rate = 0.05;
@@ -100,10 +85,14 @@ struct WorkerOptions {
   /// Optional externally-scripted GBS (used by the Fig. 5 study); when set
   /// it replaces the GBS controller. Called at every batch tick.
   std::function<std::size_t(std::uint64_t iteration, double now)> gbs_schedule;
-  /// Fault-tolerance layer; disabled by default (see FaultToleranceOptions).
-  FaultToleranceOptions fault_tolerance;
-  /// Elastic-membership layer; disabled by default (see ElasticOptions).
-  ElasticOptions elastic;
+  /// Fault-tolerance layer; disabled by default (see kHeartbeatPeriodS).
+  bool fault_tolerance = false;
+  /// Roster at construction time (epoch 0). Empty (the default) is the
+  /// static all-member roster with the elastic layer off; non-empty turns
+  /// the layer on (see kBootstrapFanout), and the worker starts dormant —
+  /// detached, not training, waiting for a MembershipController join() —
+  /// iff its own slot is false.
+  std::vector<bool> initial_members;
 };
 
 class Worker {
@@ -139,7 +128,6 @@ class Worker {
   const sim::Trace& chosen_n_trace() const { return chosen_n_trace_; }
 
   nn::Model& model() { return built_.model; }
-  const nn::ModelProfile& profile() const { return built_.profile; }
   PartialGradientStrategy& strategy() { return *strategy_; }
   const WorkerOptions& options() const { return options_; }
 
@@ -180,7 +168,7 @@ class Worker {
   // --- Elastic membership (DESIGN.md, "Elastic membership") ---
 
   /// Join the cluster at roster `epoch` with the given member bitmap
-  /// (called by the MembershipController; requires elastic.enabled). The
+  /// (called by the MembershipController; requires the elastic layer). The
   /// joiner announces the roster to every member first — per-link FIFO
   /// delivery guarantees receivers admit it before any of its other
   /// traffic — then requests disjoint weight-range chunks from >= 2 live
@@ -190,9 +178,6 @@ class Worker {
   /// Leave the cluster: broadcast the shrunken roster at `epoch` to the
   /// remaining members, then detach and go dormant.
   void leave(std::uint64_t epoch, const std::vector<bool>& members);
-  /// VirtualFlow-style indirection: swap the compute resource this logical
-  /// worker runs on (the logical->machine mapping can change mid-run).
-  void rebind_compute(sim::ComputeResource compute);
   bool dormant() const { return dormant_; }
   /// Still reassembling the multi-peer bootstrap snapshot.
   bool bootstrapping() const { return bootstrapping_; }
@@ -206,10 +191,6 @@ class Worker {
   common::SimTime bootstrap_complete_time() const {
     return bootstrap_complete_time_;
   }
-  /// EWMA of the full iteration cycle time (autoscaler straggler signal).
-  double iteration_interval() const { return iter_interval_.value(); }
-  /// Last iteration-finish time (-1 = none yet; autoscaler stall signal).
-  common::SimTime last_finish_time() const { return last_finish_; }
 
  private:
   /// Cached observability handles (resolved once in set_obs). Histograms
@@ -235,7 +216,8 @@ class Worker {
   void recompute_lbs();
   void run_dkt_boundary();
 
-  const FaultToleranceOptions& ft() const { return options_.fault_tolerance; }
+  bool ft() const { return options_.fault_tolerance; }
+  bool elastic() const { return !options_.initial_members.empty(); }
   /// LBS comes from the LBS controller (dynamic batching or a scripted
   /// GBS), not from fixed_lbs.
   bool lbs_controlled() const {
@@ -334,7 +316,7 @@ class Worker {
   common::SimTime last_finish_ = -1.0;
 
   // Fault-tolerance state. All of it stays in its initial "everything live"
-  // configuration when ft().enabled is false, so the training path reads it
+  // configuration when ft() is false, so the training path reads it
   // without branching on the flag.
   bool crashed_ = false;
   bool catching_up_ = false;

@@ -87,7 +87,7 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
   } else if (env.elastic()) {
     core::ElasticSpec elastic;
     elastic.initial_workers = env.initial_workers;
-    elastic.membership.schedule = env.membership;
+    elastic.schedule = env.membership;
     cluster_spec.elastic = std::move(elastic);
   }
   cluster_spec.serving = spec.serving;

@@ -1,10 +1,10 @@
 // Minimal JSON document model + recursive-descent parser.
 //
-// Originally a test-only helper (tests/obs/json_test_util.h); extracted so
-// the fuzz harnesses can drive the exact parser the observability tests use
-// to validate exporter output. Just enough JSON to read what the exporters
-// write, with no external dependencies. Escapes are decoded loosely
-// (\uXXXX maps to '?'); numbers use strtod. Header-only.
+// Shared by the observability tests, which validate exporter output with
+// it, and the fuzz harnesses, which drive the same parser. Just enough
+// JSON to read what the exporters write, with no external dependencies.
+// Escapes are decoded loosely (\uXXXX maps to '?'); numbers use strtod.
+// Header-only.
 //
 // Hardened after fuzzing: value() recursion is depth-limited
 // (kMaxParseDepth) so hostile inputs like 100k nested '[' fail cleanly with

@@ -129,20 +129,6 @@ std::vector<double> Histogram::default_time_bounds() {
   return b;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.bounds_ != bounds_) {
-    throw std::invalid_argument("Histogram::merge: bucket bounds differ");
-  }
-  if (other.count_ == 0) return;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    counts_[b] += other.counts_[b];
-  }
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::vector<double> Histogram::default_size_bounds() {
   // 1 .. 1e9, three log-spaced buckets per decade.
   std::vector<double> b;
@@ -218,20 +204,6 @@ double Windowed::observed_max() const {
     any = true;
   }
   return any ? m : std::nan("");
-}
-
-void Windowed::merge(const Windowed& other) {
-  if (other.window_s_ != window_s_) {
-    throw std::invalid_argument("Windowed::merge: window sizes differ");
-  }
-  for (const WindowStats& o : other.windows_) {
-    if (o.count == 0) continue;
-    WindowStats& s = at_window(o.window);
-    if (s.count == 0 || o.min < s.min) s.min = o.min;
-    if (s.count == 0 || o.max > s.max) s.max = o.max;
-    s.sum += o.sum;
-    s.count += o.count;
-  }
 }
 
 // ---------------------------------------------------------- MetricsRegistry
@@ -362,27 +334,6 @@ const Windowed* MetricsRegistry::find_windowed(const std::string& name) const {
     return it->second.second.get();
   }
   return nullptr;
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& shard) {
-  DLION_AFFINITY_DCHECK(affinity_);
-  for (const auto& [key, entry] : shard.counters_) {
-    counter(key.first, entry.first).inc(entry.second->value());
-  }
-  for (const auto& [key, entry] : shard.gauges_) {
-    Gauge& g = gauge(key.first, entry.first);
-    g.set(std::max(g.value(), entry.second->value()));
-  }
-  for (const auto& [key, entry] : shard.histograms_) {
-    Histogram& h = histogram(key.first, entry.first,
-                             entry.second->bounds());
-    h.merge(*entry.second);
-  }
-  for (const auto& [key, entry] : shard.windowed_) {
-    Windowed& w =
-        windowed(key.first, entry.first, entry.second->window_s());
-    w.merge(*entry.second);
-  }
 }
 
 std::vector<MetricsRegistry::Row> MetricsRegistry::rows() const {

@@ -18,10 +18,9 @@
 //
 // Scale mode (DESIGN.md "Observability at scale"): RollupConfig collapses
 // per-worker label cardinality into per-micro-cloud groups at registration
-// time, Windowed series aggregate observations into fixed time windows
-// (per-window count/sum/min/max), and merge_from() folds shard registries
-// (histograms bucket-wise, counters additively) into cluster rollups.
-// All default off; an unconfigured registry behaves exactly as before.
+// time, and Windowed series aggregate observations into fixed time windows
+// (per-window count/sum/min/max). Both default off; an unconfigured
+// registry behaves exactly as before.
 //
 // Export schemas: JSON snapshots carry "schema":"dlion-metrics-v2"
 // (v1 = PR 2's shape without the schema key or windowed rows); the CSV
@@ -74,11 +73,6 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double v);
-
-  /// Fold another histogram into this one (bucket-wise; the shard-merge
-  /// primitive for cluster rollups). Throws std::invalid_argument when the
-  /// bucket bounds differ.
-  void merge(const Histogram& other);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -142,10 +136,6 @@ class Windowed {
   double observed_min() const;  // NaN when empty
   double observed_max() const;  // NaN when empty
 
-  /// Fold another windowed series into this one, window-by-window. Throws
-  /// std::invalid_argument when the window sizes differ.
-  void merge(const Windowed& other);
-
  private:
   WindowStats& at_window(std::uint64_t w);
 
@@ -199,13 +189,6 @@ class MetricsRegistry {
   /// First windowed series with this name (any labels); nullptr if absent.
   const Windowed* find_windowed(const std::string& name) const;
 
-  /// Fold a shard registry into this one: counters add, gauges keep the
-  /// max (the useful semantics for peak/backlog levels), histograms and
-  /// windowed series merge element-wise. Labels pass through *this*
-  /// registry's rollup rewriting, so merging per-worker shards into a
-  /// grouped registry produces micro-cloud rollups directly.
-  void merge_from(const MetricsRegistry& shard);
-
   /// One exported row per series, sorted by (name, canonical labels).
   struct Row {
     std::string type;  // "counter" | "gauge" | "histogram" | "windowed"
@@ -234,7 +217,7 @@ class MetricsRegistry {
   Labels resolve_labels(const Labels& labels) const;
 
   RollupConfig rollup_;
-  /// Series creation/merge is single-threaded by contract (handles are
+  /// Series creation is single-threaded by contract (handles are
   /// cached by recorders; the registry itself takes no lock). Checked in
   /// debug/sanitize builds.
   common::ThreadAffinity affinity_;

@@ -85,18 +85,16 @@ void check_event_time(common::SimTime t, const char* what) {
 }  // namespace
 
 MembershipSchedule& MembershipSchedule::join(std::size_t worker,
-                                             common::SimTime time,
-                                             std::size_t machine) {
+                                             common::SimTime time) {
   check_event_time(time, "MembershipSchedule::join");
-  events.push_back({worker, time, /*join=*/true, machine});
+  events.push_back({worker, time, /*join=*/true});
   return *this;
 }
 
 MembershipSchedule& MembershipSchedule::leave(std::size_t worker,
                                               common::SimTime time) {
   check_event_time(time, "MembershipSchedule::leave");
-  events.push_back({worker, time, /*join=*/false,
-                    MembershipEvent::kSameMachine});
+  events.push_back({worker, time, /*join=*/false});
   return *this;
 }
 

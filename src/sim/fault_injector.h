@@ -73,17 +73,11 @@ struct FaultSchedule {
 };
 
 /// One elastic-membership change: worker `worker` joins (spins up and
-/// bootstraps) or leaves (gracefully departs) the roster at `time`. When
-/// `machine` is set (!= kSameMachine) the logical worker is bound to that
-/// machine-pool slot on join — the VirtualFlow-style logical→physical remap.
+/// bootstraps) or leaves (gracefully departs) the roster at `time`.
 struct MembershipEvent {
   std::size_t worker = 0;
   common::SimTime time = 0.0;
   bool join = true;
-  /// Machine-pool index to bind the logical worker to (joins only).
-  std::size_t machine = kSameMachine;
-
-  static constexpr std::size_t kSameMachine = static_cast<std::size_t>(-1);
 };
 
 /// Declarative churn schedule for elastic membership, the roster-change
@@ -101,8 +95,7 @@ struct MembershipSchedule {
   bool empty() const { return events.empty(); }
 
   /// Builder helpers (all return *this for chaining).
-  MembershipSchedule& join(std::size_t worker, common::SimTime time,
-                           std::size_t machine = MembershipEvent::kSameMachine);
+  MembershipSchedule& join(std::size_t worker, common::SimTime time);
   MembershipSchedule& leave(std::size_t worker, common::SimTime time);
   /// Flash crowd: workers [first, first+count) join one every `stagger_s`
   /// starting at `start`.

@@ -28,7 +28,6 @@ Network::Network(Engine& engine, std::size_t n_workers)
       latency_(n_workers, std::vector<double>(n_workers, kDefaultLatency)),
       queue_(n_workers, std::vector<std::deque<Pending>>(n_workers)),
       busy_(n_workers, std::vector<bool>(n_workers, false)),
-      backlog_(n_workers, 0),
       stats_(n_workers) {}
 
 void Network::set_egress(std::size_t worker, Schedule mbps) {
@@ -115,10 +114,6 @@ double Network::link_mbps(std::size_t from, std::size_t to) const {
   return link_.at(from).at(to).at(engine_->now());
 }
 
-common::Bytes Network::backlog_bytes(std::size_t from) const {
-  return backlog_.at(from);
-}
-
 void Network::send(std::size_t from, std::size_t to, common::Bytes bytes,
                    std::function<void()> on_delivered, std::uint64_t flow) {
   if (from >= n_ || to >= n_) throw std::out_of_range("Network::send");
@@ -142,7 +137,6 @@ void Network::send(std::size_t from, std::size_t to, common::Bytes bytes,
       return;  // on_delivered is never invoked for dropped transfers
     }
   }
-  backlog_[from] += bytes;
   queue_[from][to].push_back(Pending{bytes, std::move(on_delivered), flow});
   if (!busy_[from][to]) start_next(from, to);
 }
@@ -158,10 +152,6 @@ void Network::start_next(std::size_t from, std::size_t to) {
   busy_[from][to] = true;
   Pending msg = std::move(q.front());
   q.pop_front();
-  // Backlog accounting contract: every queued transfer was charged to the
-  // sender at enqueue and is released exactly once at transmission end.
-  DLION_DCHECK(backlog_[from] >= msg.bytes,
-               "uplink backlog underflow: releasing more bytes than queued");
   const double mbps = available_mbps(from, to);
   const double tx = common::transfer_seconds(msg.bytes, mbps);
   DLION_DCHECK(tx >= 0.0 && std::isfinite(tx),
@@ -191,7 +181,6 @@ void Network::start_next(std::size_t from, std::size_t to) {
   // transmission only.
   engine_->after(tx, [this, from, to, bytes, latency,
                       deliver = std::move(msg.on_delivered)]() mutable {
-    backlog_[from] -= bytes;
     // Messages in flight when a crash window or blackout opens are lost at
     // transmission end (the wire went dark mid-transfer). The loss draw is
     // not repeated here: probabilistic loss applies once, at enqueue.

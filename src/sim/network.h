@@ -69,9 +69,6 @@ class Network {
   double egress_mbps(std::size_t from) const;
   double link_mbps(std::size_t from, std::size_t to) const;
 
-  /// Bytes queued (or in flight) across all of a sender's links.
-  common::Bytes backlog_bytes(std::size_t from) const;
-
   /// Attach a fault injector (non-owning; may be nullptr to detach). When
   /// set, sends on unusable links and loss-draw casualties are dropped:
   /// their `on_delivered` is never invoked and the drop is counted in the
@@ -130,7 +127,6 @@ class Network {
   std::vector<std::vector<double>> latency_;    // [from][to]
   std::vector<std::vector<std::deque<Pending>>> queue_;  // per-link FIFO
   std::vector<std::vector<bool>> busy_;         // link currently transmitting
-  std::vector<common::Bytes> backlog_;          // queued + in-flight bytes
   std::vector<NetworkStats> stats_;
   FaultInjector* faults_ = nullptr;             // non-owning, optional
 

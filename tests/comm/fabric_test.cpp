@@ -257,37 +257,23 @@ TEST_F(FabricTest, EpochStampIsCapturedAtTransmitTime) {
 TEST(Fabric, DeadLetterQueueIsBoundedWithEvictionCounter) {
   sim::Engine e;
   sim::Network net(e, 2);
-  FabricOptions options;
-  options.dead_letter_cap = 3;
-  Fabric fabric(net, options);
+  Fabric fabric(net);
   fabric.attach(0, [](std::size_t, MessagePtr) {});
   // Worker 1 never attaches: every message to it dead-letters.
-  for (int i = 0; i < 8; ++i) {
-    fabric.send(0, 1, Heartbeat{0, static_cast<std::uint64_t>(i)});
-  }
+  const std::size_t sent = Fabric::kDeadLetterCap + 5;
+  for (std::size_t i = 0; i < sent; ++i) fabric.send(0, 1, Heartbeat{0, i});
   e.run();
-  EXPECT_EQ(fabric.dead_letters(), 8u);
-  EXPECT_EQ(fabric.recent_dead_letters().size(), 3u);
+  EXPECT_EQ(fabric.dead_letters(), sent);
+  EXPECT_EQ(fabric.recent_dead_letters().size(), Fabric::kDeadLetterCap);
   EXPECT_EQ(fabric.dead_letter_evictions(), 5u);
   // The retained records are the most recent ones, oldest evicted first.
+  std::uint64_t expected = 5;
   for (const DeadLetter& dl : fabric.recent_dead_letters()) {
     EXPECT_EQ(dl.from, 0u);
     EXPECT_EQ(dl.to, 1u);
+    ASSERT_NE(dl.msg, nullptr);
+    EXPECT_EQ(std::get<Heartbeat>(*dl.msg).iteration, expected++);
   }
-}
-
-TEST(Fabric, DeadLetterCapZeroKeepsCountersOnly) {
-  sim::Engine e;
-  sim::Network net(e, 2);
-  FabricOptions options;
-  options.dead_letter_cap = 0;
-  Fabric fabric(net, options);
-  fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (int i = 0; i < 4; ++i) fabric.send(0, 1, Heartbeat{0, 1});
-  e.run();
-  EXPECT_EQ(fabric.dead_letters(), 4u);
-  EXPECT_EQ(fabric.recent_dead_letters().size(), 0u);
-  EXPECT_EQ(fabric.dead_letter_evictions(), 0u);
 }
 
 /// Dense gradient with `n` float values: pins exactly n * 4 payload bytes.
@@ -302,40 +288,48 @@ GradientUpdate dense_payload_update(std::size_t n) {
   return u;
 }
 
+/// Float count of a gradient that pins 3 MiB: two fit under the 8 MiB
+/// pinned-byte bound, a third does not.
+constexpr std::size_t kThreeMiBFloats = 3 * 1024 * 1024 / sizeof(float);
+
 TEST(Fabric, DeadLetterQueueEvictsByPinnedPayloadBytes) {
   sim::Engine e;
   sim::Network net(e, 2);
-  FabricOptions options;
-  options.dead_letter_cap = 100;  // record bound far away: bytes bind first
-  options.dead_letter_max_bytes = 1000;  // each message pins 400 bytes
-  Fabric fabric(net, options);
+  Fabric fabric(net);
   fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (int i = 0; i < 5; ++i) fabric.send(0, 1, dense_payload_update(100));
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    GradientUpdate u = dense_payload_update(kThreeMiBFloats);
+    u.iteration = i;
+    fabric.send(0, 1, std::move(u));
+  }
   e.run();
   EXPECT_EQ(fabric.dead_letters(), 5u);
-  // 5 x 400 B pinned exceeds the 1000 B cap: evict oldest-first down to 2
-  // records / 800 B even though the record cap (100) was never reached.
+  // 5 x 3 MiB pinned exceeds the 8 MiB bound: evict oldest-first down to 2
+  // records / 6 MiB even though the record bound (256) was never reached.
   EXPECT_EQ(fabric.recent_dead_letters().size(), 2u);
   EXPECT_EQ(fabric.dead_letter_evictions(), 3u);
-  EXPECT_EQ(fabric.dead_letter_pinned_bytes(), 800u);
+  EXPECT_EQ(fabric.dead_letter_pinned_bytes(), 6u * 1024 * 1024);
+  EXPECT_LE(fabric.dead_letter_pinned_bytes(), Fabric::kDeadLetterMaxBytes);
+  std::uint64_t expected = 3;
   for (const DeadLetter& dl : fabric.recent_dead_letters()) {
-    EXPECT_EQ(dl.payload_bytes, 400u);
+    EXPECT_EQ(dl.payload_bytes, 3u * 1024 * 1024);
     ASSERT_NE(dl.msg, nullptr);
-    EXPECT_EQ(payload_bytes(*dl.msg), 400u);
+    EXPECT_EQ(payload_bytes(*dl.msg), 3u * 1024 * 1024);
+    EXPECT_EQ(std::get<GradientUpdate>(*dl.msg).iteration, expected++);
   }
 }
 
 TEST(Fabric, DeadLetterControlMessagesPinNoBytes) {
   sim::Engine e;
   sim::Network net(e, 2);
-  FabricOptions options;
-  options.dead_letter_cap = 3;
-  Fabric fabric(net, options);
+  Fabric fabric(net);
   fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (int i = 0; i < 5; ++i) fabric.send(0, 1, Heartbeat{0, 1});
+  for (std::size_t i = 0; i < Fabric::kDeadLetterCap + 5; ++i) {
+    fabric.send(0, 1, Heartbeat{0, 1});
+  }
   e.run();
   // Control messages carry no payload views: only the record cap binds.
-  EXPECT_EQ(fabric.recent_dead_letters().size(), 3u);
+  EXPECT_EQ(fabric.recent_dead_letters().size(), Fabric::kDeadLetterCap);
   EXPECT_EQ(fabric.dead_letter_pinned_bytes(), 0u);
 }
 
@@ -343,17 +337,17 @@ TEST(Fabric, DeadLetterControlMessagesPinNoBytes) {
 TEST(Fabric, DeadLetterPinnedBytesGaugeTracksRetention) {
   sim::Engine e;
   sim::Network net(e, 2);
-  FabricOptions options;
-  options.dead_letter_cap = 100;
-  options.dead_letter_max_bytes = 1000;
-  Fabric fabric(net, options);
+  Fabric fabric(net);
   obs::Observability obs(true);
   fabric.set_obs(&obs);
   fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (int i = 0; i < 5; ++i) fabric.send(0, 1, dense_payload_update(100));
+  for (int i = 0; i < 5; ++i) {
+    fabric.send(0, 1, dense_payload_update(kThreeMiBFloats));
+  }
   e.run();
   EXPECT_DOUBLE_EQ(
-      obs.metrics().gauge("comm.dead_letter_pinned_bytes").value(), 800.0);
+      obs.metrics().gauge("comm.dead_letter_pinned_bytes").value(),
+      6.0 * 1024 * 1024);
 }
 #endif  // DLION_OBS_ENABLED
 

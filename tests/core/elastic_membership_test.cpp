@@ -4,8 +4,8 @@
 // and the determinism contract (same seed + churn schedule => byte-
 // identical telemetry and final weights at any thread count, with or
 // without an observer attached). Unit tests for the pure pieces -
-// plan_bootstrap, allocate_lbs_live, RosterView::adopt, Autoscaler::decide
-// - pin the protocol-level invariants the integration runs rely on.
+// plan_bootstrap, allocate_lbs_live, RosterView::adopt - pin the
+// protocol-level invariants the integration runs rely on.
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/autoscaler.h"
 #include "core/cluster.h"
 #include "core/lbs_controller.h"
 #include "core/roster.h"
@@ -59,7 +58,7 @@ ClusterSpec churn_spec(double duration) {
   ClusterSpec spec = spec_for(6, duration);
   ElasticSpec elastic;
   elastic.initial_workers = 4;
-  elastic.membership.schedule.join(4, 20.0).join(5, 30.0).leave(2, 50.0);
+  elastic.schedule.join(4, 20.0).join(5, 30.0).leave(2, 50.0);
   spec.elastic = std::move(elastic);
   return spec;
 }
@@ -168,7 +167,7 @@ TEST(ElasticMembership, JoinerBootstrapsFromMultiplePeers) {
   ClusterSpec spec = spec_for(5, 90.0);
   ElasticSpec elastic;
   elastic.initial_workers = 3;
-  elastic.membership.schedule.join(3, 20.0).join(4, 35.0);
+  elastic.schedule.join(3, 20.0).join(4, 35.0);
   spec.elastic = std::move(elastic);
   Cluster cluster(spec, data.train, data.test);
   cluster.run();
@@ -207,7 +206,7 @@ TEST(ElasticMembership, ScaleInWithoutAccuracyCliff) {
   ClusterSpec spec = spec_for(8, 120.0);
   ElasticSpec elastic;
   elastic.initial_workers = 8;
-  elastic.membership.schedule.scale_in(4, 4, 50.0, 2.0);
+  elastic.schedule.scale_in(4, 4, 50.0, 2.0);
   spec.elastic = std::move(elastic);
   Cluster cluster(spec, data.train, data.test);
   cluster.run();
@@ -270,7 +269,7 @@ TEST(ElasticMembership, FixedLbsJoinerRecordsLbsCounterAtJoin) {
   ASSERT_FALSE(spec.worker_options.dynamic_batching);
   ElasticSpec elastic;
   elastic.initial_workers = 3;
-  elastic.membership.schedule.join(3, 20.0);
+  elastic.schedule.join(3, 20.0);
   spec.elastic = std::move(elastic);
   obs::Observability o;
   spec.obs = &o;
@@ -297,7 +296,7 @@ ClusterSpec suspect_leave_rejoin_spec() {
   ClusterSpec spec = spec_for(4, 80.0);
   spec.faults.partition({0}, {3}, 10.0, 30.0);
   ElasticSpec elastic;
-  elastic.membership.schedule.leave(2, 20.0).leave(3, 26.0).join(3, 40.0);
+  elastic.schedule.leave(2, 20.0).leave(3, 26.0).join(3, 40.0);
   spec.elastic = std::move(elastic);
   return spec;
 }
@@ -431,50 +430,6 @@ TEST(RosterViewTest, AdoptsOnlyStrictlyNewerEpochs) {
   EXPECT_FALSE(view.adopt(2, {true, true, true, true}));
   EXPECT_EQ(view.epoch(), 3u);
   EXPECT_EQ(view.member_count(), 2u);
-}
-
-TEST(AutoscalerPolicy, DecisionsFollowBottleneckAttribution) {
-  AutoscalerConfig config;
-  config.enabled = true;
-  config.min_members = 2;
-  const Autoscaler scaler(config);
-
-  AutoscalerSignals healthy;
-  healthy.members = 4;
-  healthy.capacity = 8;
-  healthy.mean_interval_s = 1.0;
-  healthy.max_interval_s = 1.2;
-  EXPECT_EQ(scaler.decide(healthy), ScaleDecision::kHold);
-
-  // Straggler-dominated: add compute.
-  AutoscalerSignals straggling = healthy;
-  straggling.max_interval_s = 2.0;
-  EXPECT_EQ(scaler.decide(straggling), ScaleDecision::kScaleOut);
-
-  // Stalled: add compute.
-  AutoscalerSignals stalled = healthy;
-  stalled.seconds_since_progress = 60.0;
-  EXPECT_EQ(scaler.decide(stalled), ScaleDecision::kScaleOut);
-
-  // Network-bound: shed senders, and it dominates a simultaneous straggler.
-  AutoscalerSignals saturated = straggling;
-  saturated.max_backlog_bytes = 64.0 * 1024 * 1024;
-  EXPECT_EQ(scaler.decide(saturated), ScaleDecision::kScaleIn);
-  AutoscalerSignals dead_letters = healthy;
-  dead_letters.dead_letter_delta = 100;
-  EXPECT_EQ(scaler.decide(dead_letters), ScaleDecision::kScaleIn);
-
-  // Bounds: never below min_members, never above capacity.
-  AutoscalerSignals at_floor = dead_letters;
-  at_floor.members = 2;
-  EXPECT_EQ(scaler.decide(at_floor), ScaleDecision::kHold);
-  AutoscalerSignals at_capacity = straggling;
-  at_capacity.members = 8;
-  EXPECT_EQ(scaler.decide(at_capacity), ScaleDecision::kHold);
-
-  // Disabled policy always holds.
-  EXPECT_EQ(Autoscaler(AutoscalerConfig{}).decide(straggling),
-            ScaleDecision::kHold);
 }
 
 }  // namespace

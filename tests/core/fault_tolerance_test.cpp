@@ -108,6 +108,27 @@ TEST(FaultTolerance, SuspicionRisesDuringCrashAndClearsAfterRecovery) {
   EXPECT_EQ(cluster.worker(0).live_worker_count(), 3u);
 }
 
+TEST(FaultTolerance, SuspicionFollowsTheFixedTimeout) {
+  // Survivors exclude a crashed peer no earlier than the 6 s suspicion
+  // timeout and no later than one 2 s heartbeat sweep past it. Zero
+  // latency makes the crash the instant worker 2 falls silent: transfers
+  // still on the wire then are dropped, none are mid-propagation.
+  const data::TrainTest data = blobs_data();
+  ClusterSpec spec = spec_for("dlion", 3, 60.0);
+  spec.network_setup = [](sim::Network& net) { net.set_all_latency(0.0); };
+  const double crash = 21.0;
+  spec.faults.crash(2, crash, 50.0);
+  Cluster cluster(spec, data.train, data.test);
+  cluster.run_until(crash + 6.0 - 1e-6);
+  for (std::size_t w : {0u, 1u}) {
+    EXPECT_FALSE(cluster.worker(w).excluded_peers()[2]) << "worker " << w;
+  }
+  cluster.run_until(crash + 8.0);
+  for (std::size_t w : {0u, 1u}) {
+    EXPECT_TRUE(cluster.worker(w).excluded_peers()[2]) << "worker " << w;
+  }
+}
+
 TEST(FaultTolerance, LossyLinksDegradeButDoNotStopTraining) {
   const data::TrainTest data = blobs_data();
   ClusterSpec spec = spec_for("dlion", 3, 90.0);
@@ -182,7 +203,7 @@ TEST(FaultTolerance, ManualFaultToleranceWithoutFaultsIsAllowed) {
   // it must not disturb convergence.
   const data::TrainTest data = blobs_data();
   ClusterSpec spec = spec_for("dlion", 3, 60.0);
-  spec.worker_options.fault_tolerance.enabled = true;
+  spec.worker_options.fault_tolerance = true;
   Cluster cluster(spec, data.train, data.test);
   cluster.run();
   EXPECT_GT(cluster.worker(0).checkpoints_taken(), 0u);

@@ -11,13 +11,12 @@
 
 #include "exp/environments.h"
 #include "exp/experiment.h"
+#include "obs/json_lite.h"
 #include "obs/obs.h"
 #include "obs/tracer.h"
 #include "obs/track_names.h"
 #include "sim/network.h"
 #include "sim/resource_schedule.h"
-
-#include "json_test_util.h"
 
 namespace dlion {
 namespace {
@@ -167,20 +166,20 @@ TEST(CriticalPath, ReportJsonParsesAndMatchesTotals) {
   const obs::CriticalPathReport r =
       obs::compute_critical_path(tr, {/*epoch_seconds=*/2.0});
 
-  testjson::Json doc;
-  ASSERT_TRUE(testjson::JsonParser(r.to_json()).parse(doc));
-  ASSERT_EQ(doc.kind, testjson::Json::kObject);
+  obs::jsonlite::Json doc;
+  ASSERT_TRUE(obs::jsonlite::JsonParser(r.to_json()).parse(doc));
+  ASSERT_EQ(doc.kind, obs::jsonlite::Json::kObject);
   EXPECT_TRUE(doc.find("valid")->boolean);
   EXPECT_DOUBLE_EQ(doc.find("total_seconds")->number, 4.0);
-  const testjson::Json* cats = doc.find("categories");
+  const obs::jsonlite::Json* cats = doc.find("categories");
   ASSERT_NE(cats, nullptr);
   EXPECT_DOUBLE_EQ(cats->find("compute")->find("seconds")->number, 3.0);
   EXPECT_DOUBLE_EQ(cats->find("stall")->find("fraction")->number, 0.25);
-  const testjson::Json* epochs = doc.find("epochs");
+  const obs::jsonlite::Json* epochs = doc.find("epochs");
   ASSERT_NE(epochs, nullptr);
   ASSERT_EQ(epochs->array.size(), 2u);
-  for (const testjson::Json& w : epochs->array) {
-    const testjson::Json* fr = w.find("fractions");
+  for (const obs::jsonlite::Json& w : epochs->array) {
+    const obs::jsonlite::Json* fr = w.find("fractions");
     ASSERT_NE(fr, nullptr);
     double sum = 0.0;
     for (const char* name : {"compute", "transfer", "queue", "stall", "dkt"}) {

@@ -15,11 +15,10 @@
 #include "data/synthetic.h"
 #include "exp/environments.h"
 #include "exp/experiment.h"
+#include "obs/json_lite.h"
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "systems/registry.h"
-
-#include "json_test_util.h"
 
 namespace dlion {
 namespace {
@@ -184,8 +183,8 @@ TEST(ObsWiring, RunExperimentCollectsTelemetry) {
 
 // ------------------------------------------------------- JSON schema check
 
-using testjson::Json;
-using testjson::JsonParser;
+using obs::jsonlite::Json;
+using obs::jsonlite::JsonParser;
 
 TEST(ObsWiring, ChromeTraceJsonFollowsSchema) {
   obs::Observability o;

@@ -1,25 +1,22 @@
 // Windowed metric rollups (DESIGN.md, "Observability at scale"): windowed
-// series aggregate observations into fixed time windows, RollupConfig
-// collapses per-worker label cardinality into per-micro-cloud groups, and
-// merge_from folds shard registries into cluster rollups. Snapshot schemas
-// are versioned explicitly (JSON: dlion-metrics-v2, CSV header unchanged:
-// dlion-metrics-csv-v1).
+// series aggregate observations into fixed time windows, and RollupConfig
+// collapses per-worker label cardinality into per-micro-cloud groups.
+// Snapshot schemas are versioned explicitly (JSON: dlion-metrics-v2, CSV
+// header unchanged: dlion-metrics-csv-v1).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
+#include "obs/json_lite.h"
 #include "obs/metrics.h"
 #include "obs/track_names.h"
-
-#include "json_test_util.h"
 
 namespace dlion::obs {
 namespace {
 
-using testjson::Json;
-using testjson::JsonParser;
+using jsonlite::Json;
+using jsonlite::JsonParser;
 
 // ------------------------------------------------------------------ Windowed
 
@@ -62,24 +59,6 @@ TEST(Windowed, NegativeTimesClampToWindowZero) {
   EXPECT_EQ(w.windows()[0].window, 0u);
 }
 
-TEST(Windowed, MergeIsWindowWise) {
-  Windowed a(10.0), b(10.0);
-  a.observe(1.0, 2.0);
-  a.observe(15.0, 3.0);
-  b.observe(2.0, 10.0);
-  b.observe(25.0, 1.0);
-  a.merge(b);
-  ASSERT_EQ(a.windows().size(), 3u);
-  EXPECT_EQ(a.windows()[0].count, 2u);
-  EXPECT_DOUBLE_EQ(a.windows()[0].sum, 12.0);
-  EXPECT_DOUBLE_EQ(a.windows()[0].max, 10.0);
-  EXPECT_EQ(a.windows()[1].count, 1u);
-  EXPECT_EQ(a.windows()[2].count, 1u);
-
-  Windowed other(5.0);
-  EXPECT_THROW(a.merge(other), std::invalid_argument);
-}
-
 TEST(Windowed, EmptyExtremaAreNaN) {
   Windowed w(1.0);
   EXPECT_TRUE(std::isnan(w.observed_min()));
@@ -118,62 +97,6 @@ TEST(Rollup, UnconfiguredRegistryKeepsPerWorkerSeries) {
     m.counter("worker.iterations", {{"worker", id_str(w)}}).inc();
   }
   EXPECT_EQ(m.size(), 8u);
-}
-
-// ---------------------------------------------------------------- merge_from
-
-TEST(MergeFrom, FoldsShardsIntoClusterRollups) {
-  MetricsRegistry shard_a, shard_b;
-  shard_a.counter("net.msgs").inc(3.0);
-  shard_b.counter("net.msgs").inc(4.0);
-  shard_a.gauge("queue.peak").set(5.0);
-  shard_b.gauge("queue.peak").set(9.0);
-  shard_a.histogram("lat").observe(0.001);
-  shard_b.histogram("lat").observe(0.002);
-  shard_a.windowed("rate", {}, 10.0).observe(1.0, 1.0);
-  shard_b.windowed("rate", {}, 10.0).observe(2.0, 1.0);
-
-  MetricsRegistry total;
-  total.merge_from(shard_a);
-  total.merge_from(shard_b);
-  EXPECT_DOUBLE_EQ(total.counter_total("net.msgs"), 7.0);
-  const Histogram* h = total.find_histogram("lat");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 2u);
-  const Windowed* w = total.find_windowed("rate");
-  ASSERT_NE(w, nullptr);
-  ASSERT_EQ(w->windows().size(), 1u);
-  EXPECT_EQ(w->windows()[0].count, 2u);
-  // Gauges keep the max across shards (peak semantics).
-  const std::string json = total.to_json();
-  EXPECT_NE(json.find("\"queue.peak\""), std::string::npos);
-  EXPECT_NE(json.find("9"), std::string::npos);
-}
-
-TEST(MergeFrom, ShardWorkersRollUpThroughTheTargetConfig) {
-  // Per-worker shards merged into a grouped registry land as micro-cloud
-  // series: the rollup is applied by the *target's* label rewriting.
-  MetricsRegistry total;
-  total.set_rollup({2, 0.0});
-  for (int w = 0; w < 4; ++w) {
-    MetricsRegistry shard;
-    shard.counter("iters", {{"worker", id_str(w)}}).inc();
-    total.merge_from(shard);
-  }
-  EXPECT_EQ(total.size(), 2u);
-  EXPECT_DOUBLE_EQ(total.counter_total("iters"), 4.0);
-}
-
-TEST(HistogramMerge, BucketWiseWithMatchingBounds) {
-  Histogram a(Histogram::default_time_bounds());
-  Histogram b(Histogram::default_time_bounds());
-  a.observe(0.001);
-  a.observe(0.5);
-  b.observe(0.001);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  Histogram tiny({1.0, 2.0});
-  EXPECT_THROW(a.merge(tiny), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ export schemas

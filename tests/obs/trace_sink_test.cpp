@@ -10,10 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_lite.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
-
-#include "json_test_util.h"
 
 namespace dlion::obs {
 namespace {

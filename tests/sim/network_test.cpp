@@ -113,17 +113,6 @@ TEST(Network, SelfSendDeliversImmediately) {
   EXPECT_DOUBLE_EQ(e.now(), 0.0);
 }
 
-TEST(Network, BacklogTracksQueuedBytes) {
-  Engine e;
-  Network net(e, 2);
-  net.set_egress(0, Schedule(8.0));
-  net.send(0, 1, 500'000, [] {});
-  net.send(0, 1, 300'000, [] {});
-  EXPECT_EQ(net.backlog_bytes(0), 800'000u);
-  e.run();
-  EXPECT_EQ(net.backlog_bytes(0), 0u);
-}
-
 TEST(Network, StatsCountBytesAndMessages) {
   Engine e;
   Network net(e, 3);
@@ -178,20 +167,6 @@ TEST(Network, FifoOrderPreservedWithHeterogeneousSizes) {
   EXPECT_EQ(order[1], 2);
 }
 
-TEST(Network, BacklogReturnsToZeroAfterDrainAndRefill) {
-  Engine e;
-  Network net(e, 2);
-  net.set_egress(0, Schedule(8.0));
-  net.send(0, 1, 500'000, [] {});
-  e.run();
-  EXPECT_EQ(net.backlog_bytes(0), 0u);
-  // A second wave after full drain accounts from zero again.
-  net.send(0, 1, 250'000, [] {});
-  EXPECT_EQ(net.backlog_bytes(0), 250'000u);
-  e.run();
-  EXPECT_EQ(net.backlog_bytes(0), 0u);
-}
-
 // --- Fault injection ----------------------------------------------------
 
 TEST(Network, BlackoutDropsAtEnqueueWithoutDelivering) {
@@ -208,7 +183,7 @@ TEST(Network, BlackoutDropsAtEnqueueWithoutDelivering) {
   EXPECT_EQ(net.stats(0).messages_dropped, 1u);
   EXPECT_EQ(net.stats(0).bytes_dropped, 1'000u);
   EXPECT_EQ(net.total_stats().messages_dropped, 1u);
-  EXPECT_EQ(net.backlog_bytes(0), 0u);  // dropped messages never queue
+  EXPECT_EQ(net.stats(0).messages_sent, 0u);  // the drop never transmits
 }
 
 TEST(Network, MessageInFlightWhenBlackoutStartsIsDropped) {
@@ -227,7 +202,14 @@ TEST(Network, MessageInFlightWhenBlackoutStartsIsDropped) {
   e.run();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(net.total_stats().messages_dropped, 1u);
-  EXPECT_EQ(net.backlog_bytes(0), 0u);  // link freed despite the drop
+  // The link was freed despite the drop: a send after the blackout
+  // transmits at once and delivers one transmission time later.
+  double delivered_at = -1.0;
+  e.at(12.0, [&] {
+    net.send(0, 1, 1'000'000, [&] { delivered_at = e.now(); });
+  });
+  e.run();
+  EXPECT_NEAR(delivered_at, 13.0, 1e-9);
 }
 
 TEST(Network, BlackoutDoesNotWedgeSubsequentTraffic) {
