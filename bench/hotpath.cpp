@@ -1,6 +1,7 @@
-// Hot-path benchmark: GEMM throughput, training-step latency/allocations,
-// Max-N selection throughput, DLion's per-link selection fan-out, and
-// training determinism checksums.
+// Hot-path benchmark: GEMM throughput, training-step latency/allocations
+// (cipher CNN, and MobileNet-20 training plus evaluation), Max-N selection
+// throughput, DLion's per-link selection fan-out, and training determinism
+// checksums.
 //
 // Emits a machine-readable BENCH_hotpath.json (fixed key order; only the
 // timing fields vary run-to-run, the checksum fields are deterministic) so
@@ -161,6 +162,28 @@ struct StepStats {
   std::uint64_t bytes_per_step;
 };
 
+constexpr std::size_t kMobileNetTrainBatch = 32;
+constexpr std::size_t kMobileNetEvalBatch = 512;
+
+/// Median latency and steady-state allocations per call of `fn` over
+/// `steps` calls. Three warm-up calls first populate scratch buffers and
+/// pools, so the measured calls see the steady state of a long run.
+template <typename F>
+StepStats time_steps(int steps, F&& fn) {
+  for (int i = 0; i < 3; ++i) fn();
+  std::vector<double> ms(static_cast<std::size_t>(steps));
+  benchalloc::start();
+  for (int i = 0; i < steps; ++i) {
+    const auto t0 = Clock::now();
+    fn();
+    ms[static_cast<std::size_t>(i)] = seconds_since(t0) * 1e3;
+  }
+  const benchalloc::Totals totals = benchalloc::stop();
+  std::sort(ms.begin(), ms.end());
+  return {ms[ms.size() / 2], totals.count / static_cast<std::uint64_t>(steps),
+          totals.bytes / static_cast<std::uint64_t>(steps)};
+}
+
 /// Runs `steps` cipher-CNN training steps (batch 16) and reports the median
 /// step latency plus steady-state allocations per step.
 StepStats bench_training_step(int steps) {
@@ -176,29 +199,47 @@ StepStats bench_training_step(int steps) {
   for (auto& l : labels) {
     l = static_cast<std::int32_t>(rng.uniform_int(0, 9));
   }
-
-  // Warm-up: populate scratch buffers / pools so the measured steps see the
-  // steady state (the interesting regime for a long training run).
-  for (int i = 0; i < 3; ++i) {
+  return time_steps(steps, [&] {
     bm.model.compute_gradients(images, labels);
     bm.model.sgd_step(0.01f);
-  }
+  });
+}
 
-  std::vector<double> ms(static_cast<std::size_t>(steps));
-  benchalloc::start();
-  for (int i = 0; i < steps; ++i) {
-    const auto t0 = Clock::now();
-    bm.model.compute_gradients(images, labels);
+struct MobileNetStats {
+  StepStats train;
+  StepStats eval;
+};
+
+/// MobileNet-20 on Fig 12's 3x12x12 images: a training step (batch 32) and
+/// an evaluation (batch 512), the two calls its workers make. The GEMM
+/// fan-out is off, so both run on one thread at any DLION_THREADS.
+MobileNetStats bench_mobilenet_step(int steps) {
+  const bool prev_parallel = dlion::tensor::set_gemm_parallel(false);
+  dlion::common::Rng rng(42);
+  auto bm = dlion::nn::make_model("mobilenet-20", rng);
+  auto batch = [&rng](std::size_t n, dlion::tensor::Tensor& images,
+                      std::vector<std::int32_t>& labels) {
+    images = dlion::tensor::Tensor(dlion::tensor::Shape{n, 3, 12, 12});
+    for (auto& x : images.span()) {
+      x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    labels.resize(n);
+    for (auto& l : labels) {
+      l = static_cast<std::int32_t>(rng.uniform_int(0, 19));
+    }
+  };
+  dlion::tensor::Tensor train_x, eval_x;
+  std::vector<std::int32_t> train_y, eval_y;
+  batch(kMobileNetTrainBatch, train_x, train_y);
+  batch(kMobileNetEvalBatch, eval_x, eval_y);
+  MobileNetStats s;
+  s.train = time_steps(steps, [&] {
+    bm.model.compute_gradients(train_x, train_y);
     bm.model.sgd_step(0.01f);
-    ms[static_cast<std::size_t>(i)] = seconds_since(t0) * 1e3;
-  }
-  const benchalloc::Totals totals = benchalloc::stop();
-  const std::uint64_t allocs = totals.count;
-  const std::uint64_t bytes = totals.bytes;
-
-  std::sort(ms.begin(), ms.end());
-  return {ms[ms.size() / 2], allocs / static_cast<std::uint64_t>(steps),
-          bytes / static_cast<std::uint64_t>(steps)};
+  });
+  s.eval = time_steps(steps, [&] { bm.model.evaluate(eval_x, eval_y); });
+  dlion::tensor::set_gemm_parallel(prev_parallel);
+  return s;
 }
 
 using dlion::bench::weights_checksum;
@@ -530,6 +571,7 @@ int main(int argc, char** argv) {
 
   // --- Training step latency + allocations (pool default threading). ----
   const StepStats step = bench_training_step(steps);
+  const MobileNetStats mobilenet = bench_mobilenet_step(steps);
 
   // --- Max-N selection throughput. ---------------------------------------
   const MaxNStats maxn = bench_max_n(1'000'000, 1.0);
@@ -608,6 +650,23 @@ int main(int argc, char** argv) {
        ", \"allocs_per_step\": " + std::to_string(kPrePrStepAllocs) +
        ", \"bytes_per_step\": " + std::to_string(kPrePrStepBytes) + "}\n";
   j += "  },\n";
+  j += "  \"mobilenet_step\": {\n";
+  j += "    \"model\": \"mobilenet-20\", \"image\": \"3x12x12\", "
+       "\"train_batch\": " + std::to_string(kMobileNetTrainBatch) +
+       ", \"eval_batch\": " + std::to_string(kMobileNetEvalBatch) +
+       ", \"steps_timed\": " + std::to_string(steps) + ",\n";
+  auto step_keys = [&j](const std::string& name, const StepStats& st,
+                        const char* end) {
+    j += "    \"" + name + "_ms_per_step_median\": " + fmt(st.ms_median) +
+         ",\n";
+    j += "    \"" + name + "_allocs_per_step\": " +
+         std::to_string(st.allocs_per_step) + ",\n";
+    j += "    \"" + name + "_bytes_per_step\": " +
+         std::to_string(st.bytes_per_step) + end;
+  };
+  step_keys("train", mobilenet.train, ",\n");
+  step_keys("eval", mobilenet.eval, "\n");
+  j += "  },\n";
   j += "  \"max_n_selection\": {\n";
   j += "    \"elements\": 1000000, \"n_percent\": 1.0, \"selected\": " +
        std::to_string(maxn.selected) + ",\n";
@@ -682,6 +741,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(step.bytes_per_step),
               kPrePrStepMs,
               static_cast<unsigned long long>(kPrePrStepAllocs));
+  std::printf("[hotpath] mobilenet-20: train %.2f ms, %llu allocs, %llu "
+              "bytes; eval %.2f ms, %llu allocs, %llu bytes\n",
+              mobilenet.train.ms_median,
+              static_cast<unsigned long long>(mobilenet.train.allocs_per_step),
+              static_cast<unsigned long long>(mobilenet.train.bytes_per_step),
+              mobilenet.eval.ms_median,
+              static_cast<unsigned long long>(mobilenet.eval.allocs_per_step),
+              static_cast<unsigned long long>(mobilenet.eval.bytes_per_step));
   std::printf("[hotpath] comm: %.0f msgs/s, %llu payload copies/msg (%llu "
               "bytes), %llu allocs/exchange\n",
               comm.msgs_per_sec,

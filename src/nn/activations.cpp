@@ -1,25 +1,22 @@
 #include "nn/activations.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace dlion::nn {
 
-tensor::Tensor ReLU::forward(const tensor::Tensor& input, bool /*train*/) {
+tensor::Tensor ReLU::forward(const tensor::Tensor& input, bool train) {
   tensor::Tensor out = input;
   // Reuse the mask storage across steps: activation shapes are stable
   // during training, so this allocates only on the first call (or a shape
-  // change). Both branches write the mask explicitly so no stale values
-  // survive the reuse.
-  if (!(mask_.shape() == input.shape())) {
+  // change). Every element is written, so no stale values survive the reuse.
+  if (train && !(mask_.shape() == input.shape())) {
     mask_ = tensor::Tensor(input.shape());
   }
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      mask_[i] = 0.0f;
-      out[i] = 0.0f;
-    }
+    const bool pos = out[i] > 0.0f;
+    if (!pos) out[i] = 0.0f;
+    if (train) mask_[i] = pos ? 1.0f : 0.0f;
   }
   return out;
 }
@@ -35,6 +32,9 @@ tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output,
 }
 
 tensor::Tensor Flatten::forward(const tensor::Tensor& input, bool /*train*/) {
+  // Every forward of a model sees the same per-sample shape, and backward
+  // takes the batch size from its gradient, so an evaluation forward
+  // recording the shape leaves a training forward's state intact.
   input_shape_ = input.shape();
   tensor::Tensor out = input;
   const std::size_t batch = input.shape().rank() > 0 ? input.shape()[0] : 1;
@@ -44,8 +44,10 @@ tensor::Tensor Flatten::forward(const tensor::Tensor& input, bool /*train*/) {
 
 tensor::Tensor Flatten::backward(const tensor::Tensor& grad_output,
                                  bool /*need_input_grad*/) {
+  std::vector<std::size_t> dims = input_shape_.dims();
+  if (!dims.empty()) dims[0] = grad_output.shape()[0];
   tensor::Tensor grad_in = grad_output;
-  grad_in.reshape(input_shape_);
+  grad_in.reshape(tensor::Shape(std::move(dims)));
   return grad_in;
 }
 

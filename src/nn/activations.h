@@ -13,7 +13,7 @@ class ReLU : public Layer {
   const char* kind() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor mask_;  // 1 where input > 0
+  tensor::Tensor mask_;  // 1 where the last training input was > 0
 };
 
 /// Collapses any rank-N input to (batch, features).
@@ -25,7 +25,7 @@ class Flatten : public Layer {
   const char* kind() const override { return "Flatten"; }
 
  private:
-  tensor::Shape input_shape_;
+  tensor::Shape input_shape_;  // of the last forward
 };
 
 }  // namespace dlion::nn

@@ -1,6 +1,7 @@
 #include "nn/conv2d.h"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/ops.h"
@@ -29,55 +30,77 @@ void Conv2D::init_weights(common::Rng& rng) {
   bias_.value().fill(0.0f);
 }
 
-tensor::Tensor Conv2D::forward(const tensor::Tensor& input, bool /*train*/) {
+tensor::Tensor Conv2D::forward(const tensor::Tensor& input, bool train) {
   if (input.shape().rank() != 4 || input.shape()[1] != in_c_) {
     throw std::invalid_argument("Conv2D::forward: expected (N, " +
                                 std::to_string(in_c_) + ", H, W), got " +
                                 input.shape().to_string());
   }
-  cached_input_ = input;
   const std::size_t n = input.shape()[0];
   const std::size_t h = input.shape()[2], w = input.shape()[3];
   const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
   const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
   const std::size_t col_rows = in_c_ * k_ * k_;
   const std::size_t col_cols = oh * ow;
+  // A pointwise conv's im2col is a copy of its input, so the GEMM reads the
+  // input in place. Training keeps every sample's columns for backward; an
+  // evaluation forward expands one sample at a time into the scratch arena.
+  const bool pointwise = k_ == 1 && stride_ == 1 && pad_ == 0;
+  common::ScratchArena& arena = common::ScratchArena::tls();
+  common::ScratchArena::Scope scope(arena);
+  float* cols = nullptr;
+  if (train) {
+    input_shape_ = input.shape();
+    cols = cols_.ensure(n * col_rows * col_cols);
+    if (pointwise) {
+      std::memcpy(cols, input.data(), input.size() * sizeof(float));
+    }
+  } else if (!pointwise) {
+    cols = arena.alloc_floats(col_rows * col_cols);
+  }
 
-  float* cols = cols_.ensure(n * col_rows * col_cols);
   tensor::Tensor out(tensor::Shape{n, out_c_, oh, ow});
   for (std::size_t i = 0; i < n; ++i) {
-    float* col = cols + i * col_rows * col_cols;
-    const float* img = input.data() + i * in_c_ * h * w;
-    tensor::im2col(img, in_c_, h, w, k_, k_, stride_, pad_, col);
+    const float* col = input.data() + i * in_c_ * h * w;
+    if (!pointwise) {
+      float* dst = train ? cols + i * col_rows * col_cols : cols;
+      tensor::im2col(col, in_c_, h, w, k_, k_, stride_, pad_, dst);
+      col = dst;
+    }
     // out_i (out_c x col_cols) = W (out_c x col_rows) * col
     tensor::gemm(false, false, out_c_, col_cols, col_rows, 1.0f,
                  weight_.value().data(), col, 0.0f,
                  out.data() + i * out_c_ * col_cols);
   }
-  if (fuse_relu_) {
+  if (!fuse_relu_) {
+    tensor::add_bias_channels(out.data(), n, out_c_, col_cols,
+                              bias_.value().data());
+  } else if (train) {
     // Fused epilogue: bias + ReLU + mask in one pass over the activations.
     float* mask = mask_.ensure(n * out_c_ * col_cols);
     tensor::add_bias_channels_relu(out.data(), n, out_c_, col_cols,
                                    bias_.value().data(), mask);
   } else {
-    tensor::add_bias_channels(out.data(), n, out_c_, col_cols,
-                              bias_.value().data());
+    tensor::add_bias_channels_relu(out.data(), n, out_c_, col_cols,
+                                   bias_.value().data());
   }
   return out;
 }
 
 tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
                                 bool need_input_grad) {
-  const std::size_t n = cached_input_.shape()[0];
-  const std::size_t h = cached_input_.shape()[2];
-  const std::size_t w = cached_input_.shape()[3];
+  if (input_shape_.rank() != 4) {
+    throw std::logic_error("Conv2D::backward: no training forward");
+  }
+  const std::size_t n = input_shape_[0];
+  const std::size_t h = input_shape_[2], w = input_shape_[3];
   const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
   const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
   const std::size_t col_rows = in_c_ * k_ * k_;
   const std::size_t col_cols = oh * ow;
-  if (grad_output.shape().rank() != 4 || grad_output.shape()[0] != n ||
-      grad_output.shape()[1] != out_c_ || grad_output.shape()[2] != oh ||
-      grad_output.shape()[3] != ow) {
+  const tensor::Shape& gs = grad_output.shape();
+  if (gs.rank() != 4 || gs[0] != n || gs[1] != out_c_ || gs[2] != oh ||
+      gs[3] != ow) {
     throw std::invalid_argument("Conv2D::backward: bad grad shape " +
                                 grad_output.shape().to_string());
   }
@@ -93,7 +116,7 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
   tensor::Tensor grad_in;
   float* dcol = nullptr;
   if (need_input_grad) {
-    grad_in = tensor::Tensor(cached_input_.shape());
+    grad_in = tensor::Tensor(input_shape_);
     dcol = dcol_.ensure(col_rows * col_cols);
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -103,7 +126,9 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
     tensor::gemm(false, true, out_c_, col_rows, col_cols, 1.0f, dout, col,
                  1.0f, weight_.grad().data());
     if (need_input_grad) {
-      // dcol = W^T (col_rows x out_c) * dout
+      // dcol = W^T (col_rows x out_c) * dout. col2im accumulates it into the
+      // zero-filled gradient, also for a pointwise conv: that add is what
+      // turns a -0.0 into +0.0.
       tensor::gemm(true, false, col_rows, col_cols, out_c_, 1.0f,
                    weight_.value().data(), dout, 0.0f, dcol);
       tensor::col2im(dcol, in_c_, h, w, k_, k_, stride_, pad_,
@@ -140,93 +165,51 @@ void DepthwiseConv2D::init_weights(common::Rng& rng) {
   bias_.value().fill(0.0f);
 }
 
+tensor::DepthwiseGeometry DepthwiseConv2D::geometry(
+    const tensor::Shape& input) const {
+  return {c_, input[2], input[3], k_, stride_, pad_};
+}
+
 tensor::Tensor DepthwiseConv2D::forward(const tensor::Tensor& input,
-                                        bool /*train*/) {
+                                        bool train) {
   if (input.shape().rank() != 4 || input.shape()[1] != c_) {
     throw std::invalid_argument("DepthwiseConv2D::forward: bad shape " +
                                 input.shape().to_string());
   }
-  cached_input_ = input;
   const std::size_t n = input.shape()[0];
-  const std::size_t h = input.shape()[2], w = input.shape()[3];
-  const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
-  const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
-  tensor::Tensor out(tensor::Shape{n, c_, oh, ow});
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < c_; ++c) {
-      const float* img = input.data() + (i * c_ + c) * h * w;
-      const float* ker = weight_.value().data() + c * k_ * k_;
-      float* dst = out.data() + (i * c_ + c) * oh * ow;
-      const float b = bias_.value()[c];
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float acc = b;
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              acc += ker[ky * k_ + kx] *
-                     img[static_cast<std::size_t>(iy) * w +
-                         static_cast<std::size_t>(ix)];
-            }
-          }
-          dst[oy * ow + ox] = acc;
-        }
-      }
-    }
+  const tensor::DepthwiseGeometry g = geometry(input.shape());
+  tensor::Tensor out(tensor::Shape{n, c_, g.out_h(), g.out_w()});
+  float* mask = nullptr;
+  float* staged = nullptr;
+  if (train) {
+    input_shape_ = input.shape();
+    mask = mask_.ensure(out.size());
+    staged = staged_.ensure(input.size());
   }
+  tensor::depthwise_conv_relu(input.data(), n, g, weight_.value().data(),
+                              bias_.value().data(), out.data(), mask, staged);
   return out;
 }
 
 tensor::Tensor DepthwiseConv2D::backward(
     const tensor::Tensor& grad_output, bool need_input_grad) {
-  const std::size_t n = cached_input_.shape()[0];
-  const std::size_t h = cached_input_.shape()[2];
-  const std::size_t w = cached_input_.shape()[3];
-  const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
-  const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
-  tensor::Tensor grad_in;
-  if (need_input_grad) grad_in = tensor::Tensor(cached_input_.shape());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < c_; ++c) {
-      const float* img = cached_input_.data() + (i * c_ + c) * h * w;
-      const float* dout = grad_output.data() + (i * c_ + c) * oh * ow;
-      const float* ker = weight_.value().data() + c * k_ * k_;
-      float* dker = weight_.grad().data() + c * k_ * k_;
-      float* dimg =
-          need_input_grad ? grad_in.data() + (i * c_ + c) * h * w : nullptr;
-      float dbias = 0.0f;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float g = dout[oy * ow + ox];
-          dbias += g;
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              const std::size_t pix = static_cast<std::size_t>(iy) * w +
-                                      static_cast<std::size_t>(ix);
-              dker[ky * k_ + kx] += g * img[pix];
-              if (dimg != nullptr) dimg[pix] += g * ker[ky * k_ + kx];
-            }
-          }
-        }
-      }
-      bias_.grad()[c] += dbias;
-    }
+  if (input_shape_.rank() != 4) {
+    throw std::logic_error("DepthwiseConv2D::backward: no training forward");
   }
+  const std::size_t n = input_shape_[0];
+  const tensor::DepthwiseGeometry g = geometry(input_shape_);
+  const tensor::Shape& gs = grad_output.shape();
+  if (gs.rank() != 4 || gs[0] != n || gs[1] != c_ || gs[2] != g.out_h() ||
+      gs[3] != g.out_w()) {
+    throw std::invalid_argument("DepthwiseConv2D::backward: bad grad shape " +
+                                grad_output.shape().to_string());
+  }
+  tensor::Tensor grad_in;
+  if (need_input_grad) grad_in = tensor::Tensor(input_shape_);
+  tensor::depthwise_conv_relu_backward(
+      grad_output.data(), mask_.data(), staged_.data(), n, g,
+      weight_.value().data(), weight_.grad().data(), bias_.grad().data(),
+      need_input_grad ? grad_in.data() : nullptr);
   return grad_in;
 }
 

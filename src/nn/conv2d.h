@@ -6,6 +6,7 @@
 
 #include "common/scratch.h"
 #include "nn/layer.h"
+#include "tensor/ops.h"
 
 namespace dlion::nn {
 
@@ -36,14 +37,17 @@ class Conv2D : public Layer {
   bool fuse_relu_;
   Variable weight_;  // (out_c, in_c * k * k)
   Variable bias_;    // (out_c)
-  tensor::Tensor cached_input_;
+  tensor::Shape input_shape_;        // of the last training forward
   common::ScratchBuffer cols_;       // im2col per batch element, concatenated
   common::ScratchBuffer dcol_;       // col-space gradient scratch (backward)
   common::ScratchBuffer mask_;       // ReLU mask when fused (n x out_c x oh*ow)
   common::ScratchBuffer dy_masked_;  // masked upstream grad scratch
 };
 
-/// Depthwise convolution: each input channel convolved with its own kernel.
+/// Depthwise convolution (each input channel convolved with its own kernel)
+/// followed by a ReLU, which every depthwise conv in the zoo has. Runs the
+/// channels in the vector lanes (tensor::depthwise_conv_relu); bit-identical
+/// to the scalar depthwise loops followed by a separate ReLU layer.
 class DepthwiseConv2D : public Layer {
  public:
   DepthwiseConv2D(std::string name, std::size_t channels, std::size_t kernel,
@@ -54,13 +58,17 @@ class DepthwiseConv2D : public Layer {
                           bool need_input_grad) override;
   std::vector<Variable*> variables() override;
   void init_weights(common::Rng& rng) override;
-  const char* kind() const override { return "DepthwiseConv2D"; }
+  const char* kind() const override { return "DepthwiseConv2DReLU"; }
 
  private:
+  tensor::DepthwiseGeometry geometry(const tensor::Shape& input) const;
+
   std::size_t c_, k_, stride_, pad_;
   Variable weight_;  // (c, k*k)
   Variable bias_;    // (c)
-  tensor::Tensor cached_input_;
+  tensor::Shape input_shape_;      // of the last training forward
+  common::ScratchBuffer staged_;   // its input, channels-last per sample
+  common::ScratchBuffer mask_;     // ReLU mask (n x c x oh*ow)
 };
 
 }  // namespace dlion::nn

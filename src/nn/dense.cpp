@@ -24,30 +24,35 @@ void Dense::init_weights(common::Rng& rng) {
   bias_.value().fill(0.0f);
 }
 
-tensor::Tensor Dense::forward(const tensor::Tensor& input, bool /*train*/) {
+tensor::Tensor Dense::forward(const tensor::Tensor& input, bool train) {
   if (input.shape().rank() != 2 || input.shape()[1] != in_) {
     throw std::invalid_argument("Dense::forward: expected (batch, " +
                                 std::to_string(in_) + "), got " +
                                 input.shape().to_string());
   }
-  cached_input_ = input;
+  if (train) cached_input_ = input;
   const std::size_t batch = input.shape()[0];
   tensor::Tensor out(tensor::Shape{batch, out_});
   tensor::gemm(false, false, batch, out_, in_, 1.0f, input.data(),
                weight_.value().data(), 0.0f, out.data());
-  if (fuse_relu_) {
+  if (!fuse_relu_) {
+    tensor::add_bias_rows(out, bias_.value());
+  } else if (train) {
     // Fused epilogue: bias + ReLU + mask in one pass over the activations.
     float* mask = mask_.ensure(batch * out_);
     tensor::add_bias_rows_relu(out.data(), batch, out_, bias_.value().data(),
                                mask);
   } else {
-    tensor::add_bias_rows(out, bias_.value());
+    tensor::add_bias_rows_relu(out.data(), batch, out_, bias_.value().data());
   }
   return out;
 }
 
 tensor::Tensor Dense::backward(const tensor::Tensor& grad_output,
                                bool need_input_grad) {
+  if (cached_input_.shape().rank() != 2) {
+    throw std::logic_error("Dense::backward: no training forward");
+  }
   const std::size_t batch = cached_input_.shape()[0];
   if (grad_output.shape().rank() != 2 || grad_output.shape()[0] != batch ||
       grad_output.shape()[1] != out_) {

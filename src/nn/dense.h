@@ -36,7 +36,7 @@ class Dense : public Layer {
   bool fuse_relu_;
   Variable weight_;  // (in, out)
   Variable bias_;    // (out)
-  tensor::Tensor cached_input_;
+  tensor::Tensor cached_input_;  // of the last training forward
   common::ScratchBuffer mask_;     // ReLU mask when fused (batch x out)
   common::ScratchBuffer dy_masked_;  // masked upstream grad scratch
 };

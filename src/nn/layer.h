@@ -1,9 +1,9 @@
 // Layer interface for the sequential model container.
 //
-// Layers own their Variables; forward caches whatever is needed for the
-// matching backward call. A layer instance processes one minibatch at a
-// time (forward immediately followed by backward), which is the access
-// pattern of the training loop.
+// Layers own their Variables; a training forward caches whatever the
+// matching backward call needs. A layer instance trains on one minibatch at
+// a time (forward immediately followed by backward), which is the access
+// pattern of the training loop; evaluation forwards may come in between.
 #pragma once
 
 #include <memory>
@@ -19,8 +19,10 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass. `train` marks a training pass (vs. evaluation); no
-  /// layer behaves differently in it today.
+  /// Forward pass. `train` marks a training pass. Backward pairs with the
+  /// last training forward: an evaluation forward (`train == false`) returns
+  /// the same output but stores nothing (no input copy, no mask) and leaves
+  /// that training state intact.
   virtual tensor::Tensor forward(const tensor::Tensor& input, bool train) = 0;
 
   /// Backward pass: consumes dL/d(output), accumulates dL/d(variables) into

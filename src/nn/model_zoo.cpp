@@ -59,10 +59,10 @@ namespace {
 void add_separable_block(Model& model, const std::string& name,
                          std::size_t in_c, std::size_t out_c,
                          std::size_t stride) {
-  // The depthwise conv keeps a standalone ReLU (no fused variant); the
-  // pointwise conv fuses its activation.
+  // Both convs apply their ReLU themselves: DepthwiseConv2D always does,
+  // and the pointwise (1x1, stride 1, pad 0) conv fuses it. The pointwise
+  // conv's GEMMs read its input in place instead of through im2col.
   model.add(std::make_unique<DepthwiseConv2D>(name + "/dw", in_c, 3, stride, 1))
-      .add(std::make_unique<ReLU>())
       .add(std::make_unique<Conv2D>(name + "/pw", in_c, out_c, 1, 1, 0,
                                     /*fuse_relu=*/true));
 }

@@ -10,18 +10,20 @@ namespace dlion::nn {
 MaxPool2D::MaxPool2D(std::size_t kernel, std::size_t stride)
     : k_(kernel), stride_(stride == 0 ? kernel : stride) {}
 
-tensor::Tensor MaxPool2D::forward(const tensor::Tensor& input, bool /*train*/) {
+tensor::Tensor MaxPool2D::forward(const tensor::Tensor& input, bool train) {
   if (input.shape().rank() != 4) {
     throw std::invalid_argument("MaxPool2D::forward: expected NCHW, got " +
                                 input.shape().to_string());
   }
-  input_shape_ = input.shape();
   const std::size_t n = input.shape()[0], c = input.shape()[1];
   const std::size_t h = input.shape()[2], w = input.shape()[3];
   const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, 0);
   const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, 0);
   tensor::Tensor out(tensor::Shape{n, c, oh, ow});
-  argmax_.assign(out.size(), 0);
+  if (train) {
+    input_shape_ = input.shape();
+    argmax_.assign(out.size(), 0);
+  }
   std::size_t oidx = 0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t ch = 0; ch < c; ++ch) {
@@ -45,7 +47,7 @@ tensor::Tensor MaxPool2D::forward(const tensor::Tensor& input, bool /*train*/) {
             }
           }
           out[oidx] = best;
-          argmax_[oidx] = plane_off + best_idx;
+          if (train) argmax_[oidx] = plane_off + best_idx;
           ++oidx;
         }
       }
@@ -67,11 +69,11 @@ tensor::Tensor MaxPool2D::backward(const tensor::Tensor& grad_output,
 }
 
 tensor::Tensor GlobalAvgPool::forward(const tensor::Tensor& input,
-                                      bool /*train*/) {
+                                      bool train) {
   if (input.shape().rank() != 4) {
     throw std::invalid_argument("GlobalAvgPool::forward: expected NCHW");
   }
-  input_shape_ = input.shape();
+  if (train) input_shape_ = input.shape();
   const std::size_t n = input.shape()[0], c = input.shape()[1];
   const std::size_t plane = input.shape()[2] * input.shape()[3];
   tensor::Tensor out(tensor::Shape{n, c});
@@ -88,6 +90,12 @@ tensor::Tensor GlobalAvgPool::forward(const tensor::Tensor& input,
 
 tensor::Tensor GlobalAvgPool::backward(const tensor::Tensor& grad_output,
                                        bool /*need_input_grad*/) {
+  const tensor::Shape& gs = grad_output.shape();
+  if (input_shape_.rank() != 4 || gs.rank() != 2 || gs[0] != input_shape_[0] ||
+      gs[1] != input_shape_[1]) {
+    throw std::invalid_argument("GlobalAvgPool::backward: bad grad shape " +
+                                grad_output.shape().to_string());
+  }
   const std::size_t n = input_shape_[0], c = input_shape_[1];
   const std::size_t plane = input_shape_[2] * input_shape_[3];
   tensor::Tensor grad_in(input_shape_);

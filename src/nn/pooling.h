@@ -17,7 +17,7 @@ class MaxPool2D : public Layer {
  private:
   std::size_t k_;
   std::size_t stride_;
-  tensor::Shape input_shape_;
+  tensor::Shape input_shape_;        // of the last training forward
   std::vector<std::size_t> argmax_;  // flat input index of each output max
 };
 
@@ -30,7 +30,7 @@ class GlobalAvgPool : public Layer {
   const char* kind() const override { return "GlobalAvgPool"; }
 
  private:
-  tensor::Shape input_shape_;
+  tensor::Shape input_shape_;  // of the last training forward
 };
 
 }  // namespace dlion::nn

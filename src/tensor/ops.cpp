@@ -402,6 +402,21 @@ void add_bias_channels_relu(float* data, std::size_t images,
   }
 }
 
+void add_bias_channels_relu(float* data, std::size_t images,
+                            std::size_t channels, std::size_t plane,
+                            const float* bias) {
+  for (std::size_t i = 0; i < images; ++i) {
+    for (std::size_t ch = 0; ch < channels; ++ch) {
+      float* __restrict p = data + (i * channels + ch) * plane;
+      const float b = bias[ch];
+      for (std::size_t x = 0; x < plane; ++x) {
+        const float v = p[x] + b;
+        p[x] = v > 0.0f ? v : 0.0f;
+      }
+    }
+  }
+}
+
 void apply_mask(const float* grad, const float* mask, float* dst,
                 std::size_t n) {
   const std::size_t n4 = n & ~std::size_t{3};

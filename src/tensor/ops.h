@@ -81,6 +81,12 @@ void add_bias_channels_relu(float* data, std::size_t images,
                             std::size_t channels, std::size_t plane,
                             const float* bias, float* mask);
 
+/// Evaluation variant of the fused conv epilogue: the same activations, no
+/// backward mask.
+void add_bias_channels_relu(float* data, std::size_t images,
+                            std::size_t channels, std::size_t plane,
+                            const float* bias);
+
 /// dst[i] = grad[i] * mask[i] (ReLU backward for the fused layers). `dst`
 /// may alias `grad`.
 void apply_mask(const float* grad, const float* mask, float* dst,
@@ -102,5 +108,37 @@ constexpr std::size_t conv_out_dim(std::size_t in, std::size_t k,
                                    std::size_t stride, std::size_t pad) {
   return (in + 2 * pad - k) / stride + 1;
 }
+
+/// One depthwise convolution: each of `channels` (height x width) planes is
+/// convolved with its own (kernel x kernel) filter.
+struct DepthwiseGeometry {
+  std::size_t channels, height, width, kernel, stride, pad;
+  std::size_t out_h() const { return conv_out_dim(height, kernel, stride, pad); }
+  std::size_t out_w() const { return conv_out_dim(width, kernel, stride, pad); }
+};
+
+/// Depthwise conv + bias + ReLU over `n` NCHW samples (depthwise.cpp), with
+/// the channels in the vector lanes. `weight` is (channels, kernel^2), `out`
+/// (n, channels, out_h, out_w). `mask`, when non-null, receives 1/0 per
+/// output in `out`'s layout. `staged`, when non-null, receives each sample
+/// channels-last (n x height*width x channels floats) for the backward;
+/// otherwise samples are staged through the thread's scratch arena.
+/// Bit-identical to the scalar loop (bias, then + w*x over the valid taps in
+/// ascending (ky, kx)) followed by a separate ReLU.
+void depthwise_conv_relu(const float* input, std::size_t n,
+                         const DepthwiseGeometry& geometry,
+                         const float* weight, const float* bias, float* out,
+                         float* mask, float* staged);
+
+/// Backward of depthwise_conv_relu, given its `mask` and `staged` input:
+/// masks `grad_out`, accumulates into `weight_grad` and `bias_grad`, and
+/// writes the input gradient to `grad_in` (n, channels, height, width)
+/// unless it is null. Bit-identical to a ReLU layer's backward followed by
+/// the scalar depthwise backward.
+void depthwise_conv_relu_backward(const float* grad_out, const float* mask,
+                                  const float* staged, std::size_t n,
+                                  const DepthwiseGeometry& geometry,
+                                  const float* weight, float* weight_grad,
+                                  float* bias_grad, float* grad_in);
 
 }  // namespace dlion::tensor

@@ -145,6 +145,13 @@ TEST(DepthwiseConv2D, GradCheck) {
   gradcheck_layer(layer, random_tensor(tensor::Shape{1, 2, 4, 4}, 6));
 }
 
+TEST(DepthwiseConv2D, StridedGradCheck) {
+  DepthwiseConv2D layer("dw", 3, 3, 2, 1);
+  common::Rng rng(3);
+  layer.init_weights(rng);
+  gradcheck_layer(layer, random_tensor(tensor::Shape{2, 3, 5, 5}, 8));
+}
+
 TEST(DepthwiseConv2D, ChannelsStayIndependent) {
   DepthwiseConv2D layer("dw", 2, 1, 1, 0);
   layer.variables()[0]->value() = tensor::Tensor(tensor::Shape{2, 1}, {2, 3});

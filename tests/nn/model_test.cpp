@@ -114,6 +114,44 @@ TEST(Model, SkippedInputGradientKeepsGradsBitIdentical) {
   }
 }
 
+// The evaluation contract (nn/layer.h): backward pairs with the last
+// training forward, and an evaluation forward of another batch size in
+// between leaves that state intact. Every zoo model's variable gradients
+// must equal, bit for bit, those of the same sequence without it.
+TEST(Model, EvaluationForwardLeavesTrainingStateIntact) {
+  for (const char* name :
+       {"mobilenet-20", "cipher", "cipher-lite", "mlp", "logreg"}) {
+    SCOPED_TRACE(name);
+    common::Rng ra(13), rb(13), rx(14);
+    BuiltModel with_eval = make_model(name, ra);
+    BuiltModel plain = make_model(name, rb);
+    const ModelProfile& pr = plain.profile;
+    tensor::Tensor x(tensor::Shape{3, pr.channels, pr.height, pr.width});
+    tensor::Tensor y(tensor::Shape{5, pr.channels, pr.height, pr.width});
+    for (float& v : x.span()) v = static_cast<float>(rx.normal());
+    for (float& v : y.span()) v = static_cast<float>(rx.normal());
+    const std::vector<std::int32_t> labels = {0, 1, 2};
+
+    for (BuiltModel* bm : {&with_eval, &plain}) {
+      bm->model.zero_grads();
+      tensor::Tensor grad =
+          softmax_cross_entropy(bm->model.forward(x, true), labels)
+              .grad_logits;
+      if (bm == &with_eval) (void)bm->model.forward(y, false);
+      for (std::size_t i = bm->model.num_layers(); i-- > 0;) {
+        grad = bm->model.layer(i).backward(grad, true);
+      }
+    }
+    for (std::size_t v = 0; v < plain.model.num_variables(); ++v) {
+      const tensor::Tensor& g1 = with_eval.model.variables()[v]->grad();
+      const tensor::Tensor& g2 = plain.model.variables()[v]->grad();
+      ASSERT_EQ(g1.size(), g2.size());
+      EXPECT_EQ(0, std::memcmp(g1.data(), g2.data(), g1.size() * sizeof(float)))
+          << plain.model.variables()[v]->name();
+    }
+  }
+}
+
 TEST(Model, SgdTrainsBlobsToHighAccuracy) {
   common::Rng rng(3);
   BuiltModel bm = make_logistic_regression(rng, 16, 4);
