@@ -123,15 +123,17 @@ struct BootstrapChunk {
   WeightPayload weights;        ///< parts for [first_var, first_var+n)
 };
 
-/// Weight-snapshot publication from a live training run to serving
-/// replicas (DESIGN.md "Serving tier"). Reuses the bootstrap chunking
-/// scheme: `weights` holds the variables [first_var, first_var +
-/// weights.parts.size()) out of `total_vars`, so large models can be
-/// streamed in ranges over the data lane. All chunks of one publish share
-/// views over a single staged snapshot; fanning out to many replicas never
-/// re-copies weights. `version` is the publisher's monotone publish
-/// sequence number; `iteration` is the training iteration the snapshot was
-/// taken at (feeds the replica staleness metric).
+/// Versioned weight-snapshot publication (wire tag 10). Uses the bootstrap
+/// chunking scheme: `weights` holds the variables [first_var, first_var +
+/// weights.parts.size()) out of `total_vars`. `version` is a monotone
+/// publish sequence number; `iteration` is the training iteration the
+/// snapshot was taken at.
+///
+/// No library code sends this message. It stays in `Message` because the
+/// end-to-end benchmark (bench/e2e/layer_wraps.cpp) wraps `Fabric::send`,
+/// `broadcast` and `send_reliable` by mangled names that spell out every
+/// alternative of `Message`; removing one breaks that link. The codec keeps
+/// decoding tag 10, so its tests and fuzz seed stay too.
 struct ModelPublish {
   std::uint32_t from = 0;
   std::uint64_t version = 0;

@@ -14,19 +14,8 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
   if (!spec.strategy_factory) {
     throw std::invalid_argument("Cluster: missing strategy factory");
   }
-  if (spec.serving.has_value() && spec.elastic.has_value()) {
-    // Serving replicas ride on extra fabric slots outside the worker
-    // roster; the elastic controller assumes the roster spans the whole
-    // fabric, so the two layers cannot share a cluster yet.
-    throw std::invalid_argument("Cluster: serving and elastic are exclusive");
-  }
 
-  // Serving replicas occupy slots [n, n + extra) in the same network and
-  // fabric; set_active_workers keeps the egress fair-share divisor at the
-  // worker count, so training traffic shapes exactly as without serving.
-  const std::size_t extra = spec.serving ? spec.serving->replicas : 0;
-  network_ = std::make_unique<sim::Network>(engine_, n + extra);
-  if (extra > 0) network_->set_active_workers(n);
+  network_ = std::make_unique<sim::Network>(engine_, n);
   if (spec.network_setup) spec.network_setup(*network_);
   if (spec.obs != nullptr) {
     engine_.set_obs(spec.obs);
@@ -76,18 +65,7 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
     if (faults_ != nullptr && spec.auto_fault_tolerance) {
       options.fault_tolerance = true;
     }
-    if (elastic_) {
-      options.initial_members = initial_members;
-    } else if (extra > 0) {
-      // Serving slots must never receive worker broadcasts. A static
-      // roster of exactly the worker slots rides the elastic layer's
-      // roster-targeted broadcast; with no membership events this is
-      // bit-identical to the legacy all-worker broadcast (PR 6 noop-elastic
-      // identity), just over a fabric with extra non-member slots.
-      std::vector<bool> worker_slots(n + extra, false);
-      for (std::size_t j = 0; j < n; ++j) worker_slots[j] = true;
-      options.initial_members = std::move(worker_slots);
-    }
+    if (elastic_) options.initial_members = initial_members;
     workers_.push_back(std::make_unique<Worker>(
         i, engine_, *fabric_,
         sim::ComputeResource(spec.compute[i], built.profile,
@@ -117,31 +95,6 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
       engine_.at(cw.end, [w] { w->recover(); });
     }
   }
-
-  if (extra > 0) {
-    // Refresh source: the freshest live worker (most iterations, lowest id
-    // on ties) donates its weight snapshot each publish round.
-    std::vector<Worker*> raw;
-    raw.reserve(workers_.size());
-    for (auto& w : workers_) raw.push_back(w.get());
-    auto publish_source =
-        [raw = std::move(raw)]() -> std::optional<serve::PublishSource> {
-      Worker* best = nullptr;
-      for (Worker* w : raw) {
-        if (w->crashed() || w->dormant()) continue;
-        if (best == nullptr || w->iterations() > best->iterations()) best = w;
-      }
-      if (best == nullptr) return std::nullopt;
-      serve::PublishSource source;
-      source.slot = best->id();
-      source.iteration = best->iterations();
-      source.weights = best->model().weights();
-      return source;
-    };
-    serving_ = std::make_unique<serve::ServingTier>(
-        engine_, *fabric_, *spec.serving, spec.model, spec.compute, &test,
-        spec.seed, /*first_slot=*/n, std::move(publish_source), spec.obs);
-  }
 }
 
 double Cluster::byte_scale() const { return fabric_->byte_scale(); }
@@ -155,13 +108,8 @@ void Cluster::run_until(common::SimTime t) {
       if (!w->dormant()) w->start(spec_duration_);
     }
     if (membership_ != nullptr) membership_->start();
-    if (serving_ != nullptr) serving_->start(spec_duration_);
   }
   engine_.run_until(std::min(t, spec_duration_));
-  if (serving_ != nullptr && !serving_finalized_ && t >= spec_duration_) {
-    serving_finalized_ = true;
-    serving_->finalize(spec_duration_);
-  }
 }
 
 void Cluster::run() { run_until(spec_duration_); }

@@ -12,7 +12,6 @@
 #include "core/membership.h"
 #include "core/worker.h"
 #include "data/synthetic.h"
-#include "serve/serving.h"
 #include "sim/fault_injector.h"
 
 namespace dlion::core {
@@ -61,11 +60,6 @@ struct ClusterSpec {
   /// Disabled (nullopt, the default) leaves every run bit-identical to the
   /// pre-elastic cluster.
   std::optional<ElasticSpec> elastic;
-  /// Serving tier: inference replicas on extra fabric slots, refreshed
-  /// online from the freshest training worker (DESIGN.md "Serving tier").
-  /// Disabled (nullopt, the default) leaves every run bit-identical to a
-  /// training-only cluster. Mutually exclusive with `elastic`.
-  std::optional<serve::ServingSpec> serving;
 };
 
 class Cluster {
@@ -90,10 +84,6 @@ class Cluster {
   /// The membership controller, or nullptr when elastic is disabled.
   MembershipController* membership() { return membership_.get(); }
   const MembershipController* membership() const { return membership_.get(); }
-  /// The serving tier, or nullptr when serving is disabled. Stats are
-  /// finalized once the run reaches its full duration.
-  serve::ServingTier* serving() { return serving_.get(); }
-  const serve::ServingTier* serving() const { return serving_.get(); }
   double duration() const { return spec_duration_; }
 
   /// Ratio nominal-model-bytes / trained-model-bytes charged by the fabric.
@@ -123,8 +113,6 @@ class Cluster {
   std::unique_ptr<comm::Fabric> fabric_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<MembershipController> membership_;
-  std::unique_ptr<serve::ServingTier> serving_;
-  bool serving_finalized_ = false;
 };
 
 }  // namespace dlion::core

@@ -90,7 +90,6 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
     elastic.schedule = env.membership;
     cluster_spec.elastic = std::move(elastic);
   }
-  cluster_spec.serving = spec.serving;
 
   // Observability: prefer the caller's observer; otherwise, when telemetry
   // was requested, attach a run-local one whose summary survives in
@@ -175,9 +174,6 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
           latency_sum / static_cast<double>(completed);
     }
     result.join_log = std::move(stats.join_log);
-  }
-  if (const serve::ServingTier* tier = cluster.serving()) {
-    result.serving = tier->stats();
   }
   if (run_obs != nullptr) {
     result.telemetry = obs::summarize(*run_obs);

@@ -93,10 +93,6 @@ struct RunSpec {
   /// any Environment with a membership schedule — an ElasticSpec is built
   /// from the environment's schedule and initial_workers.
   std::optional<core::ElasticSpec> elastic;
-  /// Serving tier: inference replicas co-simulated with the training run
-  /// and refreshed online from it. Disabled (nullopt, the default) keeps
-  /// the run bit-identical to a training-only experiment.
-  std::optional<serve::ServingSpec> serving;
 };
 
 struct RunResult {
@@ -130,8 +126,6 @@ struct RunResult {
   std::uint64_t stale_epoch_rejected = 0;
   std::uint64_t dead_letter_evictions = 0;
   std::vector<core::JoinRecord> join_log;
-  /// Serving-tier stats (engaged only when RunSpec::serving was set).
-  std::optional<serve::ServingStats> serving;
 };
 
 /// Run one simulation.

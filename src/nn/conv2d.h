@@ -30,8 +30,6 @@ class Conv2D : public Layer {
     return fuse_relu_ ? "Conv2DReLU" : "Conv2D";
   }
 
-  bool fused_relu() const { return fuse_relu_; }
-
  private:
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   bool fuse_relu_;

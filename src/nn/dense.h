@@ -26,10 +26,6 @@ class Dense : public Layer {
   void init_weights(common::Rng& rng) override;
   const char* kind() const override { return fuse_relu_ ? "DenseReLU" : "Dense"; }
 
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
-  bool fused_relu() const { return fuse_relu_; }
-
  private:
   std::size_t in_;
   std::size_t out_;

@@ -16,6 +16,4 @@ std::string link_track(std::size_t from, std::size_t to) {
   return "link " + id_str(from) + "->" + id_str(to);
 }
 
-std::string replica_track(std::size_t id) { return "replica " + id_str(id); }
-
 }  // namespace dlion::obs

@@ -1,4 +1,4 @@
-// Canonical worker/link/replica lane names for the tracer and metric
+// Canonical worker/link lane names for the tracer and metric
 // labels, zero-padded so tracks sort numerically past 2-digit ids
 // ("worker 0002" < "worker 0010"; lexicographic "worker 10" < "worker 2"
 // was the old failure mode). Width 4 covers the 1,000+-worker target of
@@ -24,7 +24,5 @@ std::string id_str(std::size_t id);
 std::string worker_track(std::size_t id);
 /// "link 0000->0001" — network link lanes.
 std::string link_track(std::size_t from, std::size_t to);
-/// "replica 0007" — serving-tier replica lanes.
-std::string replica_track(std::size_t id);
 
 }  // namespace dlion::obs

@@ -275,7 +275,7 @@ TEST(Codec, LargeRandomUpdateRoundTrip) {
   }
 }
 
-// --- ModelPublish (tag 10): the serving tier's online-refresh message ----
+// --- ModelPublish (tag 10): a valid wire tag the decoder must handle ----
 
 ModelPublish sample_publish() {
   ModelPublish p;

@@ -98,8 +98,6 @@ TEST(FusedLayers, KindReportsFusion) {
   EXPECT_STREQ("DenseReLU", d.kind());
   EXPECT_STREQ("Dense", p.kind());
   EXPECT_STREQ("Conv2DReLU", c.kind());
-  EXPECT_TRUE(d.fused_relu());
-  EXPECT_FALSE(p.fused_relu());
 }
 
 }  // namespace

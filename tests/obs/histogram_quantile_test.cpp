@@ -1,7 +1,7 @@
 // Tail-percentile behavior of obs::Histogram's interpolating quantile
-// estimator, focused on sparse top buckets — the shape serving latency
-// histograms take (dense body, a handful of outliers). Complements the
-// basic quantile coverage in metrics_test.cpp.
+// estimator, focused on sparse top buckets — the shape latency histograms
+// take (dense body, a handful of outliers). Complements the basic quantile
+// coverage in metrics_test.cpp.
 
 #include <cmath>
 #include <vector>
