@@ -1,7 +1,8 @@
 // Hot-path benchmark: GEMM throughput, training-step latency/allocations
 // (cipher CNN, and MobileNet-20 training plus evaluation), Max-N selection
-// throughput, DLion's per-link selection fan-out, and training determinism
-// checksums.
+// throughput, DLion's per-link selection fan-out, the simulator's
+// per-message allocations (event queue, streamed trace records), and
+// training determinism checksums.
 //
 // Emits a machine-readable BENCH_hotpath.json (fixed key order; only the
 // timing fields vary run-to-run, the checksum fields are deterministic) so
@@ -32,6 +33,7 @@
 #include "core/link_prioritizer.h"
 #include "core/weighted_update.h"
 #include "nn/model_zoo.h"
+#include "obs/trace_sink.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "tensor/gemm_ref.h"
@@ -94,6 +96,12 @@ constexpr double kPrePrCommMsgsPerSec = 261.0;
 constexpr std::uint64_t kPrePrCommAllocsPerExchange = 11;
 constexpr std::uint64_t kPrePrCommCopyBytesPerMsg = 4'022'360;
 constexpr std::uint64_t kPrePrCommCopiesPerMsg = 10;
+
+// Frozen pre-PR simulator per-message allocations (std::map event queue
+// with an unordered_map cancellation index; string-returning trace-record
+// builders), as bench_engine() below counts them.
+constexpr std::uint64_t kPrePrAllocsPerEvent = 2;
+constexpr std::uint64_t kPrePrAllocsPerRecord = 5;
 
 struct GemmRow {
   bool ta, tb;
@@ -534,6 +542,78 @@ CommStats bench_comm(int exchanges) {
   return s;
 }
 
+struct EngineStats {
+  std::uint64_t events = 0;
+  std::uint64_t records = 0;
+  double allocs_per_event = 0.0;
+  double allocs_per_span_record = 0.0;
+  double allocs_per_flow_record = 0.0;
+  double events_per_sec = 0.0;
+};
+
+/// The simulator's per-message machinery, warmed: event-queue push/pop
+/// cycles whose callbacks capture 16 bytes (a pointer and a value, like
+/// the engine's scheduled lambdas), and per-message trace records (a
+/// link's "tx" span and a flow point) streamed through a ChromeStreamSink
+/// into a null stream. CI requires all three counts to be exactly 0.
+EngineStats bench_engine(int rounds) {
+  constexpr int kBatch = 64;  // events pending at once
+  dlion::sim::EventQueue queue;
+  std::uint64_t acc = 0;
+  const auto cycle = [&](int round) {
+    for (int i = 0; i < kBatch; ++i) {
+      const auto v = static_cast<std::uint64_t>(i);
+      queue.push(static_cast<double>(round) + (i % 8) * 0.125,
+                 [sum = &acc, v] { *sum += v; });
+    }
+    while (!queue.empty()) queue.pop().fn();
+  };
+  cycle(0);
+  EngineStats s;
+  s.events = static_cast<std::uint64_t>(rounds) * kBatch;
+  benchalloc::start();
+  const auto t0 = Clock::now();
+  for (int r = 1; r <= rounds; ++r) cycle(r);
+  s.events_per_sec = static_cast<double>(s.events) / seconds_since(t0);
+  s.allocs_per_event = static_cast<double>(benchalloc::stop().count) /
+                       static_cast<double>(s.events);
+
+  std::ostream null(nullptr);
+  dlion::obs::ChromeStreamSink sink(null);
+  sink.on_track(1, 2, 1, "network", "link 0003->0007");
+  using dlion::obs::Tracer;
+  Tracer::Span span{1, "tx", 0.0, 0.0, {{"bytes", 0.0}, {"mbps", 953.6}}};
+  Tracer::Flow flow{1, Tracer::FlowPhase::kStep, "flow", 0.0, 0};
+  const auto stream = [&](int first, int n, bool spans) {
+    for (int i = first; i < first + n; ++i) {
+      const double t = 1e-3 * i;
+      if (spans) {
+        span.t0 = t;
+        span.t1 = t + 2.5e-4;
+        span.args[0].value = 4096.0 * i;
+        sink.on_span(span);
+      } else {
+        flow.t = t;
+        flow.id = (std::uint64_t{4} << 40) | static_cast<std::uint64_t>(i);
+        sink.on_flow(flow);
+      }
+    }
+  };
+  // Warm on the longest records so the sink's line buffer is full grown.
+  stream(rounds, 16, true);
+  stream(rounds, 16, false);
+  s.records = static_cast<std::uint64_t>(rounds);
+  benchalloc::start();
+  stream(0, rounds, true);
+  s.allocs_per_span_record = static_cast<double>(benchalloc::stop().count) /
+                             static_cast<double>(s.records);
+  benchalloc::start();
+  stream(0, rounds, false);
+  s.allocs_per_flow_record = static_cast<double>(benchalloc::stop().count) /
+                             static_cast<double>(s.records);
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -581,6 +661,9 @@ int main(int argc, char** argv) {
 
   // --- Comm data plane: gradient exchange over the fabric. ---------------
   const CommStats comm = bench_comm(100);
+
+  // --- Simulator per-message allocations: event queue, trace records. ---
+  const EngineStats engine = bench_engine(2000);
 
   // --- Determinism: serial vs pooled GEMM must agree bitwise. ------------
   const int det_steps = 8;
@@ -713,6 +796,23 @@ int main(int argc, char** argv) {
        ", \"payload_copy_bytes_per_msg\": " +
        std::to_string(kPrePrCommCopyBytesPerMsg) + "}\n";
   j += "  },\n";
+  j += "  \"engine\": {\n";
+  j += "    \"events\": " + std::to_string(engine.events) +
+       ", \"capture_bytes\": 16, \"records\": " +
+       std::to_string(engine.records) + ",\n";
+  j += "    \"events_per_sec\": " + fmt(engine.events_per_sec, 1) + ",\n";
+  j += "    \"allocs_per_event\": " + fmt(engine.allocs_per_event) + ",\n";
+  j += "    \"allocs_per_span_record\": " +
+       fmt(engine.allocs_per_span_record) + ",\n";
+  j += "    \"allocs_per_flow_record\": " +
+       fmt(engine.allocs_per_flow_record) + ",\n";
+  j += "    \"pre_pr\": {\"allocs_per_event\": " +
+       std::to_string(kPrePrAllocsPerEvent) +
+       ", \"allocs_per_span_record\": " +
+       std::to_string(kPrePrAllocsPerRecord) +
+       ", \"allocs_per_flow_record\": " +
+       std::to_string(kPrePrAllocsPerRecord) + "}\n";
+  j += "  },\n";
   j += "  \"determinism\": {\n";
   j += "    \"train_steps\": " + std::to_string(det_steps) + ",\n";
   j += "    \"weights_checksum_serial\": \"" + hex64(sum_serial) + "\",\n";
@@ -755,6 +855,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(comm.copies_per_msg),
               static_cast<unsigned long long>(comm.copy_bytes_per_msg),
               static_cast<unsigned long long>(comm.allocs_per_exchange));
+  std::printf("[hotpath] engine: %.3f allocs/event, %.3f allocs/span "
+              "record, %.3f allocs/flow record (pre-PR %llu, %llu, %llu)\n",
+              engine.allocs_per_event, engine.allocs_per_span_record,
+              engine.allocs_per_flow_record,
+              static_cast<unsigned long long>(kPrePrAllocsPerEvent),
+              static_cast<unsigned long long>(kPrePrAllocsPerRecord),
+              static_cast<unsigned long long>(kPrePrAllocsPerRecord));
   std::printf("[hotpath] link selection: %.0f it/s shared vs %.0f it/s fresh "
               "per link, %zu selections/iteration, bitmatch %s\n",
               links.iterations_per_sec, links.fresh_iterations_per_sec,

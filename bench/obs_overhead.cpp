@@ -24,6 +24,7 @@
 //                     [--timing-reps=5] [--out=BENCH_obs.json] [--csv-dir=out]
 //        obs_overhead --workers=256 [--groups=8] [--scale-duration=30]
 //                     [--max-retained-bytes=N] [--scale-out=PATH]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -47,12 +48,34 @@ using namespace dlion;
 
 struct Timed {
   exp::RunResult result;
-  double best_ms = 0.0;
+  std::vector<double> wall_ms;  ///< one per rep
   std::uint64_t trace_events = 0;
   std::size_t metric_series = 0;
-  std::uint64_t allocs = 0;  ///< operator-new calls in the fastest rep
-  std::uint64_t alloc_bytes = 0;
+  /// operator-new calls in one rep, the most any rep made: the first rep
+  /// also warms process-wide state, and a one-rep run must not exceed it.
+  std::uint64_t allocs = 0;
 };
+
+struct Spread {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+};
+
+/// Median and quartiles by linear interpolation between order statistics.
+Spread spread(std::vector<double> v) {
+  Spread s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double x = p * static_cast<double>(v.size() - 1);
+    const auto i = static_cast<std::size_t>(x);
+    const double f = x - static_cast<double>(i);
+    return i + 1 < v.size() ? v[i] + f * (v[i + 1] - v[i]) : v[i];
+  };
+  s.q1 = at(0.25);
+  s.median = at(0.5);
+  s.q3 = at(0.75);
+  return s;
+}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -62,7 +85,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 /// One timed rep of one configuration (fresh observer per rep so the
 /// tracer never accumulates across reps). Folds the wall time, allocation
-/// counters, and result into `out`, keeping the fastest rep's numbers.
+/// count, and result into `out`.
 using MakeObs = std::function<std::unique_ptr<obs::Observability>()>;
 
 void run_rep(const exp::RunSpec& base, const exp::Workload& workload,
@@ -77,11 +100,8 @@ void run_rep(const exp::RunSpec& base, const exp::Workload& workload,
   exp::RunResult result = exp::run_experiment(spec, workload);
   const double ms = ms_since(t0);
   const benchalloc::Totals totals = benchalloc::stop();
-  if (ms < out.best_ms) {
-    out.best_ms = ms;
-    out.allocs = totals.count;
-    out.alloc_bytes = totals.bytes;
-  }
+  out.wall_ms.push_back(ms);
+  out.allocs = std::max(out.allocs, totals.count);
   if (o != nullptr) {
     out.trace_events = o->tracer().event_count();
     out.metric_series = o->metrics().size();
@@ -288,7 +308,6 @@ int main(int argc, char** argv) {
       [] { return std::make_unique<obs::Observability>(); },
   };
   Timed timed[4];
-  for (Timed& t : timed) t.best_ms = 1e300;
   for (int r = 0; r < reps; ++r) {
     for (int c = 0; c < 4; ++c) {
       run_rep(spec, workload, makers[c], c, timed[c]);
@@ -298,26 +317,30 @@ int main(int argc, char** argv) {
   Timed& disabled = timed[1];
   Timed& plain = timed[2];
   Timed& on = timed[3];
-
-  common::Table table({"config", "best wall (ms)", "overhead", "trace events",
-                       "metric series", "allocs"});
-  auto pct = [&](double ms) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%+.2f%%",
-                  off.best_ms > 0.0 ? (ms - off.best_ms) / off.best_ms * 100.0
-                                    : 0.0);
-    return std::string(buf);
+  // Every timing below is a median over the interleaved reps, reported
+  // with its quartiles, so run-to-run noise shows as spread.
+  const double off_ms = spread(off.wall_ms).median;
+  const auto overhead_pct = [off_ms](const Timed& t) {
+    return off_ms > 0.0 ? (spread(t.wall_ms).median - off_ms) / off_ms * 100.0
+                        : 0.0;
   };
+
+  common::Table table({"config", "median wall (ms)", "q1-q3 (ms)", "overhead",
+                       "trace events", "metric series", "allocs"});
   auto fmt_ms = [](double ms) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.2f", ms);
     return std::string(buf);
   };
   auto add_row = [&](const char* name, const Timed& t, bool baseline) {
+    const Spread w = spread(t.wall_ms);
+    char pct[32];
+    std::snprintf(pct, sizeof(pct), "%+.2f%%", overhead_pct(t));
     table.row()
         .cell(name)
-        .cell(fmt_ms(t.best_ms))
-        .cell(baseline ? "--" : pct(t.best_ms))
+        .cell(fmt_ms(w.median))
+        .cell(fmt_ms(w.q1) + "-" + fmt_ms(w.q3))
+        .cell(baseline ? "--" : pct)
         .cell(std::to_string(t.trace_events))
         .cell(t.metric_series)
         .cell(std::to_string(t.allocs));
@@ -369,8 +392,9 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    // Machine-readable summary, fixed key order. The *_ms fields vary
-    // run-to-run; everything else is deterministic for a given scale/env.
+    // Machine-readable summary, fixed key order. The wall_ms* and
+    // overhead_pct fields vary run-to-run; everything else is deterministic
+    // for a given scale/env.
     std::ofstream js(out_path, std::ios::trunc);
     js << "{\n";
     js << "  \"schema\": \"dlion-obs-v2\",\n";
@@ -382,13 +406,13 @@ int main(int argc, char** argv) {
        << ",\n";
     js << "  \"iterations\": " << off.result.total_iterations << ",\n";
     js << "  \"bytes\": " << off.result.total_bytes << ",\n";
+    js << "  \"timing_reps\": " << reps << ",\n";
     auto cfg = [&](const char* key, const Timed& t, bool last) {
-      js << "  \"" << key << "\": {\"wall_ms\": " << fmt_json_double(t.best_ms)
-         << ", \"overhead_pct\": "
-         << fmt_json_double(off.best_ms > 0.0
-                                ? (t.best_ms - off.best_ms) / off.best_ms *
-                                      100.0
-                                : 0.0)
+      const Spread w = spread(t.wall_ms);
+      js << "  \"" << key << "\": {\"wall_ms\": " << fmt_json_double(w.median)
+         << ", \"wall_ms_q1\": " << fmt_json_double(w.q1)
+         << ", \"wall_ms_q3\": " << fmt_json_double(w.q3)
+         << ", \"overhead_pct\": " << fmt_json_double(overhead_pct(t))
          << ", \"trace_events\": " << t.trace_events
          << ", \"metric_series\": " << t.metric_series
          << ", \"allocs\": " << t.allocs << "}" << (last ? "\n" : ",\n");

@@ -75,6 +75,7 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
     roster_ = RosterView(fabric.size());
   }
   excluded_.resize(fabric.size());
+  live_workers_ = fabric.size();
   reset_exclusions();
   dormant_ = elastic() && !options_.initial_members.at(id_);
   if (!dormant_) attach_to_fabric();
@@ -114,7 +115,18 @@ void Worker::attach_to_fabric() {
 
 void Worker::reset_exclusions() {
   for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    excluded_[j] = !roster_.is_member(j);
+    set_excluded(j, !roster_.is_member(j));
+  }
+}
+
+void Worker::set_excluded(std::size_t j, bool excluded) {
+  if (excluded_[j] == excluded) return;
+  excluded_[j] = excluded;
+  if (j == id_) return;  // the worker always counts itself live
+  if (excluded) {
+    --live_workers_;
+  } else {
+    ++live_workers_;
   }
 }
 
@@ -150,11 +162,12 @@ std::size_t Worker::current_gbs() const {
 }
 
 std::size_t Worker::live_worker_count() const {
-  std::size_t live = 0;
-  for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    if (j == id_ || !excluded_[j]) ++live;
-  }
-  return live;
+  DLION_DCHECK(live_workers_ ==
+                   static_cast<std::size_t>(std::count(
+                       excluded_.begin(), excluded_.end(), false)) +
+                       (excluded_[id_] ? 1 : 0),
+               "cached live-worker count out of sync with the exclusion mask");
+  return live_workers_;
 }
 
 std::size_t Worker::effective_gbs() const {
@@ -215,7 +228,7 @@ void Worker::heartbeat_tick() {
     if (j == id_ || !roster_.is_member(j)) continue;
     const bool sus = (now - last_heard_[j]) > kSuspicionTimeoutS;
     if (sus != excluded_[j]) {
-      excluded_[j] = sus;
+      set_excluded(j, sus);
       changed = true;
     }
   }
@@ -495,6 +508,7 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
   double sent_entries = 0.0;
   double sent_bytes = 0.0;
   double sent_peers = 0.0;
+  auto* const prioritizer = dynamic_cast<LinkPrioritizer*>(strategy_.get());
   for (std::size_t peer = 0; peer < fabric_->size(); ++peer) {
     if (peer == id_) continue;
     if (excluded_[peer]) continue;
@@ -518,8 +532,8 @@ void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
     update.vars = strategy_->generate(built_.model, ctx);
     entries_traces_[peer].record(engine_->now(),
                                  static_cast<double>(update.num_entries()));
-    if (auto* lp = dynamic_cast<LinkPrioritizer*>(strategy_.get())) {
-      chosen_n_trace_.record(engine_->now(), lp->last_n());
+    if (prioritizer != nullptr) {
+      chosen_n_trace_.record(engine_->now(), prioritizer->last_n());
     }
     if (obs::on(obs_)) {
       // Per-link gradient size (the quantity Fig. 8 studies). Charged
@@ -676,7 +690,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
   // clears it inside apply_roster once the roster is adopted).
   if (from < last_heard_.size()) {
     last_heard_[from] = engine_->now();
-    if (roster_.is_member(from)) excluded_[from] = false;
+    if (roster_.is_member(from)) set_excluded(from, false);
   }
   std::visit(
       [&](const auto& m) {
@@ -844,7 +858,7 @@ void Worker::apply_roster(std::uint64_t epoch,
   fabric_->set_epoch(id_, epoch);
   for (std::size_t j = 0; j < members.size(); ++j) {
     if (j == id_) {
-      excluded_[j] = false;
+      set_excluded(j, false);
       continue;
     }
     if (members[j] && !prev[j]) {
@@ -858,7 +872,7 @@ void Worker::apply_roster(std::uint64_t epoch,
     }
     // Leavers are excluded, joiners start live, and a member who stays
     // keeps its suspicion bit.
-    excluded_[j] = !members[j] || (prev[j] && excluded_[j]);
+    set_excluded(j, !members[j] || (prev[j] && excluded_[j]));
   }
   if (obs::on(obs_)) {
     obs_->tracer().instant(

@@ -157,6 +157,7 @@ class Worker {
   bool crashed() const { return crashed_; }
   /// Workers not currently excluded, self included. Equals the fabric
   /// size whenever fault tolerance and elastic membership are disabled.
+  /// O(1): the count is kept in step with every exclusion write.
   std::size_t live_worker_count() const;
   /// Per-slot exclusion mask: peers suspected crashed or outside the
   /// roster (self is false while this worker is a member).
@@ -242,6 +243,8 @@ class Worker {
   void attach_to_fabric();
   /// Exclude exactly the non-members (clears every suspicion).
   void reset_exclusions();
+  /// Set peer `j`'s exclusion bit, keeping the live-worker count in step.
+  void set_excluded(std::size_t j, bool excluded);
   /// End this tenure (crash or leave): cancel the incarnation's scheduled
   /// lambdas, drop in-progress training state and open spans, and detach.
   void end_tenure();
@@ -337,8 +340,11 @@ class Worker {
   RosterView roster_;
   /// Per-peer exclusion mask: peers suspected crashed (heartbeat sweep) or
   /// outside the roster; self is false while this worker is a member.
-  /// Maintained incrementally (never rebuilt on the iteration hot path).
+  /// Maintained incrementally (never rebuilt on the iteration hot path);
+  /// every write goes through set_excluded().
   std::vector<bool> excluded_;
+  /// live_worker_count(): slots whose exclusion bit is clear, plus self.
+  std::size_t live_workers_ = 0;
   bool dormant_ = false;
   bool bootstrapping_ = false;
   /// Roster epoch when this bootstrap began: chunks from this tenure carry

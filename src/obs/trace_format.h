@@ -1,11 +1,16 @@
-// Chrome trace-event JSON fragment builders shared by the batch exporter
-// (Tracer::chrome_json) and the streaming sinks (obs/trace_sink.h), so the
-// two paths emit byte-identical event records. Every function returns one
-// complete JSON object (no separators, no enclosing array).
+// Chrome trace-event JSON record appenders shared by the batch exporter
+// (Tracer::chrome_json) and the streaming sink (obs/trace_sink.h), so the
+// two paths emit byte-identical event records. Every record appender
+// appends one complete JSON object (no separators, no enclosing array) to
+// `out`; callers reuse one buffer, so a warmed record costs no allocation.
 //
-// All formatting is fixed-width snprintf with "C"-locale semantics so
-// exports are byte-stable across platforms — the same contract the batch
-// exporter has had since PR 2.
+// The byte format is printf's in the "C" locale, printed into a 48-byte
+// buffer: timestamps "%.3f" of µs, values "%.9g", flow ids "0x%llx". So a
+// number longer than 47 characters (e.g. "%.3f" of 1e300) is cut to 47.
+// Trace digests hash these bytes, so they must not drift. Numbers go
+// through std::to_chars, which is specified to print exactly what printf
+// does; the rare number too long for 47 characters goes through snprintf
+// itself, which truncates it.
 #pragma once
 
 #include <cstdint>
@@ -16,20 +21,25 @@
 namespace dlion::obs::trace_format {
 
 /// Microsecond timestamp with nanosecond resolution ("%.3f" of µs).
-std::string fmt_us(double seconds);
+void append_us(std::string& out, double seconds);
 /// Argument/counter value ("%.9g").
-std::string fmt_value(double v);
+void append_value(std::string& out, double v);
+/// Flow id as a lowercase hex literal ("0x%llx").
+void append_hex(std::string& out, std::uint64_t id);
+/// `s` JSON-escaped (obs::json_escape), without the quotes.
+void append_escaped(std::string& out, const std::string& s);
 
-std::string process_meta(std::uint32_t pid, const std::string& process);
-std::string thread_meta(std::uint32_t pid, std::uint32_t tid,
-                        const std::string& thread);
-std::string span_event(const Tracer::Span& s, std::uint32_t pid,
-                       std::uint32_t tid);
-std::string instant_event(const Tracer::Instant& i, std::uint32_t pid,
-                          std::uint32_t tid);
-std::string sample_event(const Tracer::Sample& c, std::uint32_t pid,
-                         std::uint32_t tid);
-std::string flow_event(const Tracer::Flow& f, std::uint32_t pid,
-                       std::uint32_t tid);
+void append_process_meta(std::string& out, std::uint32_t pid,
+                         const std::string& process);
+void append_thread_meta(std::string& out, std::uint32_t pid,
+                        std::uint32_t tid, const std::string& thread);
+void append_span(std::string& out, const Tracer::Span& s, std::uint32_t pid,
+                 std::uint32_t tid);
+void append_instant(std::string& out, const Tracer::Instant& i,
+                    std::uint32_t pid, std::uint32_t tid);
+void append_sample(std::string& out, const Tracer::Sample& c,
+                   std::uint32_t pid, std::uint32_t tid);
+void append_flow(std::string& out, const Tracer::Flow& f, std::uint32_t pid,
+                 std::uint32_t tid);
 
 }  // namespace dlion::obs::trace_format

@@ -31,19 +31,17 @@ ChromeStreamSink::ChromeStreamSink(const std::string& path)
 
 ChromeStreamSink::~ChromeStreamSink() { finish(); }
 
-void ChromeStreamSink::emit(const std::string& event_json) {
+std::string& ChromeStreamSink::begin_record() {
   DLION_AFFINITY_DCHECK(affinity_);
-  std::string chunk;
-  if (first_) {
-    chunk = "{\"traceEvents\":[";
-    first_ = false;
-  } else {
-    chunk = ",\n";
-  }
-  chunk += event_json;
-  *out_ << chunk;
-  bytes_ += chunk.size();
-  fnv1a(hash_, chunk);
+  line_.assign(first_ ? "{\"traceEvents\":[" : ",\n");
+  first_ = false;
+  return line_;
+}
+
+void ChromeStreamSink::emit() {
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  bytes_ += line_.size();
+  fnv1a(hash_, line_);
   ++events_;
 }
 
@@ -61,29 +59,35 @@ void ChromeStreamSink::on_track(TrackId id, std::uint32_t pid,
   if (std::find(pids_named_.begin(), pids_named_.end(), pid) ==
       pids_named_.end()) {
     pids_named_.push_back(pid);
-    emit(trace_format::process_meta(pid, process));
+    trace_format::append_process_meta(begin_record(), pid, process);
+    emit();
   }
-  emit(trace_format::thread_meta(pid, tid, thread));
+  trace_format::append_thread_meta(begin_record(), pid, tid, thread);
+  emit();
 }
 
 void ChromeStreamSink::on_span(const Tracer::Span& s) {
   const auto [pid, tid] = ids(s.track);
-  emit(trace_format::span_event(s, pid, tid));
+  trace_format::append_span(begin_record(), s, pid, tid);
+  emit();
 }
 
 void ChromeStreamSink::on_instant(const Tracer::Instant& i) {
   const auto [pid, tid] = ids(i.track);
-  emit(trace_format::instant_event(i, pid, tid));
+  trace_format::append_instant(begin_record(), i, pid, tid);
+  emit();
 }
 
 void ChromeStreamSink::on_sample(const Tracer::Sample& c) {
   const auto [pid, tid] = ids(c.track);
-  emit(trace_format::sample_event(c, pid, tid));
+  trace_format::append_sample(begin_record(), c, pid, tid);
+  emit();
 }
 
 void ChromeStreamSink::on_flow(const Tracer::Flow& f) {
   const auto [pid, tid] = ids(f.track);
-  emit(trace_format::flow_event(f, pid, tid));
+  trace_format::append_flow(begin_record(), f, pid, tid);
+  emit();
 }
 
 void ChromeStreamSink::finish() {

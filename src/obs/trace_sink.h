@@ -7,8 +7,9 @@
 // emits the {"traceEvents":[ header up front, one event object per
 // callback (track metadata interleaved as tracks appear, which Perfetto
 // and chrome://tracing both accept), and the closing ]} on finish(). Event
-// records are built by obs/trace_format.h, so a streamed event is
-// byte-identical to its batch-exported twin. It keeps a running FNV-1a
+// records are appended by obs/trace_format.h into one reused line buffer,
+// so a streamed event is byte-identical to its batch-exported twin and a
+// warmed sink formats records without allocating. It keeps a running FNV-1a
 // checksum of everything written — the determinism fingerprint the scale
 // tests compare across DLION_THREADS values.
 //
@@ -58,7 +59,11 @@ class ChromeStreamSink {
   std::uint64_t checksum() const { return hash_; }
 
  private:
-  void emit(const std::string& event_json);
+  /// Clear the reused line buffer, start it with the separator (or the
+  /// file header) and return it for one record to be appended.
+  std::string& begin_record();
+  /// Write, count and hash the line buffer.
+  void emit();
   std::pair<std::uint32_t, std::uint32_t> ids(TrackId id) const;
 
   std::ofstream file_;   // engaged only for the path constructor
@@ -68,6 +73,7 @@ class ChromeStreamSink {
   std::uint64_t events_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t hash_ = 1469598103934665603ull;  // FNV-1a offset basis
+  std::string line_;  // one record with its separator; reused
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tracks_;  // id-1 -> (pid,tid)
   std::vector<std::uint32_t> pids_named_;
   /// Driven synchronously from the recording thread (single-threaded by

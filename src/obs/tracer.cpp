@@ -1,9 +1,10 @@
 #include "obs/tracer.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json_util.h"
 #include "obs/trace_format.h"
@@ -13,94 +14,151 @@ namespace dlion::obs {
 
 namespace trace_format {
 
-std::string fmt_us(double seconds) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
-  return buf;
-}
-
-std::string fmt_value(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 namespace {
+
+/// Longest number the trace format prints untruncated (trace_format.h).
+constexpr std::ptrdiff_t kMaxNumber = 47;
+
+/// `v` as printf's "%.*f" (fixed) or "%.*g" (general) prints it into
+/// kMaxNumber + 1 bytes: a longer number goes through that snprintf, which
+/// truncates it.
+void append_double(std::string& out, double v, std::chars_format fmt,
+                   int precision) {
+  char buf[kMaxNumber + 1];
+  const auto r = std::to_chars(buf, buf + kMaxNumber, v, fmt, precision);
+  if (r.ec == std::errc{}) {
+    out.append(buf, r.ptr);
+    return;
+  }
+  std::snprintf(buf, sizeof(buf),
+                fmt == std::chars_format::fixed ? "%.*f" : "%.*g", precision,
+                v);
+  out += buf;
+}
+
+void append_uint(std::string& out, std::uint64_t v, int base = 10) {
+  char buf[20];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v, base);
+  out.append(buf, r.ptr);
+}
+
+void append_ids(std::string& out, std::uint32_t pid, std::uint32_t tid) {
+  out += ",\"pid\":";
+  append_uint(out, pid);
+  out += ",\"tid\":";
+  append_uint(out, tid);
+}
 
 void append_args(std::string& out, const std::vector<Tracer::Arg>& args) {
   out += ",\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i != 0) out += ",";
-    out += "\"" + json_escape(args[i].key) + "\":" + fmt_value(args[i].value);
+    if (i != 0) out += ',';
+    out += '"';
+    append_escaped(out, args[i].key);
+    out += "\":";
+    append_value(out, args[i].value);
   }
-  out += "}";
-}
-
-std::string ids(std::uint32_t pid, std::uint32_t tid) {
-  return ",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":" + std::to_string(tid);
+  out += '}';
 }
 
 }  // namespace
 
-std::string process_meta(std::uint32_t pid, const std::string& process) {
-  return "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-         std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-         json_escape(process) + "\"}}";
+void append_us(std::string& out, double seconds) {
+  append_double(out, seconds * 1e6, std::chars_format::fixed, 3);
 }
 
-std::string thread_meta(std::uint32_t pid, std::uint32_t tid,
-                        const std::string& thread) {
-  return "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-         std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"" + json_escape(thread) + "\"}}";
+void append_value(std::string& out, double v) {
+  append_double(out, v, std::chars_format::general, 9);
 }
 
-std::string span_event(const Tracer::Span& s, std::uint32_t pid,
-                       std::uint32_t tid) {
-  std::string out = "{\"ph\":\"X\",\"name\":\"" + json_escape(s.name) +
-                    "\",\"ts\":" + fmt_us(s.t0) +
-                    ",\"dur\":" + fmt_us(s.t1 - s.t0) + ids(pid, tid);
+void append_hex(std::string& out, std::uint64_t id) {
+  out += "0x";
+  append_uint(out, id, 16);
+}
+
+void append_escaped(std::string& out, const std::string& s) {
+  const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  if (plain) {
+    out += s;
+  } else {
+    out += json_escape(s);
+  }
+}
+
+void append_process_meta(std::string& out, std::uint32_t pid,
+                         const std::string& process) {
+  out += "{\"ph\":\"M\",\"name\":\"process_name\"";
+  append_ids(out, pid, 0);
+  out += ",\"args\":{\"name\":\"";
+  append_escaped(out, process);
+  out += "\"}}";
+}
+
+void append_thread_meta(std::string& out, std::uint32_t pid,
+                        std::uint32_t tid, const std::string& thread) {
+  out += "{\"ph\":\"M\",\"name\":\"thread_name\"";
+  append_ids(out, pid, tid);
+  out += ",\"args\":{\"name\":\"";
+  append_escaped(out, thread);
+  out += "\"}}";
+}
+
+void append_span(std::string& out, const Tracer::Span& s, std::uint32_t pid,
+                 std::uint32_t tid) {
+  out += "{\"ph\":\"X\",\"name\":\"";
+  append_escaped(out, s.name);
+  out += "\",\"ts\":";
+  append_us(out, s.t0);
+  out += ",\"dur\":";
+  append_us(out, s.t1 - s.t0);
+  append_ids(out, pid, tid);
   append_args(out, s.args);
-  out += "}";
-  return out;
+  out += '}';
 }
 
-std::string instant_event(const Tracer::Instant& i, std::uint32_t pid,
-                          std::uint32_t tid) {
-  std::string out = "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"" +
-                    json_escape(i.name) + "\",\"ts\":" + fmt_us(i.t) +
-                    ids(pid, tid);
+void append_instant(std::string& out, const Tracer::Instant& i,
+                    std::uint32_t pid, std::uint32_t tid) {
+  out += "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"";
+  append_escaped(out, i.name);
+  out += "\",\"ts\":";
+  append_us(out, i.t);
+  append_ids(out, pid, tid);
   append_args(out, i.args);
-  out += "}";
-  return out;
+  out += '}';
 }
 
-std::string sample_event(const Tracer::Sample& c, std::uint32_t pid,
-                         std::uint32_t tid) {
-  return "{\"ph\":\"C\",\"name\":\"" + json_escape(c.name) +
-         "\",\"ts\":" + fmt_us(c.t) + ids(pid, tid) +
-         ",\"args\":{\"value\":" + fmt_value(c.value) + "}}";
+void append_sample(std::string& out, const Tracer::Sample& c,
+                   std::uint32_t pid, std::uint32_t tid) {
+  out += "{\"ph\":\"C\",\"name\":\"";
+  append_escaped(out, c.name);
+  out += "\",\"ts\":";
+  append_us(out, c.t);
+  append_ids(out, pid, tid);
+  out += ",\"args\":{\"value\":";
+  append_value(out, c.value);
+  out += "}}";
 }
 
-std::string flow_event(const Tracer::Flow& f, std::uint32_t pid,
-                       std::uint32_t tid) {
-  const char* ph = f.phase == Tracer::FlowPhase::kStart
-                       ? "s"
-                       : f.phase == Tracer::FlowPhase::kStep ? "t" : "f";
+void append_flow(std::string& out, const Tracer::Flow& f, std::uint32_t pid,
+                 std::uint32_t tid) {
+  out += "{\"ph\":\"";
+  out += f.phase == Tracer::FlowPhase::kStart  ? 's'
+         : f.phase == Tracer::FlowPhase::kStep ? 't'
+                                               : 'f';
+  out += "\",\"cat\":\"flow\",\"name\":\"";
+  append_escaped(out, f.name);
   // The 64-bit flow id goes out as a hex string: JSON numbers are doubles
   // in most viewers and would silently round ids above 2^53.
-  char idbuf[24];
-  std::snprintf(idbuf, sizeof(idbuf), "0x%llx",
-                static_cast<unsigned long long>(f.id));
-  std::string out = std::string("{\"ph\":\"") + ph +
-                    "\",\"cat\":\"flow\",\"name\":\"" + json_escape(f.name) +
-                    "\",\"id\":\"" + idbuf + "\",\"ts\":" + fmt_us(f.t) +
-                    ids(pid, tid);
+  out += "\",\"id\":\"";
+  append_hex(out, f.id);
+  out += "\",\"ts\":";
+  append_us(out, f.t);
+  append_ids(out, pid, tid);
   // Bind the finish point to its enclosing slice (Chrome flow semantics).
   if (f.phase == Tracer::FlowPhase::kEnd) out += ",\"bp\":\"e\"";
-  out += "}";
-  return out;
+  out += '}';
 }
 
 }  // namespace trace_format
@@ -351,11 +409,11 @@ std::string Tracer::chrome_json() const {
   // Metadata: process names (one per pid), then thread names per track.
   for (const auto& [process, pid] : pids_) {
     sep();
-    out += trace_format::process_meta(pid, process);
+    trace_format::append_process_meta(out, pid, process);
   }
   for (const Track& t : tracks_) {
     sep();
-    out += trace_format::thread_meta(t.pid, t.tid, t.thread);
+    trace_format::append_thread_meta(out, t.pid, t.tid, t.thread);
   }
 
   auto pidtid = [this](TrackId id) -> const Track& {
@@ -364,22 +422,22 @@ std::string Tracer::chrome_json() const {
   for (const Span& s : spans_) {
     sep();
     const Track& t = pidtid(s.track);
-    out += trace_format::span_event(s, t.pid, t.tid);
+    trace_format::append_span(out, s, t.pid, t.tid);
   }
   for (const Flow& f : flows_) {
     sep();
     const Track& t = pidtid(f.track);
-    out += trace_format::flow_event(f, t.pid, t.tid);
+    trace_format::append_flow(out, f, t.pid, t.tid);
   }
   for (const Instant& i : instants_) {
     sep();
     const Track& t = pidtid(i.track);
-    out += trace_format::instant_event(i, t.pid, t.tid);
+    trace_format::append_instant(out, i, t.pid, t.tid);
   }
   for (const Sample& c : samples_) {
     sep();
     const Track& t = pidtid(c.track);
-    out += trace_format::sample_event(c, t.pid, t.tid);
+    trace_format::append_sample(out, c, t.pid, t.tid);
   }
   out += "\n]}";
   return out;

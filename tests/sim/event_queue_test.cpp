@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace dlion::sim {
 namespace {
@@ -75,6 +80,82 @@ TEST(EventQueue, PoppedCarriesTime) {
   EventQueue q;
   q.push(4.5, [] {});
   EXPECT_DOUBLE_EQ(q.pop().time, 4.5);
+}
+
+// Model check: a seeded random mix of push (few distinct times, so ties are
+// common), pop and cancel, compared after every step with a std::map keyed
+// by (time, insertion order), the order the queue documents.
+TEST(EventQueue, MatchesOrderedMapModel) {
+  enum class State { kPending, kPopped, kCancelled };
+  struct Issued {
+    EventId id;
+    State state;
+  };
+  common::Rng rng(0x51ab);
+  EventQueue q;
+  std::map<std::pair<common::SimTime, std::size_t>, std::size_t> model;
+  std::vector<Issued> issued;            // by tag (= push order)
+  std::map<EventId, std::size_t> owner;  // slot -> tag pushed into it last
+  std::size_t ran = 0;
+  common::SimTime clock = 0.0;
+  int top_cancels = 0, double_cancels = 0, popped_cancels = 0,
+      reused_cancels = 0;
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.uniform_index(20);
+    if (op < 9) {
+      // Never into the popped past: pop order stays monotone.
+      const common::SimTime t =
+          clock + 0.5 * static_cast<double>(rng.uniform_index(6));
+      const std::size_t tag = issued.size();
+      const EventId id = q.push(t, [&ran, tag] { ran = tag; });
+      issued.push_back({id, State::kPending});
+      owner[id & 0xffffffffu] = tag;
+      model.emplace(std::make_pair(t, tag), tag);
+    } else if (op < 16) {
+      ASSERT_EQ(q.empty(), model.empty());
+      if (model.empty()) continue;
+      const auto top = model.begin();
+      EventQueue::Popped popped = q.pop();
+      ASSERT_EQ(popped.time, top->first.first);
+      popped.fn();
+      ASSERT_EQ(ran, top->second) << "step " << step;
+      clock = popped.time;
+      issued[top->second].state = State::kPopped;
+      model.erase(top);
+    } else if (!issued.empty()) {
+      // Half the cancels hit the current top; the rest pick any id ever
+      // issued, most of them long dead.
+      const bool at_top = !model.empty() && rng.bernoulli(0.5);
+      const std::size_t tag = at_top ? model.begin()->second
+                                     : rng.uniform_index(issued.size());
+      Issued& ev = issued[tag];
+      const bool expect = ev.state == State::kPending;
+      if (expect && at_top) ++top_cancels;
+      if (ev.state == State::kCancelled) ++double_cancels;
+      if (ev.state == State::kPopped) ++popped_cancels;
+      if (!expect && owner[ev.id & 0xffffffffu] != tag) ++reused_cancels;
+      ASSERT_EQ(q.cancel(ev.id), expect) << "step " << step << " tag " << tag;
+      if (expect) {
+        for (auto it = model.begin(); it != model.end(); ++it) {
+          if (it->second == tag) {
+            model.erase(it);
+            break;
+          }
+        }
+        ev.state = State::kCancelled;
+      }
+    }
+    ASSERT_EQ(q.size(), model.size()) << "step " << step;
+    ASSERT_EQ(q.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(q.next_time(), model.begin()->first.first);
+    }
+  }
+  EXPECT_GT(top_cancels, 0);
+  EXPECT_GT(double_cancels, 0);
+  EXPECT_GT(popped_cancels, 0);
+  EXPECT_GT(reused_cancels, 0);
 }
 
 }  // namespace
