@@ -220,7 +220,9 @@ struct MobileNetStats {
 
 /// MobileNet-20 on Fig 12's 3x12x12 images: a training step (batch 32) and
 /// an evaluation (batch 512), the two calls its workers make. The GEMM
-/// fan-out is off, so both run on one thread at any DLION_THREADS.
+/// fan-out is off (no GEMM here is large enough for it anyway), so the
+/// training step runs on one thread at any DLION_THREADS; the evaluation's
+/// conv layers split its samples over DLION_THREADS threads.
 MobileNetStats bench_mobilenet_step(int steps) {
   const bool prev_parallel = dlion::tensor::set_gemm_parallel(false);
   dlion::common::Rng rng(42);

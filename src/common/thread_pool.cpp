@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "common/annotations.h"
@@ -10,12 +11,57 @@
 
 namespace dlion::common {
 
+namespace {
+// True on the threads a ThreadPool owns: a parallel_for issued there runs
+// inline (see the header's rules).
+thread_local bool t_pool_worker = false;
+}  // namespace
+
+// One fork-join. It lives in run()'s frame; every queued task points at it.
+struct ThreadPool::Job {
+  Job(RangeFn c, void* f, std::size_t first, std::size_t e, std::size_t ch)
+      : call(c), fn(f), end(e), chunk(ch), next(first) {}
+
+  // Claims chunks until none are left. A chunk's exception is kept (the
+  // first one wins) and the claiming goes on, so every index runs once.
+  void run_chunks() {
+    for (;;) {
+      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (lo >= end) return;
+      try {
+        call(fn, lo, std::min(end, lo + chunk));
+      } catch (...) {
+        MutexLock lock(m);
+        if (!error) error = std::current_exception();
+      }
+    }
+  }
+
+  const RangeFn call;
+  void* const fn;
+  const std::size_t end;
+  const std::size_t chunk;
+  std::atomic<std::size_t> next;  // first unclaimed index
+  Mutex m;
+  CondVar done;
+  // Workers that took one of this job's tasks and have not checked out.
+  // Counted and signalled under `m`, which the caller holds when it sees
+  // zero: after that no worker touches the job again.
+  std::size_t active DLION_GUARDED_BY(m) = 0;
+  std::exception_ptr error DLION_GUARDED_BY(m);
+};
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == kNoWorkers) {
     threads = 0;
   } else if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw > 1 ? hw - 1 : 0;
+  }
+  {
+    // One caller queues at most one task per worker.
+    MutexLock lock(mutex_);
+    ring_.resize(std::max<std::size_t>(threads, 1));
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -32,97 +78,80 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::worker_loop() {
+  t_pool_worker = true;
   for (;;) {
-    std::function<void()> task;
+    Job* job = nullptr;
     {
       MutexLock lock(mutex_);
       // Spelled as a loop, not a lambda predicate: Clang's thread-safety
       // analysis treats a lambda body as a separate (unlocked) function,
       // so guarded members must be read inline where the lock is visible.
-      while (!stop_ && tasks_.empty()) cv_.wait(mutex_);
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      while (!stop_ && queued_ == 0) cv_.wait(mutex_);
+      if (queued_ == 0) return;  // stopping, and nothing left to help with
+      job = ring_[head_];
+      head_ = (head_ + 1) % ring_.size();
+      --queued_;
+      // Checked in while mutex_ is still held, so the caller's withdrawal
+      // (also under mutex_) either finds this task queued or this worker
+      // counted in `active`.
+      MutexLock job_lock(job->m);
+      ++job->active;
     }
-    task();
+    job->run_chunks();
+    MutexLock job_lock(job->m);
+    if (--job->active == 0) job->done.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
+void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t grain,
+                     RangeFn call, void* fn) {
   if (begin >= end) return;
   grain = std::max<std::size_t>(grain, 1);
   const std::size_t n = end - begin;
-  // Serial fast path: no workers, or too little work to amortize dispatch.
-  if (workers_.empty() || n <= grain) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+  if (workers_.empty() || n <= grain || t_pool_worker) {
+    call(fn, begin, end);
     return;
   }
 
   const std::size_t parties = workers_.size() + 1;  // pool + caller
-  const std::size_t chunk =
-      std::max(grain, (n + parties - 1) / parties);
-  struct Shared {
-    std::atomic<std::size_t> next;
-    std::atomic<std::size_t> remaining;
-    // Wait-only mutex: the guarded condition is `remaining == 0`, an
-    // atomic read, so there is no non-atomic state to DLION_GUARDED_BY.
-    Mutex m;  // dlion-lint: allow(dlion-unannotated-mutex)
-    CondVar done;
-    Mutex error_m;
-    std::exception_ptr error DLION_GUARDED_BY(error_m);
-  } shared;
-  shared.next.store(begin);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  shared.remaining.store(num_chunks);
-
-  auto run_chunk = [&shared, &fn, end, chunk] {
-    const std::size_t start =
-        shared.next.fetch_add(chunk, std::memory_order_relaxed);
-    if (start < end) {
-      const std::size_t stop = std::min(end, start + chunk);
-      try {
-        for (std::size_t i = start; i < stop; ++i) fn(i);
-      } catch (...) {
-        MutexLock lock(shared.error_m);
-        if (!shared.error) shared.error = std::current_exception();
-      }
-    }
-    // acq_rel, not relaxed: the release half publishes this chunk's writes
-    // (fn side effects, a captured shared.error) to whichever party observes
-    // the count hit zero via the paired acquire load below; the acquire half
-    // makes the last decrementer see every earlier chunk's writes before it
-    // signals completion.
-    if (shared.remaining.fetch_sub(  // dlion-lint: allow(dlion-atomic-rmw-order)
-            1, std::memory_order_acq_rel) == 1) {
-      MutexLock lock(shared.m);
-      shared.done.notify_one();
-    }
-  };
-
-  // The caller executes one chunk itself; the rest go to the pool.
-  for (std::size_t c = 1; c < num_chunks; ++c) enqueue(run_chunk);
-  run_chunk();
+  const std::size_t chunk = std::max(grain, (n + parties - 1) / parties);
+  const std::size_t helpers = (n + chunk - 1) / chunk - 1;
+  Job job(call, fn, begin, end, chunk);
   {
-    MutexLock lock(shared.m);
-    while (shared.remaining.load(std::memory_order_acquire) != 0) {
-      shared.done.wait(shared.m);
+    MutexLock lock(mutex_);
+    if (queued_ + helpers > ring_.size()) {
+      // Grow (never shrink), unrolling the ring so it starts at 0.
+      std::vector<Job*> grown(std::max(2 * ring_.size(), queued_ + helpers));
+      for (std::size_t i = 0; i < queued_; ++i) {
+        grown[i] = ring_[(head_ + i) % ring_.size()];
+      }
+      ring_.swap(grown);
+      head_ = 0;
     }
+    for (std::size_t t = 0; t < helpers; ++t) {
+      ring_[(head_ + queued_++) % ring_.size()] = &job;
+    }
+  }
+  for (std::size_t t = 0; t < helpers; ++t) cv_.notify_one();
+
+  job.run_chunks();
+  {
+    // Withdraw the tasks no worker has taken: every chunk is claimed, so
+    // they have nothing left to do. The ring is compacted in place.
+    MutexLock lock(mutex_);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queued_; ++i) {
+      Job* task = ring_[(head_ + i) % ring_.size()];
+      if (task != &job) ring_[(head_ + kept++) % ring_.size()] = task;
+    }
+    queued_ = kept;
   }
   std::exception_ptr error;
   {
-    MutexLock lock(shared.error_m);
-    error = shared.error;
+    MutexLock lock(job.m);
+    while (job.active != 0) job.done.wait(job.m);
+    error = job.error;
   }
   if (error) std::rethrow_exception(error);
 }

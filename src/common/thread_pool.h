@@ -1,20 +1,38 @@
-// Minimal fixed-size thread pool with a blocking parallel_for.
+// Fixed-size thread pool with a blocking, allocation-free parallel_for.
 //
 // The simulation core is deliberately single-threaded (determinism - see
-// DESIGN.md), but the numeric substrate benefits from data parallelism on
-// multi-core hosts: Model::compute_gradients over a large batch, dataset
-// synthesis, and repeated-experiment sweeps are all embarrassingly
-// parallel. parallel_for partitions [begin, end) into contiguous chunks,
-// runs them on the pool plus the calling thread, and rethrows the first
-// worker exception - per the Core Guidelines (CP.21 ff.): RAII-joined
-// threads, no detach, tasks not raw threads.
+// DESIGN.md), but two numeric kernels split their work over the global
+// pool: the packed GEMM fans out the row blocks of one large product
+// (tensor/ops.cpp), and an evaluation forward of a conv layer gives each
+// party one contiguous block of samples (tensor::conv2d_forward and
+// tensor::depthwise_conv_relu). Every index runs exactly the arithmetic it
+// runs serially, so results are bit-identical at any pool size.
+//
+// parallel_for partitions [begin, end) into one chunk per party (at least
+// `grain` indices each), runs them on the pool plus the calling thread, and
+// rethrows the first exception a chunk threw. Three rules keep a fork-join
+// safe and cheap enough to run many times per second:
+//
+//   * Completion is counted and signalled under the job's own mutex, so
+//     the caller cannot see the last chunk finish, return and reuse the
+//     stack frame that holds the job while a worker still touches it.
+//   * A parallel_for issued from a worker (of any pool) runs inline on
+//     that worker. Workers never wait on each other, so nesting cannot
+//     deadlock.
+//   * A fork-join allocates nothing: the callable is passed by reference
+//     (parallel_for blocks, so nothing outlives the call), each queued task
+//     is one pointer to the job, and the task ring grows but never shrinks.
+//
+// The caller and the workers keep claiming chunks until none are left, and
+// the caller withdraws the tasks no worker has picked up yet, so a worker
+// that is slow to wake delays a join by at most the chunk it took. Threads
+// are RAII-joined and never detached (Core Guidelines CP.21 ff.).
 #pragma once
 
 #include <cstddef>
-#include <exception>
-#include <functional>
-#include <queue>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/annotations.h"
@@ -39,12 +57,23 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
-  /// Run fn(i) for i in [begin, end), partitioned into ~grain-sized chunks
-  /// across the pool and the calling thread. Blocks until every index has
-  /// run. The first exception thrown by any chunk is rethrown here.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
+  /// Run fn(i) for i in [begin, end), one chunk of at least `grain`
+  /// indices per party, across the pool and the calling thread. Blocks
+  /// until every index has run; `fn` is only borrowed for the call. The
+  /// first exception thrown by any chunk is rethrown here. Runs serially on
+  /// the caller when the pool is empty, the range fits one grain, or the
+  /// caller is itself a pool worker.
+  template <typename Fn>
+  void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
+                    std::size_t grain = 1) {
+    using F = std::remove_reference_t<Fn>;
+    run(begin, end, grain,
+        [](void* f, std::size_t lo, std::size_t hi) {
+          F& body = *static_cast<F*>(f);
+          for (std::size_t i = lo; i < hi; ++i) body(i);
+        },
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+  }
 
   /// Shared process-wide pool. Sized from the DLION_THREADS environment
   /// variable when set (the value is the total worker-thread count; 1 means
@@ -61,12 +90,21 @@ class ThreadPool {
   static void reset_global_for_testing(std::size_t total_threads);
 
  private:
-  void enqueue(std::function<void()> task) DLION_EXCLUDES(mutex_);
+  /// Runs the indices [lo, hi) of the borrowed callable `fn`.
+  using RangeFn = void (*)(void* fn, std::size_t lo, std::size_t hi);
+  struct Job;  // one fork-join, on the caller's stack (thread_pool.cpp)
+
+  void run(std::size_t begin, std::size_t end, std::size_t grain,
+           RangeFn call, void* fn) DLION_EXCLUDES(mutex_);
   void worker_loop() DLION_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
-  std::queue<std::function<void()>> tasks_ DLION_GUARDED_BY(mutex_);
+  // Queued tasks, each a pointer to the job it helps: ring_[(head_ + i) %
+  // ring_.size()] for i < queued_.
+  std::vector<Job*> ring_ DLION_GUARDED_BY(mutex_);
+  std::size_t head_ DLION_GUARDED_BY(mutex_) = 0;
+  std::size_t queued_ DLION_GUARDED_BY(mutex_) = 0;
   CondVar cv_;
   bool stop_ DLION_GUARDED_BY(mutex_) = false;
 };

@@ -37,52 +37,42 @@ tensor::Tensor Conv2D::forward(const tensor::Tensor& input, bool train) {
                                 input.shape().to_string());
   }
   const std::size_t n = input.shape()[0];
-  const std::size_t h = input.shape()[2], w = input.shape()[3];
-  const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
-  const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
-  const std::size_t col_rows = in_c_ * k_ * k_;
-  const std::size_t col_cols = oh * ow;
-  // A pointwise conv's im2col is a copy of its input, so the GEMM reads the
-  // input in place. Training keeps every sample's columns for backward; an
-  // evaluation forward expands one sample at a time into the scratch arena.
-  const bool pointwise = k_ == 1 && stride_ == 1 && pad_ == 0;
-  common::ScratchArena& arena = common::ScratchArena::tls();
-  common::ScratchArena::Scope scope(arena);
-  float* cols = nullptr;
-  if (train) {
-    input_shape_ = input.shape();
-    cols = cols_.ensure(n * col_rows * col_cols);
-    if (pointwise) {
-      std::memcpy(cols, input.data(), input.size() * sizeof(float));
-    }
-  } else if (!pointwise) {
-    cols = arena.alloc_floats(col_rows * col_cols);
+  const tensor::ConvGeometry g = geometry(input.shape());
+  tensor::Tensor out(tensor::Shape{n, out_c_, g.out_h(), g.out_w()});
+  if (!train) {
+    tensor::conv2d_forward(input.data(), n, g, out_c_, weight_.value().data(),
+                           bias_.value().data(), fuse_relu_, out.data());
+    return out;
   }
 
-  tensor::Tensor out(tensor::Shape{n, out_c_, oh, ow});
+  // Training keeps every sample's columns for backward. A pointwise conv's
+  // im2col is a copy of its input, so its GEMMs read that copy.
+  input_shape_ = input.shape();
+  const std::size_t col_rows = in_c_ * k_ * k_;
+  const std::size_t col_cols = g.out_h() * g.out_w();
+  const std::size_t in_size = in_c_ * g.height * g.width;
+  const bool pointwise = k_ == 1 && stride_ == 1 && pad_ == 0;
+  float* cols = cols_.ensure(n * col_rows * col_cols);
+  if (pointwise) std::memcpy(cols, input.data(), input.size() * sizeof(float));
   for (std::size_t i = 0; i < n; ++i) {
-    const float* col = input.data() + i * in_c_ * h * w;
+    float* col = cols + i * col_rows * col_cols;
     if (!pointwise) {
-      float* dst = train ? cols + i * col_rows * col_cols : cols;
-      tensor::im2col(col, in_c_, h, w, k_, k_, stride_, pad_, dst);
-      col = dst;
+      tensor::im2col(input.data() + i * in_size, in_c_, g.height, g.width, k_,
+                     k_, stride_, pad_, col);
     }
     // out_i (out_c x col_cols) = W (out_c x col_rows) * col
     tensor::gemm(false, false, out_c_, col_cols, col_rows, 1.0f,
                  weight_.value().data(), col, 0.0f,
                  out.data() + i * out_c_ * col_cols);
   }
-  if (!fuse_relu_) {
-    tensor::add_bias_channels(out.data(), n, out_c_, col_cols,
-                              bias_.value().data());
-  } else if (train) {
+  if (fuse_relu_) {
     // Fused epilogue: bias + ReLU + mask in one pass over the activations.
     float* mask = mask_.ensure(n * out_c_ * col_cols);
     tensor::add_bias_channels_relu(out.data(), n, out_c_, col_cols,
                                    bias_.value().data(), mask);
   } else {
-    tensor::add_bias_channels_relu(out.data(), n, out_c_, col_cols,
-                                   bias_.value().data());
+    tensor::add_bias_channels(out.data(), n, out_c_, col_cols,
+                              bias_.value().data());
   }
   return out;
 }
@@ -93,14 +83,12 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
     throw std::logic_error("Conv2D::backward: no training forward");
   }
   const std::size_t n = input_shape_[0];
-  const std::size_t h = input_shape_[2], w = input_shape_[3];
-  const std::size_t oh = tensor::conv_out_dim(h, k_, stride_, pad_);
-  const std::size_t ow = tensor::conv_out_dim(w, k_, stride_, pad_);
+  const tensor::ConvGeometry g = geometry(input_shape_);
   const std::size_t col_rows = in_c_ * k_ * k_;
-  const std::size_t col_cols = oh * ow;
+  const std::size_t col_cols = g.out_h() * g.out_w();
   const tensor::Shape& gs = grad_output.shape();
-  if (gs.rank() != 4 || gs[0] != n || gs[1] != out_c_ || gs[2] != oh ||
-      gs[3] != ow) {
+  if (gs.rank() != 4 || gs[0] != n || gs[1] != out_c_ || gs[2] != g.out_h() ||
+      gs[3] != g.out_w()) {
     throw std::invalid_argument("Conv2D::backward: bad grad shape " +
                                 grad_output.shape().to_string());
   }
@@ -131,8 +119,8 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
       // turns a -0.0 into +0.0.
       tensor::gemm(true, false, col_rows, col_cols, out_c_, 1.0f,
                    weight_.value().data(), dout, 0.0f, dcol);
-      tensor::col2im(dcol, in_c_, h, w, k_, k_, stride_, pad_,
-                     grad_in.data() + i * in_c_ * h * w);
+      tensor::col2im(dcol, in_c_, g.height, g.width, k_, k_, stride_, pad_,
+                     grad_in.data() + i * in_c_ * g.height * g.width);
     }
     // db += per-channel sums of dout
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -146,6 +134,10 @@ tensor::Tensor Conv2D::backward(const tensor::Tensor& grad_output,
 }
 
 std::vector<Variable*> Conv2D::variables() { return {&weight_, &bias_}; }
+
+tensor::ConvGeometry Conv2D::geometry(const tensor::Shape& input) const {
+  return {in_c_, input[2], input[3], k_, stride_, pad_};
+}
 
 DepthwiseConv2D::DepthwiseConv2D(std::string name, std::size_t channels,
                                  std::size_t kernel, std::size_t stride,
@@ -165,7 +157,7 @@ void DepthwiseConv2D::init_weights(common::Rng& rng) {
   bias_.value().fill(0.0f);
 }
 
-tensor::DepthwiseGeometry DepthwiseConv2D::geometry(
+tensor::ConvGeometry DepthwiseConv2D::geometry(
     const tensor::Shape& input) const {
   return {c_, input[2], input[3], k_, stride_, pad_};
 }
@@ -177,7 +169,7 @@ tensor::Tensor DepthwiseConv2D::forward(const tensor::Tensor& input,
                                 input.shape().to_string());
   }
   const std::size_t n = input.shape()[0];
-  const tensor::DepthwiseGeometry g = geometry(input.shape());
+  const tensor::ConvGeometry g = geometry(input.shape());
   tensor::Tensor out(tensor::Shape{n, c_, g.out_h(), g.out_w()});
   float* mask = nullptr;
   float* staged = nullptr;
@@ -197,7 +189,7 @@ tensor::Tensor DepthwiseConv2D::backward(
     throw std::logic_error("DepthwiseConv2D::backward: no training forward");
   }
   const std::size_t n = input_shape_[0];
-  const tensor::DepthwiseGeometry g = geometry(input_shape_);
+  const tensor::ConvGeometry g = geometry(input_shape_);
   const tensor::Shape& gs = grad_output.shape();
   if (gs.rank() != 4 || gs[0] != n || gs[1] != c_ || gs[2] != g.out_h() ||
       gs[3] != g.out_w()) {

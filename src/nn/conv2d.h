@@ -1,5 +1,8 @@
 // GEMM-based 2-D convolution (NCHW) via im2col, plus the depthwise variant
-// used by the MobileNet-style model in the zoo.
+// used by the MobileNet-style model in the zoo. An evaluation forward
+// (train == false) of either splits its samples over the global thread
+// pool (tensor::conv2d_forward, tensor::depthwise_conv_relu), bit for bit;
+// training forwards and backwards loop over the samples on the caller.
 #pragma once
 
 #include <string>
@@ -31,6 +34,8 @@ class Conv2D : public Layer {
   }
 
  private:
+  tensor::ConvGeometry geometry(const tensor::Shape& input) const;
+
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   bool fuse_relu_;
   Variable weight_;  // (out_c, in_c * k * k)
@@ -59,7 +64,7 @@ class DepthwiseConv2D : public Layer {
   const char* kind() const override { return "DepthwiseConv2DReLU"; }
 
  private:
-  tensor::DepthwiseGeometry geometry(const tensor::Shape& input) const;
+  tensor::ConvGeometry geometry(const tensor::Shape& input) const;
 
   std::size_t c_, k_, stride_, pad_;
   Variable weight_;  // (c, k*k)

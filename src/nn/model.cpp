@@ -22,8 +22,11 @@ void Model::init(common::Rng& rng) {
 }
 
 tensor::Tensor Model::forward(const tensor::Tensor& input, bool train) {
-  tensor::Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
+  if (layers_.empty()) return input;
+  tensor::Tensor x = layers_.front()->forward(input, train);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    x = layers_[i]->forward(x, train);
+  }
   return x;
 }
 

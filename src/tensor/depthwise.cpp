@@ -26,6 +26,7 @@
 #include <algorithm>
 
 #include "common/scratch.h"
+#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace dlion::tensor {
@@ -66,68 +67,92 @@ void taps_channels_last(const float* __restrict src, std::size_t channels,
   }
 }
 
-}  // namespace
-
-void depthwise_conv_relu(const float* input, std::size_t n,
-                         const DepthwiseGeometry& g, const float* weight,
-                         const float* bias, float* out, float* mask,
-                         float* staged) {
+// One sample of the forward: stages `input` (c, height, width) channels-last
+// into `x`, accumulates every output pixel's channels in `acc`, then writes
+// the ReLU to `out` (c, out_h, out_w) and, when non-null, its mask.
+void forward_sample(const float* input, const ConvGeometry& g,
+                    const float* wt, const float* bias, float* acc, float* x,
+                    float* __restrict out, float* __restrict mask) {
   const std::size_t c = g.channels, k = g.kernel;
-  const std::size_t hw = g.height * g.width;
   const std::size_t oh = g.out_h(), ow = g.out_w(), ohw = oh * ow;
-  common::ScratchArena& arena = common::ScratchArena::tls();
-  common::ScratchArena::Scope scope(arena);
-  float* wt = arena.alloc_floats(k * k * c);
-  taps_channels_last(weight, c, k * k, wt);
-  float* acc = arena.alloc_floats(ohw * c);
-  float* sample = staged == nullptr ? arena.alloc_floats(hw * c) : nullptr;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    float* x = staged == nullptr ? sample : staged + i * hw * c;
-    to_channels_last(input + i * c * hw, c, hw, x);
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      const TapRange ry = valid_taps(oy, g.height, k, g.stride, g.pad);
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const TapRange rx = valid_taps(ox, g.width, k, g.stride, g.pad);
-        float* __restrict a = acc + (oy * ow + ox) * c;
-        for (std::size_t ch = 0; ch < c; ++ch) a[ch] = bias[ch];
-        for (std::size_t ky = ry.lo; ky < ry.hi; ++ky) {
-          const std::size_t iy = oy * g.stride + ky - g.pad;
-          for (std::size_t kx = rx.lo; kx < rx.hi; ++kx) {
-            const std::size_t ix = ox * g.stride + kx - g.pad;
-            const float* __restrict wp = wt + (ky * k + kx) * c;
-            const float* __restrict xp = x + (iy * g.width + ix) * c;
-            for (std::size_t ch = 0; ch < c; ++ch) a[ch] += wp[ch] * xp[ch];
-          }
+  to_channels_last(input, c, g.height * g.width, x);
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    const TapRange ry = valid_taps(oy, g.height, k, g.stride, g.pad);
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      const TapRange rx = valid_taps(ox, g.width, k, g.stride, g.pad);
+      float* __restrict a = acc + (oy * ow + ox) * c;
+      for (std::size_t ch = 0; ch < c; ++ch) a[ch] = bias[ch];
+      for (std::size_t ky = ry.lo; ky < ry.hi; ++ky) {
+        const std::size_t iy = oy * g.stride + ky - g.pad;
+        for (std::size_t kx = rx.lo; kx < rx.hi; ++kx) {
+          const std::size_t ix = ox * g.stride + kx - g.pad;
+          const float* __restrict wp = wt + (ky * k + kx) * c;
+          const float* __restrict xp = x + (iy * g.width + ix) * c;
+          for (std::size_t ch = 0; ch < c; ++ch) a[ch] += wp[ch] * xp[ch];
         }
       }
     }
-    // ReLU epilogue, back to NCHW.
-    float* __restrict o = out + i * c * ohw;
-    if (mask != nullptr) {
-      float* __restrict m = mask + i * c * ohw;
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t p = 0; p < ohw; ++p) {
-          const float v = acc[p * c + ch];
-          const bool pos = v > 0.0f;
-          o[ch * ohw + p] = pos ? v : 0.0f;
-          m[ch * ohw + p] = pos ? 1.0f : 0.0f;
-        }
+  }
+  // ReLU epilogue, back to NCHW.
+  if (mask != nullptr) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      for (std::size_t p = 0; p < ohw; ++p) {
+        const float v = acc[p * c + ch];
+        const bool pos = v > 0.0f;
+        out[ch * ohw + p] = pos ? v : 0.0f;
+        mask[ch * ohw + p] = pos ? 1.0f : 0.0f;
       }
-    } else {
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t p = 0; p < ohw; ++p) {
-          const float v = acc[p * c + ch];
-          o[ch * ohw + p] = v > 0.0f ? v : 0.0f;
-        }
+    }
+  } else {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      for (std::size_t p = 0; p < ohw; ++p) {
+        const float v = acc[p * c + ch];
+        out[ch * ohw + p] = v > 0.0f ? v : 0.0f;
       }
     }
   }
 }
 
+}  // namespace
+
+void depthwise_conv_relu(const float* input, std::size_t n,
+                         const ConvGeometry& g, const float* weight,
+                         const float* bias, float* out, float* mask,
+                         float* staged) {
+  DLION_DCHECK((mask == nullptr) == (staged == nullptr),
+               "a training forward keeps both mask and staged input");
+  const std::size_t c = g.channels, k = g.kernel;
+  const std::size_t hw = g.height * g.width;
+  const std::size_t ohw = g.out_h() * g.out_w();
+  common::ScratchArena& arena = common::ScratchArena::tls();
+  common::ScratchArena::Scope scope(arena);
+  float* wt = arena.alloc_floats(k * k * c);
+  taps_channels_last(weight, c, k * k, wt);
+
+  if (staged == nullptr) {
+    // An evaluation keeps nothing per sample, so the samples split over the
+    // pool; each task stages through its own thread's arena and shares the
+    // tap-major weights read-only.
+    common::ThreadPool::global().parallel_for(0, n, [&](std::size_t i) {
+      common::ScratchArena& task_arena = common::ScratchArena::tls();
+      common::ScratchArena::Scope task_scope(task_arena);
+      float* acc = task_arena.alloc_floats(ohw * c);
+      float* x = task_arena.alloc_floats(hw * c);
+      forward_sample(input + i * c * hw, g, wt, bias, acc, x,
+                     out + i * c * ohw, nullptr);
+    });
+    return;
+  }
+  float* acc = arena.alloc_floats(ohw * c);
+  for (std::size_t i = 0; i < n; ++i) {
+    forward_sample(input + i * c * hw, g, wt, bias, acc, staged + i * hw * c,
+                   out + i * c * ohw, mask + i * c * ohw);
+  }
+}
+
 void depthwise_conv_relu_backward(const float* grad_out, const float* mask,
                                   const float* staged, std::size_t n,
-                                  const DepthwiseGeometry& g,
+                                  const ConvGeometry& g,
                                   const float* weight, float* weight_grad,
                                   float* bias_grad, float* grad_in) {
   const std::size_t c = g.channels, k = g.kernel, taps = k * k;

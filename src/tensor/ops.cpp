@@ -492,4 +492,34 @@ void col2im(const float* col, std::size_t channels, std::size_t height,
   }
 }
 
+void conv2d_forward(const float* input, std::size_t n, const ConvGeometry& g,
+                    std::size_t out_channels, const float* weight,
+                    const float* bias, bool relu, float* out) {
+  const std::size_t col_rows = g.channels * g.kernel * g.kernel;
+  const std::size_t plane = g.out_h() * g.out_w();
+  const bool pointwise = g.kernel == 1 && g.stride == 1 && g.pad == 0;
+  // A pool task calls only functions of this file: bench/e2e's traced build
+  // wraps im2col, gemm and the epilogues at their calls from other objects,
+  // and requires every wrapped call to come from the simulation thread.
+  common::ThreadPool::global().parallel_for(0, n, [&](std::size_t i) {
+    const float* col = input + i * g.channels * g.height * g.width;
+    common::ScratchArena& arena = common::ScratchArena::tls();
+    common::ScratchArena::Scope scope(arena);
+    if (!pointwise) {
+      float* cols = arena.alloc_floats(col_rows * plane);
+      im2col(col, g.channels, g.height, g.width, g.kernel, g.kernel, g.stride,
+             g.pad, cols);
+      col = cols;
+    }
+    float* o = out + i * out_channels * plane;
+    gemm(false, false, out_channels, plane, col_rows, 1.0f, weight, col, 0.0f,
+         o);
+    if (relu) {
+      add_bias_channels_relu(o, 1, out_channels, plane, bias);
+    } else {
+      add_bias_channels(o, 1, out_channels, plane, bias);
+    }
+  });
+}
+
 }  // namespace dlion::tensor

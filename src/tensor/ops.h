@@ -7,7 +7,9 @@
 // multiply-adds or more take the packed path, which parallelizes over row
 // blocks on the global thread pool while staying bit-deterministic at any
 // thread count. Smaller ones run serial register-tiled small-GEMM kernels
-// that are bit-identical to reference_gemm.
+// that are bit-identical to reference_gemm. The conv layers' evaluation
+// forwards (conv2d_forward, depthwise_conv_relu) split their samples over
+// the same pool.
 #pragma once
 
 #include <cstddef>
@@ -109,24 +111,40 @@ constexpr std::size_t conv_out_dim(std::size_t in, std::size_t k,
   return (in + 2 * pad - k) / stride + 1;
 }
 
-/// One depthwise convolution: each of `channels` (height x width) planes is
-/// convolved with its own (kernel x kernel) filter.
-struct DepthwiseGeometry {
+/// The input side of one convolution: `channels` (height x width) planes
+/// per sample, read through a (kernel x kernel) window moved by `stride`
+/// over the planes zero-padded by `pad`.
+struct ConvGeometry {
   std::size_t channels, height, width, kernel, stride, pad;
   std::size_t out_h() const { return conv_out_dim(height, kernel, stride, pad); }
   std::size_t out_w() const { return conv_out_dim(width, kernel, stride, pad); }
 };
 
+/// Evaluation forward of a conv layer over `n` NCHW samples: for each
+/// sample, im2col (skipped for a pointwise conv, whose GEMM reads the
+/// sample in place), out_i = weight * col (`weight` is (out_channels,
+/// channels * kernel^2)), then bias, and a ReLU when `relu`. `out` is (n,
+/// out_channels, out_h, out_w). The samples are split over the global
+/// thread pool, one block per party; each is exactly the per-sample
+/// im2col, gemm and add_bias_channels[_relu] sequence, so the result is bit
+/// for bit that of those calls at any pool size.
+void conv2d_forward(const float* input, std::size_t n,
+                    const ConvGeometry& geometry, std::size_t out_channels,
+                    const float* weight, const float* bias, bool relu,
+                    float* out);
+
 /// Depthwise conv + bias + ReLU over `n` NCHW samples (depthwise.cpp), with
 /// the channels in the vector lanes. `weight` is (channels, kernel^2), `out`
-/// (n, channels, out_h, out_w). `mask`, when non-null, receives 1/0 per
-/// output in `out`'s layout. `staged`, when non-null, receives each sample
-/// channels-last (n x height*width x channels floats) for the backward;
-/// otherwise samples are staged through the thread's scratch arena.
-/// Bit-identical to the scalar loop (bias, then + w*x over the valid taps in
-/// ascending (ky, kx)) followed by a separate ReLU.
+/// (n, channels, out_h, out_w). A training forward passes both `mask`, which
+/// receives 1/0 per output in `out`'s layout, and `staged`, which receives
+/// each sample channels-last (n x height*width x channels floats) for the
+/// backward. An evaluation passes neither; its samples are split over the
+/// global thread pool, one block per party, and staged through each
+/// thread's scratch arena. Bit-identical to the scalar loop (bias, then
+/// + w*x over the valid taps in ascending (ky, kx)) followed by a separate
+/// ReLU, at any pool size.
 void depthwise_conv_relu(const float* input, std::size_t n,
-                         const DepthwiseGeometry& geometry,
+                         const ConvGeometry& geometry,
                          const float* weight, const float* bias, float* out,
                          float* mask, float* staged);
 
@@ -137,7 +155,7 @@ void depthwise_conv_relu(const float* input, std::size_t n,
 /// the scalar depthwise backward.
 void depthwise_conv_relu_backward(const float* grad_out, const float* mask,
                                   const float* staged, std::size_t n,
-                                  const DepthwiseGeometry& geometry,
+                                  const ConvGeometry& geometry,
                                   const float* weight, float* weight_grad,
                                   float* bias_grad, float* grad_in);
 

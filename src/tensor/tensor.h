@@ -91,14 +91,6 @@ class Tensor {
   /// View the first `rows` rows of a rank>=1 tensor as a new tensor (copy).
   Tensor slice_rows(std::size_t begin, std::size_t end) const;
 
-  /// Release the underlying storage (rvalue only), leaving the tensor
-  /// empty. Lets a pool recycle the capacity of a dead tensor without a
-  /// copy (see pool.h).
-  std::vector<float> take_data() && {
-    shape_ = Shape{};
-    return std::move(data_);
-  }
-
  private:
   Shape shape_;
   std::vector<float> data_;

@@ -1,11 +1,13 @@
 // Bitwise conformance of MobileNet's conv layers against the algorithms
 // they replaced. DepthwiseConv2D (channels in the vector lanes, ReLU fused)
 // must equal the scalar depthwise loops followed by a separate nn::ReLU, and
-// a pointwise Conv2D (GEMMs read the input in place) must equal per-sample
-// im2col + reference_gemm followed by nn::ReLU. Compared bit for bit: the
-// forward in training and in evaluation, the input gradient, and the W and b
-// gradients, over three steps that accumulate into the same gradients and
-// reuse the layers' scratch. Inputs hold exact +0.0, -0.0 and negatives.
+// a Conv2D (pointwise GEMMs read the input in place) must equal per-sample
+// im2col + reference_gemm + bias followed by nn::ReLU. Compared bit for bit:
+// the forward in training and in evaluation, the input gradient, and the W
+// and b gradients, over three steps that accumulate into the same gradients
+// and reuse the layers' scratch. Inputs hold exact +0.0, -0.0 and negatives.
+// The evaluation forward, which splits its samples over the thread pool, is
+// also compared at pool sizes 1, 2 and 4.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "tensor/gemm_ref.h"
@@ -138,11 +141,13 @@ struct ScalarDepthwiseReLU {
   }
 };
 
-// A 1x1, stride-1, pad-0 conv the way Conv2D computed it before it read its
-// input in place: per-sample im2col + GEMM (reference_gemm, which the small
-// GEMM kernels match bit for bit), bias, and a standalone ReLU layer.
-struct Im2colPointwiseReLU {
-  std::size_t in_c, out_c;
+// A conv the way Conv2D computed it before a pointwise conv read its input
+// in place and an evaluation split its samples over the pool: per-sample
+// im2col + GEMM (reference_gemm, which the small GEMM kernels match bit for
+// bit), bias, and a standalone ReLU layer when `relu`.
+struct Im2colConvReLU {
+  std::size_t in_c, out_c, k, stride, pad;
+  bool relu_after;
   tensor::Tensor weight, bias, weight_grad, bias_grad;
   tensor::Shape input_shape;
   std::vector<float> cols;
@@ -151,49 +156,51 @@ struct Im2colPointwiseReLU {
   tensor::Tensor forward(const tensor::Tensor& input, bool train) {
     const std::size_t n = input.shape()[0];
     const std::size_t h = input.shape()[2], w = input.shape()[3];
-    const std::size_t plane = h * w;
-    std::vector<float> col(in_c * plane);
+    const std::size_t oh = tensor::conv_out_dim(h, k, stride, pad);
+    const std::size_t ow = tensor::conv_out_dim(w, k, stride, pad);
+    const std::size_t col_size = in_c * k * k * oh * ow;
+    std::vector<float> col(col_size);
     if (train) {
       input_shape = input.shape();
-      cols.assign(n * in_c * plane, 0.0f);
+      cols.assign(n * col_size, 0.0f);
     }
-    tensor::Tensor out(tensor::Shape{n, out_c, h, w});
+    tensor::Tensor out(tensor::Shape{n, out_c, oh, ow});
     for (std::size_t i = 0; i < n; ++i) {
-      tensor::im2col(input.data() + i * in_c * plane, in_c, h, w, 1, 1, 1, 0,
-                     col.data());
-      if (train) {
-        std::copy(col.begin(), col.end(), cols.begin() + i * in_c * plane);
-      }
-      tensor::reference_gemm(false, false, out_c, plane, in_c, 1.0f,
+      tensor::im2col(input.data() + i * in_c * h * w, in_c, h, w, k, k, stride,
+                     pad, col.data());
+      if (train) std::copy(col.begin(), col.end(), cols.begin() + i * col_size);
+      tensor::reference_gemm(false, false, out_c, oh * ow, in_c * k * k, 1.0f,
                              weight.data(), col.data(), 0.0f,
-                             out.data() + i * out_c * plane);
+                             out.data() + i * out_c * oh * ow);
       for (std::size_t oc = 0; oc < out_c; ++oc) {
-        float* p = out.data() + (i * out_c + oc) * plane;
-        for (std::size_t x = 0; x < plane; ++x) p[x] += bias[oc];
+        float* p = out.data() + (i * out_c + oc) * oh * ow;
+        for (std::size_t x = 0; x < oh * ow; ++x) p[x] += bias[oc];
       }
     }
-    return relu.forward(out, train);
+    return relu_after ? relu.forward(out, train) : out;
   }
 
-  tensor::Tensor backward(const tensor::Tensor& relu_grad_output,
+  tensor::Tensor backward(const tensor::Tensor& grad_output,
                           bool need_input_grad) {
-    const tensor::Tensor dy = relu.backward(relu_grad_output, true);
+    const tensor::Tensor dy =
+        relu_after ? relu.backward(grad_output, true) : grad_output;
     const std::size_t n = input_shape[0];
     const std::size_t h = input_shape[2], w = input_shape[3];
-    const std::size_t plane = h * w;
+    const std::size_t plane = dy.shape()[2] * dy.shape()[3];
+    const std::size_t col_rows = in_c * k * k;
     tensor::Tensor grad_in;
-    std::vector<float> dcol(in_c * plane);
+    std::vector<float> dcol(col_rows * plane);
     if (need_input_grad) grad_in = tensor::Tensor(input_shape);
     for (std::size_t i = 0; i < n; ++i) {
       const float* dout = dy.data() + i * out_c * plane;
-      tensor::reference_gemm(false, true, out_c, in_c, plane, 1.0f, dout,
-                             cols.data() + i * in_c * plane, 1.0f,
+      tensor::reference_gemm(false, true, out_c, col_rows, plane, 1.0f, dout,
+                             cols.data() + i * col_rows * plane, 1.0f,
                              weight_grad.data());
       if (need_input_grad) {
-        tensor::reference_gemm(true, false, in_c, plane, out_c, 1.0f,
+        tensor::reference_gemm(true, false, col_rows, plane, out_c, 1.0f,
                                weight.data(), dout, 0.0f, dcol.data());
-        tensor::col2im(dcol.data(), in_c, h, w, 1, 1, 1, 0,
-                       grad_in.data() + i * in_c * plane);
+        tensor::col2im(dcol.data(), in_c, h, w, k, k, stride, pad,
+                       grad_in.data() + i * in_c * h * w);
       }
       for (std::size_t oc = 0; oc < out_c; ++oc) {
         float acc = 0.0f;
@@ -309,14 +316,143 @@ TEST(PointwiseConvConformance, BitIdenticalToIm2colGemmPlusReLU) {
                      ", batch " + std::to_string(batch) +
                      (need_input_grad ? ", input grad" : ", no input grad"));
         Conv2D layer("pw", pc.in_c, pc.out_c, 1, 1, 0, /*fuse_relu=*/true);
-        Im2colPointwiseReLU oracle{pc.in_c, pc.out_c, {}, {}, {}, {},
-                                   {}, {}, {}};
+        Im2colConvReLU oracle{pc.in_c, pc.out_c, 1, 1, 0, true, {}, {},
+                              {}, {}, {}, {}, {}};
         expect_steps_match(layer, oracle,
                            tensor::Shape{batch, pc.in_c, pc.size, pc.size},
                            need_input_grad, ++seed);
       }
     }
   }
+}
+
+struct ConvCase {
+  std::size_t in_c, out_c, kernel, stride, pad, size;
+  bool relu;
+};
+
+std::string describe(const ConvCase& cc) {
+  return std::to_string(cc.in_c) + "->" + std::to_string(cc.out_c) + " k" +
+         std::to_string(cc.kernel) + " s" + std::to_string(cc.stride) + " p" +
+         std::to_string(cc.pad) + " @ " + std::to_string(cc.size) + "x" +
+         std::to_string(cc.size) + (cc.relu ? " + ReLU" : "");
+}
+
+// Convs that expand their input with im2col: MobileNet-20's stem, the
+// cipher CNN's first conv on a smaller image, and layers without a ReLU.
+const std::vector<ConvCase> kIm2colCases = {{3, 12, 3, 2, 1, 12, true},
+                                            {1, 10, 5, 1, 2, 14, true},
+                                            {3, 5, 3, 1, 1, 5, false},
+                                            {2, 3, 3, 2, 0, 7, false}};
+
+TEST(ConvConformance, Im2colShapesBitIdenticalToIm2colGemm) {
+  std::uint64_t seed = 300;
+  for (const ConvCase& cc : kIm2colCases) {
+    for (std::size_t batch : {1u, 33u}) {
+      for (bool need_input_grad : {true, false}) {
+        SCOPED_TRACE(describe(cc) + ", batch " + std::to_string(batch) +
+                     (need_input_grad ? ", input grad" : ", no input grad"));
+        Conv2D layer("conv", cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad,
+                     cc.relu);
+        Im2colConvReLU oracle{cc.in_c, cc.out_c, cc.kernel, cc.stride,
+                              cc.pad,  cc.relu,  {},        {},
+                              {},      {},       {},        {},
+                              {}};
+        expect_steps_match(layer, oracle,
+                           tensor::Shape{batch, cc.in_c, cc.size, cc.size},
+                           need_input_grad, ++seed);
+      }
+    }
+  }
+}
+
+// The evaluation forward splits its samples over the global pool, one block
+// per party. It is compared at pool sizes 1, 2 and 4 with batches of 1, 33
+// (blocks of unequal size) and 512 (the benchmark's evaluation batch: 128
+// samples per party at 4).
+template <typename Oracle>
+void expect_evaluation_matches_at_pool_sizes(Layer& layer, Oracle& oracle,
+                                             std::size_t channels,
+                                             std::size_t size,
+                                             std::uint64_t seed) {
+  common::Rng rng(seed);
+  share_state(layer, oracle, rng);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    common::ThreadPool::reset_global_for_testing(threads);
+    for (std::size_t batch : {1u, 33u, 512u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, batch " +
+                   std::to_string(batch));
+      const tensor::Tensor x =
+          signed_zero_tensor(tensor::Shape{batch, channels, size, size}, rng);
+      expect_bitwise_equal(layer.forward(x, /*train=*/false),
+                           oracle.forward(x, false), "evaluation forward");
+    }
+  }
+  common::ThreadPool::reset_global_for_testing(0);
+}
+
+TEST(DepthwiseConvConformance, EvaluationBitIdenticalAtPoolSizes1To4) {
+  const std::vector<DepthwiseCase> cases = {
+      {12, 6, 1}, {24, 6, 2}, {48, 3, 1}, {48, 3, 2}, {5, 7, 2}};
+  std::uint64_t seed = 400;
+  for (const DepthwiseCase& dc : cases) {
+    SCOPED_TRACE(std::to_string(dc.channels) + " ch @ " +
+                 std::to_string(dc.size) + " s" + std::to_string(dc.stride));
+    DepthwiseConv2D layer("dw", dc.channels, 3, dc.stride, 1);
+    ScalarDepthwiseReLU oracle{dc.channels, 3, dc.stride, 1, {}, {},
+                               {}, {}, {}, {}};
+    expect_evaluation_matches_at_pool_sizes(layer, oracle, dc.channels,
+                                            dc.size, ++seed);
+  }
+}
+
+TEST(ConvConformance, EvaluationBitIdenticalAtPoolSizes1To4) {
+  // MobileNet-20's four pointwise convs, an odd pointwise width, then the
+  // im2col shapes.
+  std::vector<ConvCase> cases = {{12, 24, 1, 1, 0, 6, true},
+                                 {24, 48, 1, 1, 0, 3, true},
+                                 {48, 48, 1, 1, 0, 3, true},
+                                 {48, 96, 1, 1, 0, 2, true},
+                                 {5, 7, 1, 1, 0, 1, true}};
+  cases.insert(cases.end(), kIm2colCases.begin(), kIm2colCases.end());
+  std::uint64_t seed = 500;
+  for (const ConvCase& cc : cases) {
+    SCOPED_TRACE(describe(cc));
+    Conv2D layer("conv", cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad,
+                 cc.relu);
+    Im2colConvReLU oracle{cc.in_c, cc.out_c, cc.kernel, cc.stride,
+                          cc.pad,  cc.relu,  {},        {},
+                          {},      {},       {},        {},
+                          {}};
+    expect_evaluation_matches_at_pool_sizes(layer, oracle, cc.in_c, cc.size,
+                                            ++seed);
+  }
+}
+
+// A per-sample GEMM above the packed path's fan-out threshold (128 x 64 x
+// 576, about 9.4 MFLOP in two row blocks) issues its own parallel_for from
+// inside an evaluation task. On a worker that call runs inline, so the
+// evaluation neither deadlocks nor changes a bit: it equals the training
+// forward, which loops over the samples on the caller.
+TEST(ConvConformance, EvaluationWithNestedPackedGemmMatchesTraining) {
+  Conv2D layer("wide", 64, 128, 3, 1, 1, /*fuse_relu=*/true);
+  common::Rng rng(600);
+  const std::vector<Variable*> vars = layer.variables();
+  vars[0]->value() = signed_zero_tensor(vars[0]->value().shape(), rng);
+  vars[1]->value() = signed_zero_tensor(vars[1]->value().shape(), rng);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    common::ThreadPool::reset_global_for_testing(threads);
+    for (std::size_t batch : {1u, 9u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, batch " +
+                   std::to_string(batch));
+      const tensor::Tensor x =
+          signed_zero_tensor(tensor::Shape{batch, 64, 8, 8}, rng);
+      const tensor::Tensor trained = layer.forward(x, /*train=*/true);
+      expect_bitwise_equal(layer.forward(x, /*train=*/false), trained,
+                           "evaluation forward");
+    }
+  }
+  common::ThreadPool::reset_global_for_testing(0);
 }
 
 }  // namespace
