@@ -308,11 +308,22 @@ struct LinkSelectionStats {
   std::size_t selections_per_iteration = 0;  ///< distinct payloads made
   double iterations_per_sec = 0.0;
   double fresh_iterations_per_sec = 0.0;
-  bool bitmatch = false;
+  double top_k_us = 0.0;            ///< select_top_k_mags on the 4096 layer
+  double reference_top_k_us = 0.0;  ///< reference_select_top_k_mags, same
+  bool bitmatch = false;            ///< shared == one prioritizer per link
+  bool bitmatch_reference = false;  ///< every selection == the reference's
 };
 
 constexpr std::size_t kIntraLinks = 7;
 constexpr std::size_t kInterLinks = 56;
+/// Seeded gradients the selection benches rotate through. On one repeated
+/// gradient, branch prediction memorises the selection's path, and a
+/// top-k timed that way reads several times faster than on fresh input.
+constexpr std::size_t kGradients = 16;
+/// The top-k micro-benchmark's shape: cipher-lite's fc1 weights at the
+/// ~5% inter-micro-cloud budget.
+constexpr std::size_t kTopKElems = 4096;
+constexpr std::size_t kTopK = 204;
 
 /// DLion's per-link selection for one sender on the scale64-dlion link
 /// shape: a cipher-lite gradient fans out to 63 peers, 7 inside its
@@ -320,18 +331,26 @@ constexpr std::size_t kInterLinks = 56;
 /// make_scale_environment(64)). The shared path is one LinkPrioritizer per
 /// iteration, which selects once per distinct (variable, k); the fresh path
 /// builds a prioritizer per link, so every link redoes its own magnitude
-/// pass, floor count and top-k.
+/// pass, floor count and top-k. Iteration i selects on gradient
+/// i mod kGradients.
 LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
   using dlion::comm::VariableGrad;
   using dlion::core::LinkContext;
   using dlion::core::LinkPrioritizer;
   dlion::common::Rng rng(31);
-  auto bm = dlion::nn::make_cipher_lite(rng);
-  for (dlion::nn::Variable* v : bm.model.variables()) {
-    for (auto& g : v->grad().span()) {
-      g = static_cast<float>(rng.normal(0.0, 1.0));
+  std::vector<dlion::nn::BuiltModel> models;
+  models.reserve(kGradients);
+  for (std::size_t g = 0; g < kGradients; ++g) {
+    models.push_back(dlion::nn::make_cipher_lite(rng));
+    for (dlion::nn::Variable* v : models.back().model.variables()) {
+      for (auto& x : v->grad().span()) {
+        x = static_cast<float>(rng.normal(0.0, 1.0));
+      }
     }
   }
+  const auto model_of = [&](std::uint64_t iter) -> const dlion::nn::Model& {
+    return models[iter % kGradients].model;
+  };
   dlion::comm::PayloadArena arena;
   // Budgets of ~18% (intra) and ~5% (inter) of the model's entries.
   std::vector<LinkContext> links(kIntraLinks + kInterLinks);
@@ -346,8 +365,9 @@ LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
     double last_n;
     std::size_t last_entries;
   };
-  const auto generate = [&](LinkPrioritizer& lp, const LinkContext& ctx) {
-    LinkOut out{lp.generate(bm.model, ctx), 0.0, 0};
+  const auto generate = [](LinkPrioritizer& lp, const dlion::nn::Model& model,
+                           const LinkContext& ctx) {
+    LinkOut out{lp.generate(model, ctx), 0.0, 0};
     out.last_n = lp.last_n();
     out.last_entries = lp.last_entries();
     return out;
@@ -355,56 +375,82 @@ LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
   LinkPrioritizer shared_lp({});
   const auto shared_iteration = [&](std::uint64_t iter,
                                     std::vector<LinkOut>* keep) {
-    shared_lp.begin_iteration(bm.model, iter);
+    const dlion::nn::Model& model = model_of(iter);
+    shared_lp.begin_iteration(model, iter);
     for (LinkContext ctx : links) {
       ctx.iteration = iter;
-      LinkOut out = generate(shared_lp, ctx);
+      LinkOut out = generate(shared_lp, model, ctx);
       if (keep != nullptr) keep->push_back(std::move(out));
     }
   };
   const auto fresh_iteration = [&](std::uint64_t iter,
                                    std::vector<LinkOut>* keep) {
+    const dlion::nn::Model& model = model_of(iter);
     for (LinkContext ctx : links) {
       ctx.iteration = iter;
       LinkPrioritizer lp({});
-      lp.begin_iteration(bm.model, iter);
-      LinkOut out = generate(lp, ctx);
+      lp.begin_iteration(model, iter);
+      LinkOut out = generate(lp, model, ctx);
       if (keep != nullptr) keep->push_back(std::move(out));
     }
   };
 
-  std::vector<LinkOut> shared, fresh;
-  shared_iteration(0, &shared);
-  fresh_iteration(0, &fresh);
   LinkSelectionStats s;
-  s.variables = bm.model.num_variables();
-  s.bitmatch = shared.size() == fresh.size();
-  for (std::size_t l = 0; s.bitmatch && l < shared.size(); ++l) {
-    const LinkOut& a = shared[l];
-    const LinkOut& b = fresh[l];
-    s.bitmatch = a.vars.size() == b.vars.size() &&
-                 std::memcmp(&a.last_n, &b.last_n, sizeof(double)) == 0 &&
-                 a.last_entries == b.last_entries;
-    for (std::size_t v = 0; s.bitmatch && v < a.vars.size(); ++v) {
-      s.bitmatch = a.vars[v].var_index == b.vars[v].var_index &&
-                   a.vars[v].dense_size == b.vars[v].dense_size &&
-                   a.vars[v].indices == b.vars[v].indices &&
-                   a.vars[v].values == b.vars[v].values;
+  s.variables = models.front().model.num_variables();
+  s.bitmatch = true;
+  s.bitmatch_reference = true;
+  std::vector<float> mags;
+  for (std::uint64_t iter = 0; iter < kGradients; ++iter) {
+    std::vector<LinkOut> shared, fresh;
+    shared_iteration(iter, &shared);
+    fresh_iteration(iter, &fresh);
+    s.bitmatch = s.bitmatch && shared.size() == fresh.size();
+    for (std::size_t l = 0; s.bitmatch && l < shared.size(); ++l) {
+      const LinkOut& a = shared[l];
+      const LinkOut& b = fresh[l];
+      s.bitmatch = a.vars.size() == b.vars.size() &&
+                   std::memcmp(&a.last_n, &b.last_n, sizeof(double)) == 0 &&
+                   a.last_entries == b.last_entries;
+      for (std::size_t v = 0; s.bitmatch && v < a.vars.size(); ++v) {
+        s.bitmatch = a.vars[v].var_index == b.vars[v].var_index &&
+                     a.vars[v].dense_size == b.vars[v].dense_size &&
+                     a.vars[v].indices == b.vars[v].indices &&
+                     a.vars[v].values == b.vars[v].values;
+      }
     }
-  }
-  for (std::size_t v = 0; v < s.variables; ++v) {
-    std::vector<const float*> payloads;
+    // Every selection, and the threshold it reports, against the routine
+    // the threshold pass replaced.
+    const auto vars = model_of(iter).variables();
     for (const LinkOut& out : shared) {
-      payloads.push_back(out.vars[v].values.data());
+      for (std::size_t v = 0; v < vars.size(); ++v) {
+        const auto grad = vars[v]->grad().span();
+        dlion::core::magnitudes(grad, mags);
+        const VariableGrad& got = out.vars[v];
+        const std::size_t k = got.num_entries();
+        const auto var = static_cast<std::uint32_t>(v);
+        float kth = -1.0f, ref_kth = -1.0f;
+        dlion::core::select_top_k_mags(grad, mags, var, k, &kth);
+        const VariableGrad ref = dlion::core::reference_select_top_k_mags(
+            grad, mags, var, k, &ref_kth);
+        s.bitmatch_reference = s.bitmatch_reference &&
+                               got.indices == ref.indices &&
+                               got.values == ref.values &&
+                               std::memcmp(&kth, &ref_kth, sizeof kth) == 0;
+      }
     }
-    std::sort(payloads.begin(), payloads.end());
-    s.selections_per_iteration += static_cast<std::size_t>(
-        std::unique(payloads.begin(), payloads.end()) - payloads.begin());
+    if (iter != 0) continue;
+    for (std::size_t v = 0; v < s.variables; ++v) {
+      std::vector<const float*> payloads;
+      for (const LinkOut& out : shared) {
+        payloads.push_back(out.vars[v].values.data());
+      }
+      std::sort(payloads.begin(), payloads.end());
+      s.selections_per_iteration += static_cast<std::size_t>(
+          std::unique(payloads.begin(), payloads.end()) - payloads.begin());
+    }
   }
-  shared.clear();
-  fresh.clear();
 
-  std::uint64_t iter = 1;
+  std::uint64_t iter = kGradients;
   const double t_shared = time_best(3, [&] {
     for (int i = 0; i < shared_iters; ++i) shared_iteration(iter++, nullptr);
   });
@@ -413,6 +459,36 @@ LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
   });
   s.iterations_per_sec = shared_iters / t_shared;
   s.fresh_iterations_per_sec = fresh_iters / t_fresh;
+
+  // One top-k on the 4096-entry layer, rotating through the gradients.
+  std::vector<std::span<const float>> grads;
+  std::vector<std::vector<float>> grad_mags(kGradients);
+  for (std::size_t g = 0; g < kGradients; ++g) {
+    for (const dlion::nn::Variable* v : models[g].model.variables()) {
+      if (v->grad().span().size() == kTopKElems) {
+        grads.push_back(v->grad().span());
+        dlion::core::magnitudes(grads.back(), grad_mags[g]);
+        break;
+      }
+    }
+  }
+  const auto time_top_k = [&](auto select) {
+    constexpr int kCalls = 2000;
+    const double t = time_best(3, [&] {
+      for (int c = 0; c < kCalls; ++c) {
+        const std::size_t g = static_cast<std::size_t>(c) % grads.size();
+        const VariableGrad vg = select(grads[g], grad_mags[g]);
+        if (vg.num_entries() != kTopK) std::abort();  // keep the work live
+      }
+    });
+    return t / kCalls * 1e6;
+  };
+  s.top_k_us = time_top_k([](auto grad, const std::vector<float>& m) {
+    return dlion::core::select_top_k_mags(grad, m, 0, kTopK);
+  });
+  s.reference_top_k_us = time_top_k([](auto grad, const std::vector<float>& m) {
+    return dlion::core::reference_select_top_k_mags(grad, m, 0, kTopK);
+  });
   return s;
 }
 
@@ -761,6 +837,7 @@ int main(int argc, char** argv) {
   j += "  \"link_selection\": {\n";
   j += "    \"model\": \"cipher-lite\", \"variables\": " +
        std::to_string(links.variables) +
+       ", \"gradients\": " + std::to_string(kGradients) +
        ", \"intra_links\": " + std::to_string(kIntraLinks) +
        ", \"inter_links\": " + std::to_string(kInterLinks) + ",\n";
   j += "    \"selections_per_iteration\": " +
@@ -772,8 +849,14 @@ int main(int argc, char** argv) {
   j += "    \"speedup_vs_fresh\": " +
        fmt(links.iterations_per_sec / links.fresh_iterations_per_sec, 2) +
        ",\n";
+  j += "    \"top_k_us\": {\"n\": " + std::to_string(kTopKElems) +
+       ", \"k\": " + std::to_string(kTopK) +
+       ", \"threshold\": " + fmt(links.top_k_us, 2) +
+       ", \"reference\": " + fmt(links.reference_top_k_us, 2) + "},\n";
   j += "    \"bitmatch_vs_fresh\": ";
   j += links.bitmatch ? "true" : "false";
+  j += ",\n    \"bitmatch_vs_reference\": ";
+  j += links.bitmatch_reference ? "true" : "false";
   j += "\n  },\n";
   j += "  \"comm\": {\n";
   j += "    \"slots\": 4, \"peers\": 3, \"exchanges\": 100,\n";
@@ -865,9 +948,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kPrePrAllocsPerRecord),
               static_cast<unsigned long long>(kPrePrAllocsPerRecord));
   std::printf("[hotpath] link selection: %.0f it/s shared vs %.0f it/s fresh "
-              "per link, %zu selections/iteration, bitmatch %s\n",
+              "per link, %zu selections/iteration, bitmatch %s, vs "
+              "reference %s\n",
               links.iterations_per_sec, links.fresh_iterations_per_sec,
-              links.selections_per_iteration, links.bitmatch ? "yes" : "NO");
+              links.selections_per_iteration, links.bitmatch ? "yes" : "NO",
+              links.bitmatch_reference ? "yes" : "NO");
+  std::printf("[hotpath] top-k n=%zu k=%zu: %.2f us threshold, %.2f us "
+              "reference\n",
+              kTopKElems, kTopK, links.top_k_us, links.reference_top_k_us);
   std::printf("[hotpath] determinism bitmatch: %s\n",
               bitmatch ? "yes" : "NO");
   const bool small_bitmatch =
@@ -876,5 +964,8 @@ int main(int argc, char** argv) {
   std::printf("[hotpath] small GEMM bitmatch vs reference: %s\n",
               small_bitmatch ? "yes" : "NO");
   std::printf("[hotpath] wrote %s\n", out_path.c_str());
-  return bitmatch && small_bitmatch && links.bitmatch ? 0 : 2;
+  return bitmatch && small_bitmatch && links.bitmatch &&
+                 links.bitmatch_reference
+             ? 0
+             : 2;
 }

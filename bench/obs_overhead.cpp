@@ -292,7 +292,8 @@ int main(int argc, char** argv) {
   //     compute_critical_path consumes).
   // Reps are interleaved round-robin (rep 0 of each config, then rep 1 of
   // each, ...) so slow drift in machine load biases all configurations
-  // equally instead of whichever ran last.
+  // equally instead of whichever ran last. Round r starts at configuration
+  // r mod 4, so no configuration always runs first.
   const MakeObs makers[4] = {
       [] { return std::unique_ptr<obs::Observability>(); },
       [] {
@@ -309,7 +310,8 @@ int main(int argc, char** argv) {
   };
   Timed timed[4];
   for (int r = 0; r < reps; ++r) {
-    for (int c = 0; c < 4; ++c) {
+    for (int i = 0; i < 4; ++i) {
+      const int c = (i + r) % 4;
       run_rep(spec, workload, makers[c], c, timed[c]);
     }
   }

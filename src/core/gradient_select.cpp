@@ -1,7 +1,10 @@
 #include "core/gradient_select.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -16,13 +19,18 @@ void check_n(double n) {
   }
 }
 
-/// Thread-local (indices, values) staging vectors shared by all selectors.
+/// Thread-local buffers shared by all selectors: the (indices, values)
+/// staging vectors, the top-k search's histogram and, for the selectors that
+/// take no magnitudes, the magnitudes. The top-k search keeps its candidate
+/// bit patterns in `idx` until the selected indices replace them.
 /// Selection runs here, then the result is packed into payload storage in
 /// one production write - steady-state selection touches the heap only
 /// until the workspace capacity has warmed up.
 struct SelectWorkspace {
   std::vector<std::uint32_t> idx;
   std::vector<float> vals;
+  std::vector<float> mags;
+  std::array<std::uint32_t, 2048> hist{};
 
   static SelectWorkspace& tls() {
     thread_local SelectWorkspace ws;
@@ -190,20 +198,123 @@ std::size_t count_max_n_mags(std::span<const float> mags, float max_abs,
 }
 
 namespace {
-comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
-                                          std::span<const float> mags,
-                                          std::uint32_t var_index,
-                                          std::size_t k, float* kth_mag,
-                                          comm::PayloadWriter* writer) {
-  if (k >= grad.size()) return dense_grad_impl(grad, var_index, writer);
-  comm::VariableGrad v;
-  v.var_index = var_index;
-  v.dense_size = static_cast<std::uint32_t>(grad.size());
-  if (k == 0) return v;
+/// Bit pattern of +inf. A non-negative float that is not NaN has a pattern
+/// at most this, and such floats order like their patterns, so the
+/// selection can compare magnitudes as unsigned integers.
+constexpr std::uint32_t kInfBits = 0x7F800000u;
+
+std::uint32_t mag_bits(float m) { return std::bit_cast<std::uint32_t>(m); }
+
+template <typename T>
+T* at_least(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
+
+/// Where the k-th largest magnitude lies: its bit pattern, and how many of
+/// the entries equal to it are among the first k in (|g| descending, index
+/// ascending) order.
+struct KthMag {
+  std::uint32_t bits = 0;
+  std::size_t ties = 0;
+};
+
+/// Walk `hist` down from bucket `top` to the bucket holding the `rank`-th
+/// largest key (1-based), leaving in `rank` the key's rank inside it.
+std::uint32_t walk_down(const std::uint32_t* hist, std::uint32_t top,
+                        std::size_t& rank) {
+  std::uint32_t d = top;
+  while (hist[d] < rank) rank -= hist[d--];
+  return d;
+}
+
+/// Where the k-th largest of `mags` lies, for 0 < k <= mags.size(), found
+/// by a radix select over the magnitudes' bit patterns. Level one histograms
+/// bits 30..20 (exponent and three mantissa bits) over all n; the entries in
+/// the bucket holding the k-th largest are gathered, and three more levels
+/// (bits 19..12, 11..4, 3..0) narrow them to one pattern. The rank left over
+/// by the last walk is the number of ties to take. Returns false, after the
+/// first pass, when a magnitude is NaN (or negative): those have no order
+/// to select by.
+bool kth_largest(std::span<const float> mags, std::size_t k,
+                 SelectWorkspace& ws, KthMag& out) {
+  std::uint32_t* hist = ws.hist.data();
+  std::fill_n(hist, ws.hist.size(), 0u);
+  const float* __restrict m = mags.data();
+  const std::size_t n = mags.size();
+  std::uint32_t max_bits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t b = mag_bits(m[i]);
+    ++hist[(b >> 20) & 0x7FFu];  // the mask only matters for a set sign bit
+    max_bits = b > max_bits ? b : max_bits;
+  }
+  if (max_bits > kInfBits) return false;
+  std::size_t rank = k;
+  const std::uint32_t d1 = walk_down(hist, max_bits >> 20, rank);
+  // The loop below writes one slot past the last candidate.
+  std::uint32_t* __restrict cand = at_least(ws.idx, n + 1);
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t b = mag_bits(m[i]);
+    cand[c] = b;
+    c += (b >> 20) == d1;
+  }
+  std::uint32_t key = d1 << 20;
+  constexpr struct { unsigned shift, mask; } kLevels[] = {
+      {12, 0xFF}, {4, 0xFF}, {0, 0xF}};
+  for (const auto& lv : kLevels) {
+    std::fill_n(hist, lv.mask + 1, 0u);
+    std::uint32_t top = 0;
+    for (std::size_t j = 0; j < c; ++j) {
+      const std::uint32_t d = (cand[j] >> lv.shift) & lv.mask;
+      ++hist[d];
+      top = d > top ? d : top;
+    }
+    const std::uint32_t d = walk_down(hist, top, rank);
+    key |= d << lv.shift;
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < c; ++j) {
+      cand[kept] = cand[j];
+      kept += ((cand[j] >> lv.shift) & lv.mask) == d;
+    }
+    c = kept;
+  }
+  out = {key, rank};
+  return true;
+}
+
+/// Stage the top-k selection in ws.idx / ws.vals, by ascending index: one
+/// branch-free pass keeps every entry above the k-th largest magnitude and
+/// the first `ties` entries equal to it.
+void gather_top_k(std::span<const float> grad, std::span<const float> mags,
+                  std::size_t k, KthMag t, SelectWorkspace& ws) {
+  // Every entry is written at the cursor before the cursor decides whether
+  // to advance, so the buffers need one slot past the k kept entries.
+  std::uint32_t* __restrict idx = at_least(ws.idx, k + 1);
+  float* __restrict vals = at_least(ws.vals, k + 1);
+  const float* __restrict g = grad.data();
+  const float* __restrict m = mags.data();
+  std::size_t ties = t.ties;
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    const std::uint32_t b = mag_bits(m[i]);
+    const std::size_t tie = (b == t.bits) & (ties != 0);
+    ties -= tie;
+    idx[out] = static_cast<std::uint32_t>(i);
+    vals[out] = g[i];
+    out += (b > t.bits) | tie;
+  }
+}
+
+/// The selection before the threshold pass, kept verbatim: an indirect
+/// nth_element by (|g| descending, index ascending), then an index sort.
+/// Stages the result in ws.idx / ws.vals.
+void stage_reference_top_k(std::span<const float> grad,
+                           std::span<const float> mags, std::size_t k,
+                           float* kth_mag, SelectWorkspace& ws) {
   // Partial sort of indices by |g| descending, index ascending on ties.
   // The comparator reads the precomputed magnitudes: nth_element invokes it
   // O(n log n) times in the worst case, so hoisting fabs out of it matters.
-  SelectWorkspace& ws = SelectWorkspace::tls();
   auto& idx = ws.idx;
   idx.resize(grad.size());
   for (std::size_t i = 0; i < grad.size(); ++i) {
@@ -229,7 +340,28 @@ comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
   auto& vals = ws.vals;
   vals.resize(k);
   for (std::size_t i = 0; i < k; ++i) vals[i] = grad[idx[i]];
-  emit_selection(v, idx, vals, writer);
+}
+
+comm::VariableGrad select_top_k_mags_impl(std::span<const float> grad,
+                                          std::span<const float> mags,
+                                          std::uint32_t var_index,
+                                          std::size_t k, float* kth_mag,
+                                          comm::PayloadWriter* writer,
+                                          bool reference = false) {
+  if (k >= grad.size()) return dense_grad_impl(grad, var_index, writer);
+  comm::VariableGrad v;
+  v.var_index = var_index;
+  v.dense_size = static_cast<std::uint32_t>(grad.size());
+  if (k == 0) return v;
+  SelectWorkspace& ws = SelectWorkspace::tls();
+  KthMag t;
+  if (!reference && kth_largest(mags, k, ws, t)) {
+    gather_top_k(grad, mags, k, t, ws);
+    if (kth_mag != nullptr) *kth_mag = std::bit_cast<float>(t.bits);
+  } else {
+    stage_reference_top_k(grad, mags, k, kth_mag, ws);
+  }
+  emit_selection(v, {ws.idx.data(), k}, {ws.vals.data(), k}, writer);
   return v;
 }
 }  // namespace
@@ -249,21 +381,30 @@ comm::VariableGrad select_top_k_mags(std::span<const float> grad,
   return select_top_k_mags_impl(grad, mags, var_index, k, kth_mag, &writer);
 }
 
+comm::VariableGrad reference_select_top_k_mags(std::span<const float> grad,
+                                               std::span<const float> mags,
+                                               std::uint32_t var_index,
+                                               std::size_t k,
+                                               float* kth_mag) {
+  return select_top_k_mags_impl(grad, mags, var_index, k, kth_mag, nullptr,
+                                /*reference=*/true);
+}
+
 comm::VariableGrad select_top_k(std::span<const float> grad,
                                 std::uint32_t var_index, std::size_t k) {
   if (k >= grad.size()) return dense_grad(grad, var_index);
-  std::vector<float> mags;
+  std::vector<float>& mags = SelectWorkspace::tls().mags;
   magnitudes(grad, mags);
-  return select_top_k_mags(grad, mags, var_index, k);
+  return select_top_k_mags_impl(grad, mags, var_index, k, nullptr, nullptr);
 }
 
 comm::VariableGrad select_top_k(std::span<const float> grad,
                                 std::uint32_t var_index, std::size_t k,
                                 comm::PayloadWriter& writer) {
   if (k >= grad.size()) return dense_grad(grad, var_index, writer);
-  std::vector<float> mags;
+  std::vector<float>& mags = SelectWorkspace::tls().mags;
   magnitudes(grad, mags);
-  return select_top_k_mags(grad, mags, var_index, k, writer);
+  return select_top_k_mags_impl(grad, mags, var_index, k, nullptr, &writer);
 }
 
 double equivalent_n_from_threshold(float max_abs, float kth_mag) {
@@ -274,14 +415,19 @@ double equivalent_n_from_threshold(float max_abs, float kth_mag) {
 double equivalent_n(std::span<const float> grad, std::size_t k) {
   if (grad.empty() || k >= grad.size()) return 100.0;
   if (k == 0) return 0.0;
-  std::vector<float> mags;
-  const float mx = magnitudes(grad, mags);
+  SelectWorkspace& ws = SelectWorkspace::tls();
+  const float mx = magnitudes(grad, ws.mags);
   if (mx == 0.0f) return 100.0;
   // k-th largest magnitude is the effective threshold.
-  std::nth_element(mags.begin(),
-                   mags.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   mags.end(), std::greater<>());
-  return equivalent_n_from_threshold(mx, mags[k - 1]);
+  KthMag t;
+  if (kth_largest(ws.mags, k, ws, t)) {
+    return equivalent_n_from_threshold(mx, std::bit_cast<float>(t.bits));
+  }
+  // A NaN magnitude: the partial sort this replaced, whose pick is arbitrary.
+  std::nth_element(ws.mags.begin(),
+                   ws.mags.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   ws.mags.end(), std::greater<>());
+  return equivalent_n_from_threshold(mx, ws.mags[k - 1]);
 }
 
 }  // namespace dlion::core

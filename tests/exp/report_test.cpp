@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace dlion::exp {
 namespace {
@@ -18,7 +21,13 @@ std::string slurp(const std::string& path) {
 
 class ReportTest : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = ::testing::TempDir() + "dlion_report.csv"; }
+  // One file per case and process: ctest runs the cases as separate
+  // processes, possibly at once, and each removes its file on teardown.
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "dlion_report_" + info->name() + "_" +
+            std::to_string(::getpid()) + ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
 };

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "nn/model_zoo.h"
 
@@ -12,8 +15,12 @@ namespace {
 
 class CheckpointTest : public ::testing::Test {
  protected:
+  // One file per case and process: ctest runs the cases as separate
+  // processes, possibly at once, and each removes its file on teardown.
   void SetUp() override {
-    path_ = ::testing::TempDir() + "dlion_checkpoint_test.bin";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "dlion_checkpoint_" + info->name() + "_" +
+            std::to_string(::getpid()) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
