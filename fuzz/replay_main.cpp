@@ -3,7 +3,7 @@
 // The build image carries gcc only, so the default fuzz build has no
 // libFuzzer runtime. Instead each harness links this main(), which feeds
 // every file (or every file in every directory) named on the command line
-// through LLVMFuzzerTestOneInput — exactly what `./fuzz_codec corpus/codec`
+// through LLVMFuzzerTestOneInput — exactly what `./fuzz_json corpus/json`
 // under libFuzzer would replay, minus the mutation engine. This makes the
 // committed corpora a deterministic regression suite runnable under ctest
 // and any sanitizer.

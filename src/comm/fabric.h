@@ -2,7 +2,7 @@
 // simulated network.
 //
 // Plays the role of the prototype's Redis deployment. Data-queue messages
-// (gradients, weights) are charged to the network at their encoded size
+// (gradients, weights) are charged to the network at their wire size
 // multiplied by `byte_scale` - the ratio between the nominal model size
 // (5 MB Cipher / 17 MB MobileNet) and the actually-trained model, so traffic
 // volume matches the paper's regardless of bench scale (see DESIGN.md).
@@ -26,7 +26,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "comm/codec.h"
 #include "common/thread_affinity.h"
 #include "comm/message.h"
 #include "obs/obs.h"

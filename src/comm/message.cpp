@@ -2,6 +2,28 @@
 
 namespace dlion::comm {
 
+namespace {
+
+// Header bytes of each data-lane struct: every scalar field (4 B for a
+// u32, 8 B for a u64 or double) plus a u32 count per array it carries.
+constexpr common::Bytes kGradientHeader = 20;
+constexpr common::Bytes kPerVarHeader = 16;  // one VariableGrad
+constexpr common::Bytes kSnapshotHeader = 24;
+constexpr common::Bytes kChunkHeader = 44;
+constexpr common::Bytes kPublishHeader = 32;
+// Control messages are charged a flat size, not the bytes of their fields.
+constexpr common::Bytes kControlBytes = 64;
+
+/// A weight-bearing message: its header, then a u32 length and the floats
+/// of each part.
+common::Bytes weights_wire_bytes(common::Bytes header,
+                                 const WeightPayload& weights) {
+  return header + weights.parts.size() * sizeof(std::uint32_t) +
+         weights.num_values() * sizeof(float);
+}
+
+}  // namespace
+
 std::size_t GradientUpdate::num_entries() const {
   std::size_t n = 0;
   for (const auto& v : vars) n += v.num_entries();
@@ -54,8 +76,8 @@ const char* message_type_name(const Message& msg) {
 
 bool is_control(const Message& msg) {
   // BootstrapChunk and ModelPublish are deliberately absent: they carry
-  // model weights and ride the data queue at their (byte-scaled) encoded
-  // size, exactly like a WeightSnapshot.
+  // model weights and ride the data queue at their (byte-scaled) wire size,
+  // exactly like a WeightSnapshot.
   return std::holds_alternative<LossReport>(msg) ||
          std::holds_alternative<DktRequest>(msg) ||
          std::holds_alternative<RcpReport>(msg) ||
@@ -82,6 +104,34 @@ std::size_t payload_bytes(const Message& msg) {
           return m.weights.num_values() * sizeof(float);
         } else {
           return 0;
+        }
+      },
+      msg);
+}
+
+common::Bytes wire_bytes(const GradientUpdate& update) {
+  common::Bytes bytes = kGradientHeader;
+  for (const auto& v : update.vars) {
+    bytes += kPerVarHeader + v.indices.size() * sizeof(std::uint32_t) +
+             v.values.size() * sizeof(float);
+  }
+  return bytes;
+}
+
+common::Bytes wire_bytes(const Message& msg) {
+  return std::visit(
+      [](const auto& m) -> common::Bytes {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, GradientUpdate>) {
+          return wire_bytes(m);
+        } else if constexpr (std::is_same_v<T, WeightSnapshot>) {
+          return weights_wire_bytes(kSnapshotHeader, m.weights);
+        } else if constexpr (std::is_same_v<T, BootstrapChunk>) {
+          return weights_wire_bytes(kChunkHeader, m.weights);
+        } else if constexpr (std::is_same_v<T, ModelPublish>) {
+          return weights_wire_bytes(kPublishHeader, m.weights);
+        } else {
+          return kControlBytes;
         }
       },
       msg);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "comm/payload.h"
+#include "common/units.h"
 
 namespace dlion::comm {
 
@@ -123,8 +124,8 @@ struct BootstrapChunk {
   WeightPayload weights;        ///< parts for [first_var, first_var+n)
 };
 
-/// Versioned weight-snapshot publication (wire tag 10). Uses the bootstrap
-/// chunking scheme: `weights` holds the variables [first_var, first_var +
+/// Versioned weight-snapshot publication. Uses the bootstrap chunking
+/// scheme: `weights` holds the variables [first_var, first_var +
 /// weights.parts.size()) out of `total_vars`. `version` is a monotone
 /// publish sequence number; `iteration` is the training iteration the
 /// snapshot was taken at.
@@ -132,8 +133,7 @@ struct BootstrapChunk {
 /// No library code sends this message. It stays in `Message` because the
 /// end-to-end benchmark (bench/e2e/layer_wraps.cpp) wraps `Fabric::send`,
 /// `broadcast` and `send_reliable` by mangled names that spell out every
-/// alternative of `Message`; removing one breaks that link. The codec keeps
-/// decoding tag 10, so its tests and fuzz seed stay too.
+/// alternative of `Message`; removing one breaks that link.
 struct ModelPublish {
   std::uint32_t from = 0;
   std::uint64_t version = 0;
@@ -185,6 +185,13 @@ bool is_control(const Message& msg);
 /// byte-based eviction: a dead-lettered data message keeps its blocks alive
 /// until the record is dropped.
 std::size_t payload_bytes(const Message& msg);
+
+/// Bytes `msg` costs on a link before the fabric's byte scaling: the
+/// little-endian, fixed-width, unpadded size of its fields and payload
+/// arrays for data-lane messages, a flat 64 B for control messages.
+common::Bytes wire_bytes(const Message& msg);
+/// Same for a gradient update, without building a Message around it.
+common::Bytes wire_bytes(const GradientUpdate& update);
 
 /// Stable human-readable name of the message's alternative ("GradientUpdate",
 /// "Ack", ...) — used as the `type` label on fabric metrics.

@@ -26,10 +26,9 @@
 //
 // Copy accounting: producing bytes through a writer is not a copy - it is
 // the first materialization of that payload. Duplicating bytes that already
-// exist as a payload (Payload construction from an owned vector, codec
-// decode rebuilding payloads from wire bytes) increments the global
-// payload-copy counters below; the hot data path must keep them flat
-// (bench/hotpath "comm" section, CI perf-smoke).
+// exist (Payload construction from an owned vector or initializer list)
+// increments the global payload-copy counters below; the hot data path must
+// keep them flat (bench/hotpath "comm" section, CI perf-smoke).
 #pragma once
 
 #include <atomic>
@@ -74,7 +73,7 @@ void note_payload_copy(std::size_t bytes);
 
 /// Freshly allocated block of exactly `bytes` capacity (rounded up to the
 /// alignment), outside any arena - used by the materializing Payload
-/// constructors and the codec decode path.
+/// constructors and make_payload.
 std::shared_ptr<PayloadBlock> make_block(std::size_t bytes);
 
 }  // namespace detail
@@ -105,17 +104,11 @@ class Payload {
 
   /// Materializing constructors: allocate an exact-size self-owned block
   /// and duplicate the elements into it. Counted as payload copies - test
-  /// and codec-boundary convenience, not the hot path.
+  /// convenience, not the hot path.
   Payload(std::initializer_list<T> init)
       : Payload(init.begin(), init.size(), kMaterialize) {}
   Payload(const std::vector<T>& v)  // NOLINT(google-explicit-constructor)
       : Payload(v.data(), v.size(), kMaterialize) {}
-
-  /// Materialize `count` elements from raw (possibly unaligned) memory -
-  /// the codec's decode path. Counted as a payload copy.
-  static Payload materialize(const void* src, std::size_t count) {
-    return Payload(src, count, kMaterialize);
-  }
   Payload& operator=(const std::vector<T>& v) {
     return *this = Payload(v);
   }
@@ -164,17 +157,11 @@ class Payload {
     return b == a;
   }
 
-  /// Owned duplicate (tests / diagnostics; counted as a copy).
-  std::vector<T> to_vector() const {
-    if (size_ > 0) detail::note_payload_copy(size_ * sizeof(T));
-    return std::vector<T>(begin(), end());
-  }
-
  private:
   struct MaterializeTag {};
   static constexpr MaterializeTag kMaterialize{};
 
-  Payload(const void* src, std::size_t size, MaterializeTag) {
+  Payload(const T* src, std::size_t size, MaterializeTag) {
     size_ = static_cast<std::uint32_t>(size);
     if (size == 0) return;
     pin_ = detail::make_block(size * sizeof(T));

@@ -23,10 +23,10 @@
 // every contract is unit-testable without death tests.
 //
 // These macros guard *internal invariants* — states the program logically
-// cannot reach. Errors a caller can trigger with bad input (malformed wire
-// bytes, user-supplied config) keep their typed exceptions
-// (comm::DecodeError, std::invalid_argument); contracts are not control
-// flow.
+// cannot reach. Errors a caller can trigger with bad input (an update
+// naming a variable the model lacks, user-supplied config) keep their typed
+// exceptions (apply_gradient_update's std::out_of_range,
+// std::invalid_argument); contracts are not control flow.
 #pragma once
 
 #include <stdexcept>

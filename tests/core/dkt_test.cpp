@@ -15,9 +15,7 @@ namespace {
 comm::WeightPayload filled_payload(const nn::Model& model, float value) {
   comm::WeightPayload p;
   for (const nn::Variable* v : model.variables()) {
-    const std::vector<float> values(v->size(), value);
-    p.parts.push_back(
-        comm::Payload<float>::materialize(values.data(), values.size()));
+    p.parts.emplace_back(std::vector<float>(v->size(), value));
   }
   return p;
 }

@@ -17,7 +17,7 @@ inline void grow(BadDataLaneMessage& m) {
   m.values.push_back(2.0f);  // line 17: element-wise payload growth
 }
 
-struct CodecBoundaryScratch {
-  // The decode path legitimately materializes owned bytes: escaped inline.
-  std::vector<float> decode_scratch;  // dlion-lint: allow(dlion-owned-payload)
+struct EscapedScratch {
+  // An owned vector the rule should not flag: escaped inline.
+  std::vector<float> scratch;  // dlion-lint: allow(dlion-owned-payload)
 };

@@ -96,7 +96,7 @@ TEST(LintToolTest, FixtureFailsWithDiagnosticsAtKnownLines) {
   }
   // The clean fixture must not be flagged at all.
   EXPECT_EQ(r.output.find("good_clean.cpp:"), std::string::npos) << r.output;
-  // The codec-boundary escape hatch suppresses the owned-payload rule.
+  // The inline escape suppresses the owned-payload rule.
   EXPECT_EQ(r.output.find("bad_payload.h:22"), std::string::npos) << r.output;
 }
 

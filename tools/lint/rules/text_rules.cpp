@@ -207,8 +207,8 @@ void rule_uninit_pod(const FileContext& ctx, Emit diags) {
 // growing a payload element-wise via push_back/insert/assign - reintroduces
 // the per-message copies the zero-copy refactor eliminated. Member
 // declarations are audited in headers (where the wire structs live);
-// element-wise growth is flagged everywhere under comm/. The codec boundary
-// legitimately materializes owned bytes and escapes with
+// element-wise growth is flagged everywhere under comm/. A line that
+// legitimately needs an owned vector escapes inline with
 // `// dlion-lint: allow(dlion-owned-payload)`.
 void rule_owned_payload(const FileContext& ctx, Emit diags) {
   if (ctx.rel_path.find("comm/") == std::string::npos) return;
