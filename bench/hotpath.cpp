@@ -1,6 +1,7 @@
 // Hot-path benchmark: GEMM throughput, training-step latency/allocations
 // (cipher CNN, and MobileNet-20 training plus evaluation), Max-N selection
-// throughput, DLion's per-link selection fan-out, the simulator's
+// throughput, DLion's per-link selection fan-out, the gradient exchange's
+// per-message allocations (plain and observed fan-outs), the simulator's
 // per-message allocations (event queue, streamed trace records), and
 // training determinism checksums.
 //
@@ -36,6 +37,7 @@
 #include "obs/trace_sink.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "systems/baseline.h"
 #include "tensor/gemm_ref.h"
 #include "tensor/ops.h"
 
@@ -361,7 +363,7 @@ LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
   }
 
   struct LinkOut {
-    std::vector<VariableGrad> vars;
+    dlion::comm::VarList vars;
     double last_n;
     std::size_t last_entries;
   };
@@ -492,27 +494,66 @@ LinkSelectionStats bench_link_selection(int shared_iters, int fresh_iters) {
   return s;
 }
 
-struct CommStats {
+struct FanOutStats {
   double msgs_per_sec = 0.0;
-  std::uint64_t allocs_per_msg_total = 0;      ///< incl. simulator transport
-  std::uint64_t allocs_per_msg_transport = 0;  ///< empty-payload baseline
-  std::uint64_t allocs_per_exchange = 0;       ///< data-plane = total - transport
-  std::uint64_t copies_per_msg = 0;            ///< payload materializations
-  std::uint64_t copy_bytes_per_msg = 0;        ///< bytes duplicated per message
-  std::uint64_t payload_bytes_per_msg = 0;     ///< gradient bytes carried
+  /// Heap allocations per message, rounded up: 0 only when the measured
+  /// rounds made no allocation at all.
+  std::uint64_t allocs_per_msg_total = 0;
+  std::uint64_t copies_per_msg = 0;      ///< payload materializations
+  std::uint64_t copy_bytes_per_msg = 0;  ///< bytes duplicated per message
 };
 
-/// Warm-data-path gradient exchange: one sender fans a dense Max-100 update
-/// out to 3 peers over the fabric; each peer applies it on delivery. The
-/// alloc budget CI enforces is `allocs_per_exchange` — the data-plane
-/// allocations per message over the empty-payload transport baseline, so
-/// simulator event-queue overhead (std::function captures, timer nodes)
-/// does not mask payload-path regressions.
+struct CommStats {
+  FanOutStats plain;
+  FanOutStats observed;
+  std::uint64_t payload_bytes_per_msg = 0;  ///< gradient bytes carried
+  /// Trace events the observed fan-out streams per message (flow start,
+  /// tx span, flow step, flow end).
+  std::uint64_t observed_trace_events_per_msg = 0;
+};
+
+/// Runs `exchange(iteration)` 10 times to warm every pool, then times
+/// `exchanges` more with the allocation and payload-copy counters on.
+template <typename Exchange>
+FanOutStats measure_fan_out(int exchanges, std::uint64_t peers,
+                            Exchange&& exchange) {
+  for (int i = 0; i < 10; ++i) exchange(static_cast<std::uint64_t>(i));
+  const std::uint64_t msgs = static_cast<std::uint64_t>(exchanges) * peers;
+  const std::uint64_t copies0 = dlion::comm::payload_copy_count();
+  const std::uint64_t copy_bytes0 = dlion::comm::payload_copy_bytes();
+  benchalloc::start();
+  const auto t0 = Clock::now();
+  for (int i = 0; i < exchanges; ++i) {
+    exchange(static_cast<std::uint64_t>(10 + i));
+  }
+  const double elapsed = seconds_since(t0);
+  const benchalloc::Totals totals = benchalloc::stop();
+  FanOutStats s;
+  s.msgs_per_sec = static_cast<double>(msgs) / elapsed;
+  s.allocs_per_msg_total = (totals.count + msgs - 1) / msgs;
+  // Global payload-copy counters: zero on the warm path - every payload is
+  // produced once in the arena and shared by view from there.
+  s.copies_per_msg = (dlion::comm::payload_copy_count() - copies0) / msgs;
+  s.copy_bytes_per_msg =
+      (dlion::comm::payload_copy_bytes() - copy_bytes0) / msgs;
+  return s;
+}
+
+/// Warm-data-path gradient exchange, two ways. One sender fans an update
+/// out to 3 peers over the fabric; each peer applies it on delivery.
+///  * plain: a dense Max-100 selection staged once per exchange, every
+///    peer's update sharing its views; no observer.
+///  * observed: BaselineStrategy generates each peer's update (the dense
+///    gradient staged once per iteration, the staged list copied per peer),
+///    and an observer records every transmission's tx span with its args
+///    and the message's causal flow, streamed through a ChromeStreamSink
+///    into a null stream without retention, as on the scale workloads.
+/// CI requires both to make 0 heap allocations per message: message nodes,
+/// variable lists, transfer slots, link queues, event callbacks and span
+/// args are all recycled.
 CommStats bench_comm(int exchanges) {
-  constexpr std::size_t kSlots = 4;  // 1 sender + 3 receivers
-  dlion::sim::Engine engine;
-  dlion::sim::Network net(engine, kSlots);
-  dlion::comm::Fabric fabric(net);
+  static constexpr std::size_t kSlots = 4;  // 1 sender + 3 receivers
+  constexpr std::uint64_t kPeers = kSlots - 1;
 
   dlion::common::Rng rng(21);
   auto sender = dlion::nn::make_cipher_cnn(rng);
@@ -527,96 +568,95 @@ CommStats bench_comm(int exchanges) {
   sender.model.compute_gradients(images, labels);
 
   std::vector<dlion::nn::BuiltModel> receivers;
-  receivers.reserve(kSlots - 1);  // handlers capture stable model pointers
+  receivers.reserve(kPeers);  // handlers capture stable model pointers
   for (std::size_t r = 1; r < kSlots; ++r) {
     dlion::common::Rng peer_rng(21);
     receivers.push_back(dlion::nn::make_cipher_cnn(peer_rng));
-    dlion::nn::Model* peer_model = &receivers.back().model;
-    fabric.attach(r, [peer_model](std::size_t, dlion::comm::MessagePtr msg) {
-      if (const auto* gu =
-              std::get_if<dlion::comm::GradientUpdate>(msg.get())) {
-        dlion::core::apply_gradient_update(*peer_model, *gu, 0.01f, kSlots,
-                                           1.0);
-      }
-    });
   }
-
-  const std::size_t nvars = sender.model.num_variables();
-
-  // The worker's warm data path in miniature: select each variable's
-  // gradient into arena-backed views once per iteration, then every peer's
-  // message shares those views (copying a VariableGrad increfs blocks).
-  dlion::comm::PayloadArena arena;
-  const auto do_exchange = [&](std::uint64_t iter, bool payload) {
-    std::vector<dlion::comm::VariableGrad> staged;
-    if (payload) {
-      dlion::comm::PayloadWriter writer(arena);
-      staged.reserve(nvars);
-      for (std::size_t v = 0; v < nvars; ++v) {
-        staged.push_back(dlion::core::select_max_n(
-            sender.model.variables()[v]->grad().span(), v, 100.0, writer));
-      }
+  const auto attach_receivers = [&](dlion::comm::Fabric& fabric) {
+    for (std::size_t r = 1; r < kSlots; ++r) {
+      dlion::nn::Model* peer_model = &receivers[r - 1].model;
+      fabric.attach(r, [peer_model](std::size_t,
+                                    dlion::comm::MessagePtr msg) {
+        if (const auto* gu =
+                std::get_if<dlion::comm::GradientUpdate>(msg.get())) {
+          dlion::core::apply_gradient_update(*peer_model, *gu, 0.01f, kSlots,
+                                             1.0);
+        }
+      });
     }
-    for (std::size_t peer = 1; peer < kSlots; ++peer) {
-      dlion::comm::GradientUpdate u;
-      u.from = 0;
-      u.iteration = iter;
-      u.lbs = 32;
-      if (payload) u.vars = staged;  // shared views, no payload bytes move
-      fabric.send(0, peer, std::move(u));
-    }
-    engine.run();
   };
-
-  for (int i = 0; i < 10; ++i) do_exchange(static_cast<std::uint64_t>(i), true);
-
-  // Actual bytes one message carries, measured on a staged sample.
-  std::uint64_t staged_bytes = 0;
-  {
+  const std::size_t nvars = sender.model.num_variables();
+  const auto select_all = [&](dlion::comm::PayloadArena& arena) {
     dlion::comm::PayloadWriter writer(arena);
-    dlion::comm::GradientUpdate sample;
+    dlion::comm::VarList vars;
+    vars.reserve(nvars);
     for (std::size_t v = 0; v < nvars; ++v) {
-      sample.vars.push_back(dlion::core::select_max_n(
+      vars.push_back(dlion::core::select_max_n(
           sender.model.variables()[v]->grad().span(), v, 100.0, writer));
     }
-    staged_bytes = dlion::comm::payload_bytes(dlion::comm::Message(sample));
-  }
-
-  const std::uint64_t msgs =
-      static_cast<std::uint64_t>(exchanges) * (kSlots - 1);
-  const std::uint64_t copies0 = dlion::comm::payload_copy_count();
-  const std::uint64_t copy_bytes0 = dlion::comm::payload_copy_bytes();
-  benchalloc::start();
-  const auto t0 = Clock::now();
-  for (int i = 0; i < exchanges; ++i) {
-    do_exchange(static_cast<std::uint64_t>(10 + i), true);
-  }
-  const double elapsed = seconds_since(t0);
-  const benchalloc::Totals data = benchalloc::stop();
-  const std::uint64_t copies = dlion::comm::payload_copy_count() - copies0;
-  const std::uint64_t copy_bytes =
-      dlion::comm::payload_copy_bytes() - copy_bytes0;
-
-  // Transport baseline: same fan-out with empty payloads.
-  benchalloc::start();
-  for (int i = 0; i < exchanges; ++i) {
-    do_exchange(static_cast<std::uint64_t>(10 + exchanges + i), false);
-  }
-  const benchalloc::Totals transport = benchalloc::stop();
+    return vars;
+  };
 
   CommStats s;
-  s.msgs_per_sec = static_cast<double>(msgs) / elapsed;
-  s.allocs_per_msg_total = data.count / msgs;
-  s.allocs_per_msg_transport = transport.count / msgs;
-  s.allocs_per_exchange =
-      s.allocs_per_msg_total > s.allocs_per_msg_transport
-          ? s.allocs_per_msg_total - s.allocs_per_msg_transport
-          : 0;
-  // Global payload-copy counters: zero on the warm path - every payload is
-  // produced once in the arena and shared by view from there.
-  s.copies_per_msg = copies / msgs;
-  s.copy_bytes_per_msg = copy_bytes / msgs;
-  s.payload_bytes_per_msg = staged_bytes;
+  {
+    dlion::sim::Engine engine;
+    dlion::sim::Network net(engine, kSlots);
+    dlion::comm::Fabric fabric(net);
+    attach_receivers(fabric);
+    dlion::comm::PayloadArena arena;
+    s.plain = measure_fan_out(exchanges, kPeers, [&](std::uint64_t iter) {
+      const dlion::comm::VarList staged = select_all(arena);
+      for (std::size_t peer = 1; peer < kSlots; ++peer) {
+        dlion::comm::GradientUpdate u;
+        u.from = 0;
+        u.iteration = iter;
+        u.lbs = 32;
+        u.vars = staged;  // shared views, no payload bytes move
+        fabric.send(0, peer, std::move(u));
+      }
+      engine.run();
+    });
+    // Actual bytes one message carries, measured on a staged sample.
+    dlion::comm::GradientUpdate sample;
+    sample.vars = select_all(arena);
+    s.payload_bytes_per_msg =
+        dlion::comm::payload_bytes(dlion::comm::Message(sample));
+  }
+  {
+    std::ostream null(nullptr);
+    dlion::obs::ChromeStreamSink sink(null);
+    dlion::obs::Observability o;
+    o.tracer().set_retain_all(false);
+    o.tracer().set_sink(&sink);
+    dlion::sim::Engine engine;
+    dlion::sim::Network net(engine, kSlots);
+    dlion::comm::Fabric fabric(net);
+    engine.set_obs(&o);
+    net.set_obs(&o);
+    fabric.set_obs(&o);
+    attach_receivers(fabric);
+    dlion::systems::BaselineStrategy baseline;
+    dlion::comm::PayloadArena arena;
+    dlion::core::LinkContext ctx;
+    ctx.arena = &arena;
+    s.observed = measure_fan_out(exchanges, kPeers, [&](std::uint64_t iter) {
+      ctx.iteration = iter;
+      for (std::size_t peer = 1; peer < kSlots; ++peer) {
+        ctx.peer = peer;
+        dlion::comm::GradientUpdate u;
+        u.from = 0;
+        u.iteration = iter;
+        u.lbs = 32;
+        u.vars = baseline.generate(sender.model, ctx);
+        fabric.send(0, peer, std::move(u));
+      }
+      engine.run();
+    });
+    s.observed_trace_events_per_msg =
+        sink.events_written() /
+        ((static_cast<std::uint64_t>(exchanges) + 10) * kPeers);
+  }
   return s;
 }
 
@@ -860,19 +900,23 @@ int main(int argc, char** argv) {
   j += "\n  },\n";
   j += "  \"comm\": {\n";
   j += "    \"slots\": 4, \"peers\": 3, \"exchanges\": 100,\n";
-  j += "    \"msgs_per_sec\": " + fmt(comm.msgs_per_sec, 1) + ",\n";
+  j += "    \"msgs_per_sec\": " + fmt(comm.plain.msgs_per_sec, 1) + ",\n";
   j += "    \"payload_bytes_per_msg\": " +
        std::to_string(comm.payload_bytes_per_msg) + ",\n";
   j += "    \"payload_copies_per_msg\": " +
-       std::to_string(comm.copies_per_msg) + ",\n";
+       std::to_string(comm.plain.copies_per_msg) + ",\n";
   j += "    \"payload_copy_bytes_per_msg\": " +
-       std::to_string(comm.copy_bytes_per_msg) + ",\n";
+       std::to_string(comm.plain.copy_bytes_per_msg) + ",\n";
   j += "    \"allocs_per_msg_total\": " +
-       std::to_string(comm.allocs_per_msg_total) + ",\n";
-  j += "    \"allocs_per_msg_transport\": " +
-       std::to_string(comm.allocs_per_msg_transport) + ",\n";
-  j += "    \"allocs_per_exchange\": " +
-       std::to_string(comm.allocs_per_exchange) + ",\n";
+       std::to_string(comm.plain.allocs_per_msg_total) + ",\n";
+  j += "    \"observed\": {\"msgs_per_sec\": " +
+       fmt(comm.observed.msgs_per_sec, 1) +
+       ", \"payload_copies_per_msg\": " +
+       std::to_string(comm.observed.copies_per_msg) +
+       ", \"allocs_per_msg_total\": " +
+       std::to_string(comm.observed.allocs_per_msg_total) +
+       ", \"trace_events_per_msg\": " +
+       std::to_string(comm.observed_trace_events_per_msg) + "},\n";
   j += "    \"pre_pr\": {\"msgs_per_sec\": " + fmt(kPrePrCommMsgsPerSec, 1) +
        ", \"allocs_per_exchange\": " +
        std::to_string(kPrePrCommAllocsPerExchange) +
@@ -935,11 +979,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mobilenet.eval.allocs_per_step),
               static_cast<unsigned long long>(mobilenet.eval.bytes_per_step));
   std::printf("[hotpath] comm: %.0f msgs/s, %llu payload copies/msg (%llu "
-              "bytes), %llu allocs/exchange\n",
-              comm.msgs_per_sec,
-              static_cast<unsigned long long>(comm.copies_per_msg),
-              static_cast<unsigned long long>(comm.copy_bytes_per_msg),
-              static_cast<unsigned long long>(comm.allocs_per_exchange));
+              "bytes), %llu allocs/msg; observed %.0f msgs/s, %llu "
+              "allocs/msg, %llu trace events/msg\n",
+              comm.plain.msgs_per_sec,
+              static_cast<unsigned long long>(comm.plain.copies_per_msg),
+              static_cast<unsigned long long>(comm.plain.copy_bytes_per_msg),
+              static_cast<unsigned long long>(
+                  comm.plain.allocs_per_msg_total),
+              comm.observed.msgs_per_sec,
+              static_cast<unsigned long long>(
+                  comm.observed.allocs_per_msg_total),
+              static_cast<unsigned long long>(
+                  comm.observed_trace_events_per_msg));
   std::printf("[hotpath] engine: %.3f allocs/event, %.3f allocs/span "
               "record, %.3f allocs/flow record (pre-PR %llu, %llu, %llu)\n",
               engine.allocs_per_event, engine.allocs_per_span_record,

@@ -22,9 +22,9 @@ class RandomKStrategy : public core::PartialGradientStrategy {
   RandomKStrategy(double fraction, std::uint64_t seed)
       : fraction_(fraction), rng_(seed) {}
 
-  std::vector<comm::VariableGrad> generate(
+  comm::VarList generate(
       const nn::Model& model, const core::LinkContext&) override {
-    std::vector<comm::VariableGrad> out;
+    comm::VarList out;
     for (std::size_t v = 0; v < model.num_variables(); ++v) {
       const auto grad = model.variables()[v]->grad().span();
       comm::VariableGrad vg;

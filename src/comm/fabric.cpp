@@ -1,6 +1,7 @@
 #include "comm/fabric.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,7 +24,15 @@ Fabric::Fabric(sim::Network& network, double byte_scale)
   if (byte_scale <= 0.0) {
     throw std::invalid_argument("Fabric: byte_scale must be positive");
   }
+  static_assert(sim::is_inline_callback_v<Delivery>);
+  network_->set_drop_hook([](std::function<void()> dropped) {
+    if (const Delivery* d = dropped.target<Delivery>()) {
+      d->fabric->take(d->slot);  // releases the message with the slot
+    }
+  });
 }
+
+Fabric::~Fabric() { network_->set_drop_hook(nullptr); }
 
 void Fabric::set_obs(obs::Observability* o) {
   obs_ = o;
@@ -193,51 +202,70 @@ void Fabric::transmit(std::size_t from, std::size_t to, MessagePtr msg,
                           message_type_name(*msg), engine().now(), flow);
     }
   }
-  switch (kind) {
+  std::uint32_t slot;
+  if (free_transfers_.empty()) {
+    DLION_ASSERT(transfers_.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "transfer slab exhausted");
+    slot = static_cast<std::uint32_t>(transfers_.size());
+    transfers_.emplace_back();
+  } else {
+    slot = free_transfers_.back();
+    free_transfers_.pop_back();
+  }
+  transfers_[slot] = Transfer{from, to, std::move(msg), flow, epoch, seq, kind};
+  network_->send(from, to, bytes, Delivery{this, slot}, flow);
+}
+
+Fabric::Transfer Fabric::take(std::uint32_t slot) {
+  DLION_DCHECK(slot < transfers_.size() && transfers_[slot].msg != nullptr,
+               "transfer slot is not in use");
+  Transfer t = std::move(transfers_[slot]);
+  free_transfers_.push_back(slot);
+  return t;
+}
+
+void Fabric::complete(std::uint32_t slot) {
+  // Moved out first: the handlers below may transmit, reusing the slot or
+  // growing the slab.
+  const Transfer t = take(slot);
+  switch (t.kind) {
     case Kind::kPlain:
-      network_->send(from, to, bytes, [this, from, to, msg, flow, epoch] {
-        deliver(from, to, msg, flow, epoch);
-      }, flow);
+      deliver(t.from, t.to, t.msg, t.flow, t.epoch);
       break;
     case Kind::kReliable:
-      network_->send(from, to, bytes, [this, from, to, msg, seq, flow,
-                                       epoch] {
-        if (delivered_seqs_[to].contains(seq)) {
-          // Duplicate attempt (our earlier ack was lost): suppress the
-          // re-delivery but re-acknowledge so the sender stops retrying.
-          send_ack(to, from, seq);
-          return;
-        }
-        if (deliver(from, to, msg, flow, epoch)) {
-          delivered_seqs_[to].insert(seq);
-          send_ack(to, from, seq);
-        }
-        // A detached receiver sends no ack: the sender keeps retrying and
-        // succeeds iff the worker reattaches within its retry budget.
-      }, flow);
+      if (delivered_seqs_[t.to].contains(t.seq)) {
+        // Duplicate attempt (our earlier ack was lost): suppress the
+        // re-delivery but re-acknowledge so the sender stops retrying.
+        send_ack(t.to, t.from, t.seq);
+        break;
+      }
+      if (deliver(t.from, t.to, t.msg, t.flow, t.epoch)) {
+        delivered_seqs_[t.to].insert(t.seq);
+        send_ack(t.to, t.from, t.seq);
+      }
+      // A detached receiver sends no ack: the sender keeps retrying and
+      // succeeds iff the worker reattaches within its retry budget.
       break;
     case Kind::kAck:
-      network_->send(from, to, bytes, [this, to, msg, flow] {
-        if (obs::on(obs_) && obs_->causal()) {
-          obs_->tracer().flow(obs_worker_tracks_[to],
-                              obs::Tracer::FlowPhase::kEnd, "Ack",
-                              engine().now(), flow);
-        }
-        on_ack(std::get<Ack>(*msg).seq);
-      }, flow);
+      if (obs::on(obs_) && obs_->causal()) {
+        obs_->tracer().flow(obs_worker_tracks_[t.to],
+                            obs::Tracer::FlowPhase::kEnd, "Ack",
+                            engine().now(), t.flow);
+      }
+      on_ack(t.seq);
       break;
   }
 }
 
 void Fabric::send(std::size_t from, std::size_t to, Message msg) {
-  auto ptr = std::make_shared<const Message>(std::move(msg));
+  auto ptr = make_message(std::move(msg));
   const common::Bytes bytes = charged_bytes(*ptr);
   transmit(from, to, std::move(ptr), bytes, Kind::kPlain, 0);
 }
 
 void Fabric::broadcast(std::size_t from, const Message& msg) {
   // Encode-size once, share one immutable message across all n-1 sends.
-  auto ptr = std::make_shared<const Message>(msg);
+  auto ptr = make_message(msg);
   const common::Bytes bytes = charged_bytes(*ptr);
   for (std::size_t to = 0; to < size(); ++to) {
     if (to != from) transmit(from, to, ptr, bytes, Kind::kPlain, 0);
@@ -248,7 +276,7 @@ void Fabric::broadcast(std::size_t from, const Message& msg,
                        const std::vector<bool>& targets) {
   DLION_ASSERT(targets.size() == size(),
                "Fabric::broadcast: target mask size != worker count");
-  auto ptr = std::make_shared<const Message>(msg);
+  auto ptr = make_message(msg);
   const common::Bytes bytes = charged_bytes(*ptr);
   for (std::size_t to = 0; to < size(); ++to) {
     if (to != from && targets[to]) transmit(from, to, ptr, bytes, Kind::kPlain, 0);
@@ -256,8 +284,7 @@ void Fabric::broadcast(std::size_t from, const Message& msg,
 }
 
 void Fabric::send_ack(std::size_t from, std::size_t to, std::uint64_t seq) {
-  auto ptr = std::make_shared<const Message>(
-      Ack{static_cast<std::uint32_t>(from), seq});
+  auto ptr = make_message(Ack{static_cast<std::uint32_t>(from), seq});
   const common::Bytes bytes = charged_bytes(*ptr);
   transmit(from, to, std::move(ptr), bytes, Kind::kAck, seq);
 }
@@ -273,7 +300,7 @@ std::uint64_t Fabric::send_reliable(std::size_t from, std::size_t to,
   PendingReliable pending;
   pending.from = from;
   pending.to = to;
-  pending.msg = std::make_shared<const Message>(std::move(msg));
+  pending.msg = make_message(std::move(msg));
   pending.bytes = charged_bytes(*pending.msg);
   pending.policy = policy;
   pending.done = std::move(done);
@@ -291,7 +318,9 @@ void Fabric::start_attempt(std::uint64_t seq) {
       std::pow(p.policy.backoff, static_cast<double>(p.attempt));
   ++p.attempt;
   transmit(p.from, p.to, p.msg, p.bytes, Kind::kReliable, seq);
-  p.timer = engine().after(timeout, [this, seq] { on_timeout(seq); });
+  const auto retry = [this, seq] { on_timeout(seq); };
+  static_assert(sim::is_inline_callback_v<decltype(retry)>);
+  p.timer = engine().after(timeout, retry);
 }
 
 void Fabric::on_timeout(std::uint64_t seq) {

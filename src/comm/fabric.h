@@ -18,6 +18,14 @@
 //    unacked attempts are retried with exponential backoff, duplicates are
 //    suppressed at the receiver, and callers learn the final outcome via a
 //    callback (used by DKT weight pulls to fall back to the next-best peer).
+//
+// Per-message host cost: a warmed fabric allocates nothing per message.
+// Messages are built in pooled nodes (make_message), each transmission's
+// state lives in a fabric-owned slab slot, and the network carries only a
+// 16-byte {fabric, slot} callback that std::function stores inline. A slot
+// is freed when its transmission is delivered, or — through the network's
+// drop hook — at the moment the network drops it, so a dropped message
+// releases its payload blocks exactly when it always did.
 #pragma once
 
 #include <deque>
@@ -74,8 +82,13 @@ class Fabric {
   /// a burst of dead-lettered gradient/weight messages can hold alive.
   static constexpr common::Bytes kDeadLetterMaxBytes = 8 * 1024 * 1024;
 
-  /// `byte_scale` multiplies data-queue wire sizes (> 0; 1 = exact).
+  /// `byte_scale` multiplies data-queue wire sizes (> 0; 1 = exact). The
+  /// fabric installs its drop hook on `network` and clears it again on
+  /// destruction, so the network must outlive the fabric.
   Fabric(sim::Network& network, double byte_scale = 1.0);
+  ~Fabric();
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
   std::size_t size() const { return network_->size(); }
 
@@ -85,7 +98,8 @@ class Fabric {
   void detach(std::size_t worker);
   bool attached(std::size_t worker) const;
 
-  /// Send `msg` from worker `from` to worker `to` (fire-and-forget).
+  /// Send `msg` from worker `from` to worker `to` (fire-and-forget). The
+  /// message moves into a pooled node; a warmed fabric allocates nothing.
   void send(std::size_t from, std::size_t to, Message msg);
 
   /// Send `msg` to every other worker. The message is materialized and its
@@ -152,6 +166,11 @@ class Fabric {
   std::uint64_t reliable_failures() const { return reliable_failures_; }
   /// Reliable requests still awaiting an ack.
   std::size_t reliable_pending() const { return pending_.size(); }
+  /// Transmissions handed to the network and neither delivered nor dropped
+  /// yet (slab slots in use). 0 once the engine has drained.
+  std::size_t in_flight() const {
+    return transfers_.size() - free_transfers_.size();
+  }
 
   /// Simulated wire size this fabric charges for a message.
   common::Bytes charged_bytes(const Message& msg) const;
@@ -171,7 +190,25 @@ class Fabric {
   void set_obs(obs::Observability* o);
 
  private:
-  enum class Kind { kPlain, kReliable, kAck };
+  enum class Kind : std::uint8_t { kPlain, kReliable, kAck };
+
+  /// One transmission between transmit() and its delivery or drop.
+  struct Transfer {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    MessagePtr msg;
+    FlowId flow = 0;
+    std::uint64_t epoch = 0;  ///< sender's roster epoch at transmit time
+    std::uint64_t seq = 0;    ///< reliable request the attempt or ack is for
+    Kind kind = Kind::kPlain;
+  };
+
+  /// The callback the network runs on delivery: names a transfers_ slot.
+  struct Delivery {
+    Fabric* fabric;
+    std::uint32_t slot;
+    void operator()() const { fabric->complete(slot); }
+  };
 
   /// Cached per-message-type registry handles (index = variant index).
   struct ObsTypeHandles {
@@ -202,6 +239,10 @@ class Fabric {
                           const MessagePtr& msg);
   void transmit(std::size_t from, std::size_t to, MessagePtr msg,
                 common::Bytes bytes, Kind kind, std::uint64_t seq);
+  /// Delivery of the transfer in `slot` (frees the slot first).
+  void complete(std::uint32_t slot);
+  /// Move the transfer out of `slot` and free the slot.
+  Transfer take(std::uint32_t slot);
   void send_ack(std::size_t from, std::size_t to, std::uint64_t seq);
   void on_ack(std::uint64_t seq);
   void start_attempt(std::uint64_t seq);
@@ -232,6 +273,10 @@ class Fabric {
   /// assign identical flow ids — and, since the ids never touch delivery,
   /// stay bit-identical altogether.
   std::vector<std::uint64_t> flow_seq_;
+  /// Slab of in-flight transmissions and its free slots (slot indices,
+  /// not a payload).
+  std::vector<Transfer> transfers_;
+  std::vector<std::uint32_t> free_transfers_;  // dlion-lint: allow(dlion-owned-payload)
   std::map<std::uint64_t, PendingReliable> pending_;
   /// Per-receiver reliable seqs already delivered (duplicate suppression).
   std::vector<std::unordered_set<std::uint64_t>> delivered_seqs_;

@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "comm/node_pool.h"
 #include "comm/payload.h"
 #include "common/units.h"
 
@@ -33,12 +35,17 @@ struct VariableGrad {
   std::size_t num_entries() const { return values.size(); }
 };
 
+/// A gradient update's variable list. Its buffer comes from the recycling
+/// NodePool (comm/node_pool.h), so building one per peer per iteration
+/// does not touch the allocator once the pool is warm.
+using VarList = std::vector<VariableGrad, PoolAllocator<VariableGrad>>;
+
 /// One worker's gradient contribution for one iteration.
 struct GradientUpdate {
   std::uint32_t from = 0;
   std::uint64_t iteration = 0;
   std::uint32_t lbs = 0;  ///< sender's local batch size (for db weights)
-  std::vector<VariableGrad> vars;
+  VarList vars;
 
   std::size_t num_entries() const;
   /// Fraction of the full model's parameters carried by this update.
@@ -148,6 +155,14 @@ using Message = std::variant<GradientUpdate, WeightSnapshot, LossReport,
                              RosterUpdate, BootstrapRequest, BootstrapChunk,
                              ModelPublish>;
 using MessagePtr = std::shared_ptr<const Message>;
+
+/// `msg` in one pooled node with its control block (comm/node_pool.h): the
+/// way the fabric materializes every message it sends.
+template <typename M>
+MessagePtr make_message(M&& msg) {
+  return std::allocate_shared<const Message>(PoolAllocator<Message>{},
+                                             std::forward<M>(msg));
+}
 
 /// Pack a member set into the RosterUpdate bitmap words (and back).
 std::vector<std::uint64_t> pack_members(const std::vector<bool>& members);

@@ -28,15 +28,15 @@ void LinkPrioritizer::begin_iteration(const nn::Model& model,
   }
 }
 
-std::vector<comm::VariableGrad> LinkPrioritizer::generate(
-    const nn::Model& model, const LinkContext& ctx) {
+comm::VarList LinkPrioritizer::generate(const nn::Model& model,
+                                        const LinkContext& ctx) {
   const auto& vars = model.variables();
   DLION_ASSERT(vars.size() == vars_.size(),
                "generate() needs begin_iteration() on the same model");
   // Selections this link is the first to need are written through its
   // arena; later links with the same k share the views.
   comm::PayloadWriter writer(payload_arena(ctx));
-  std::vector<comm::VariableGrad> out;
+  comm::VarList out;
   out.reserve(vars.size());
 
   if (!config_.adaptive) {

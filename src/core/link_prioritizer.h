@@ -44,8 +44,8 @@ class LinkPrioritizer : public PartialGradientStrategy {
   /// the previous iteration's selections. Required before generate().
   void begin_iteration(const nn::Model& model,
                        std::uint64_t iteration) override;
-  std::vector<comm::VariableGrad> generate(const nn::Model& model,
-                                           const LinkContext& ctx) override;
+  comm::VarList generate(const nn::Model& model,
+                         const LinkContext& ctx) override;
   const char* name() const override { return "dlion-perlink"; }
 
   /// Equivalent N chosen for the most recent generate() call (for traces).

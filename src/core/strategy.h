@@ -57,8 +57,8 @@ class PartialGradientStrategy {
   /// Produce the partial gradients to send to `ctx.peer` this iteration.
   /// An empty vector means "send a header-only update" (the peer still
   /// learns the sender's iteration for synchronization purposes).
-  virtual std::vector<comm::VariableGrad> generate(const nn::Model& model,
-                                                   const LinkContext& ctx) = 0;
+  virtual comm::VarList generate(const nn::Model& model,
+                                 const LinkContext& ctx) = 0;
 
   virtual const char* name() const = 0;
 

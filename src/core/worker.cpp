@@ -83,9 +83,11 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
 
 template <void (Worker::*Fn)()>
 void Worker::after(double delay) {
-  engine_->after(delay, [this, inc = incarnation_] {
+  const auto call = [this, inc = incarnation_] {
     if (inc == incarnation_) (this->*Fn)();
-  });
+  };
+  static_assert(sim::is_inline_callback_v<decltype(call)>);
+  engine_->after(delay, call);
 }
 
 template <typename OnResult>
@@ -458,14 +460,18 @@ void Worker::try_start_iteration() {
       wd->on_loss(id_, engine_->now(), res.loss);
     }
   }
-  const double dt = compute_.iteration_seconds(lbs, engine_->now());
-  const std::uint64_t inc = incarnation_;
-  engine_->after(dt, [this, inc, lbs, dt] {
-    if (inc == incarnation_) finish_iteration(lbs, dt);
-  });
+  running_lbs_ = lbs;
+  running_seconds_ = compute_.iteration_seconds(lbs, engine_->now());
+  const auto finish = [this, inc = incarnation_] {
+    if (inc == incarnation_) finish_iteration();
+  };
+  static_assert(sim::is_inline_callback_v<decltype(finish)>);
+  engine_->after(running_seconds_, finish);
 }
 
-void Worker::finish_iteration(std::size_t lbs, double compute_seconds) {
+void Worker::finish_iteration() {
+  const std::size_t lbs = running_lbs_;
+  const double compute_seconds = running_seconds_;
   if (obs::on(obs_)) {
     // The gradient-compute phase ran from the iteration's start until now.
     obs_->tracer().complete(obs_track_, "compute",

@@ -211,7 +211,7 @@ class Worker {
 
   void on_message(std::size_t from, comm::MessagePtr msg);
   void try_start_iteration();
-  void finish_iteration(std::size_t lbs, double compute_seconds);
+  void finish_iteration();
   void batch_tick();
   void profile_rcp(bool broadcast_if_changed);
   void recompute_lbs();
@@ -313,6 +313,10 @@ class Worker {
   std::size_t current_lbs_;
   std::size_t scheduled_gbs_;  // from gbs_schedule override, if any
   bool running_ = false;
+  /// The running iteration's local batch size and compute seconds, kept
+  /// here so its finish event captures only {this, incarnation}.
+  std::size_t running_lbs_ = 0;
+  double running_seconds_ = 0.0;
   bool waiting_ = false;
   common::SimTime end_time_ = 0.0;
   common::Ewma iter_interval_;  // EWMA of full iteration cycle seconds

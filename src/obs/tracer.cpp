@@ -268,10 +268,25 @@ void Tracer::begin(TrackId track, std::string name, double t,
   open_[track - 1].push_back(Open{std::move(name), t, std::move(args)});
 }
 
+std::vector<Tracer::Arg> Tracer::recycled_args() {
+  DLION_AFFINITY_DCHECK(affinity_);
+  if (spare_args_.empty()) return {};
+  std::vector<Arg> args = std::move(spare_args_.back());
+  spare_args_.pop_back();
+  return args;
+}
+
+void Tracer::recycle(std::vector<Arg>&& args) {
+  if (args.capacity() == 0 || spare_args_.size() >= kSpareArgs) return;
+  args.clear();
+  spare_args_.push_back(std::move(args));
+}
+
 void Tracer::record_span(Span&& s) {
   DLION_AFFINITY_DCHECK(affinity_);
   if (!admit(s.track, s.t0, s.t1)) {
     ++sampled_out_;
+    recycle(std::move(s.args));
     return;
   }
   ++admitted_;
@@ -280,6 +295,8 @@ void Tracer::record_span(Span&& s) {
     retained_bytes_ += sizeof(Span) + s.name.size() + args_bytes(s.args);
     reserve_growth(spans_);
     spans_.push_back(std::move(s));
+  } else {
+    recycle(std::move(s.args));
   }
 }
 
@@ -305,6 +322,7 @@ void Tracer::instant(TrackId track, std::string name, double t,
   if (track == 0 || track > tracks_.size()) return;
   if (!admit(track, t, t)) {
     ++sampled_out_;
+    recycle(std::move(args));
     return;
   }
   ++admitted_;
@@ -314,6 +332,8 @@ void Tracer::instant(TrackId track, std::string name, double t,
     retained_bytes_ += sizeof(Instant) + i.name.size() + args_bytes(i.args);
     reserve_growth(instants_);
     instants_.push_back(std::move(i));
+  } else {
+    recycle(std::move(i.args));
   }
 }
 

@@ -136,6 +136,12 @@ class Tracer {
   void instant(TrackId track, std::string name, double t,
                std::vector<Arg> args = {});
 
+  /// An empty args vector for the next span or instant. It reuses the
+  /// buffer of an event the tracer did not retain (streamed only, or
+  /// sampled out), so a hot call site that fills it and passes it back
+  /// records streamed events without allocating (the network's tx span).
+  std::vector<Arg> recycled_args();
+
   /// Counter sample: rendered as a stepped chart track ("C" event).
   void counter(TrackId track, std::string name, double t, double value);
 
@@ -238,6 +244,8 @@ class Tracer {
   /// tracks.
   bool admit(TrackId track, double t0, double t1);
   void record_span(Span&& s);
+  /// Keep the buffer of an event's args that will not be retained.
+  void recycle(std::vector<Arg>&& args);
 
   std::vector<Track> tracks_;                      // index = TrackId - 1
   std::map<std::pair<std::string, std::string>, TrackId> track_index_;
@@ -247,6 +255,9 @@ class Tracer {
   std::vector<Instant> instants_;
   std::vector<Sample> samples_;
   std::vector<Flow> flows_;
+  /// Cleared args buffers for recycled_args(); at most kSpareArgs.
+  static constexpr std::size_t kSpareArgs = 16;
+  std::vector<std::vector<Arg>> spare_args_;
 
   ChromeStreamSink* sink_ = nullptr;  // non-owning, optional
   /// Recording is single-threaded by contract (no lock on the hot path);

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.h"
@@ -25,6 +26,15 @@ using EventFn = std::function<void()>;
 /// Names a slot (low 32 bits) and the slot's generation when the event was
 /// pushed (high 32 bits).
 using EventId = std::uint64_t;
+
+/// True for a callable that std::function keeps in its inline buffer
+/// (libstdc++: trivially copyable, at most 16 bytes and pointer-aligned), so
+/// wrapping it allocates nothing. Every per-message and per-iteration
+/// callback static_asserts this.
+template <typename F>
+inline constexpr bool is_inline_callback_v =
+    std::is_trivially_copyable_v<F> && sizeof(F) <= 16 &&
+    alignof(F) <= alignof(void*);
 
 class EventQueue {
  public:

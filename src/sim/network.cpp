@@ -26,9 +26,29 @@ Network::Network(Engine& engine, std::size_t n_workers)
       link_(n_workers, std::vector<Schedule>(n_workers,
                                              Schedule(kDefaultLanMbps))),
       latency_(n_workers, std::vector<double>(n_workers, kDefaultLatency)),
-      queue_(n_workers, std::vector<std::deque<Pending>>(n_workers)),
-      busy_(n_workers, std::vector<bool>(n_workers, false)),
+      queue_(n_workers, std::vector<LinkQueue>(n_workers)),
       stats_(n_workers) {}
+
+void Network::LinkQueue::push_back(Pending p) {
+  if (count_ == ring_.size()) {
+    std::vector<Pending> grown(ring_.empty() ? 2 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(p);
+  ++count_;
+}
+
+Network::Pending Network::LinkQueue::pop_front() {
+  DLION_DCHECK(count_ > 0, "pop_front() on an empty link queue");
+  Pending p = std::move(ring_[head_]);
+  head_ = static_cast<std::uint32_t>((head_ + 1) & (ring_.size() - 1));
+  --count_;
+  return p;
+}
 
 void Network::set_egress(std::size_t worker, Schedule mbps) {
   egress_.at(worker) = std::move(mbps);
@@ -122,6 +142,7 @@ void Network::send(std::size_t from, std::size_t to, common::Bytes bytes,
     // a crashed worker cannot enqueue to itself.
     if (faults_ != nullptr && faults_->worker_down(from, engine_->now())) {
       record_drop(from, to, bytes, "drop_crashed");
+      release_dropped(std::move(on_delivered));
       return;
     }
     engine_->after(0.0, std::move(on_delivered));
@@ -134,63 +155,74 @@ void Network::send(std::size_t from, std::size_t to, common::Bytes bytes,
     if (!faults_->link_usable(from, to, t) ||
         faults_->should_drop(from, to, t)) {
       record_drop(from, to, bytes, "drop_fault");
-      return;  // on_delivered is never invoked for dropped transfers
+      release_dropped(std::move(on_delivered));  // never invoked
+      return;
     }
   }
-  queue_[from][to].push_back(Pending{bytes, std::move(on_delivered), flow});
-  if (!busy_[from][to]) start_next(from, to);
+  LinkQueue& q = queue_[from][to];
+  q.push_back(Pending{bytes, 0.0, flow, std::move(on_delivered)});
+  if (q.size() == 1) start_next(from, to);  // the link was idle
+}
+
+void Network::release_dropped(std::function<void()> on_delivered) {
+  if (drop_hook_) drop_hook_(std::move(on_delivered));
 }
 
 void Network::start_next(std::size_t from, std::size_t to) {
   DLION_DCHECK(from < n_ && to < n_ && from != to,
                "link endpoints out of range");
-  auto& q = queue_[from][to];
-  if (q.empty()) {
-    busy_[from][to] = false;
-    return;
-  }
-  busy_[from][to] = true;
-  Pending msg = std::move(q.front());
-  q.pop_front();
+  Pending& msg = queue_[from][to].front();
   const double mbps = available_mbps(from, to);
   const double tx = common::transfer_seconds(msg.bytes, mbps);
   DLION_DCHECK(tx >= 0.0 && std::isfinite(tx),
                "non-finite transmission time");
-  const double latency = latency_[from][to];
+  msg.latency = latency_[from][to];
   stats_[from].bytes_sent += msg.bytes;
   stats_[from].messages_sent += 1;
   const common::Bytes bytes = msg.bytes;
   if (obs::on(obs_)) {
     // The transfer's duration is fixed at transmission start (rates are
-    // sampled once), so the span can be recorded up front.
+    // sampled once), so the span can be recorded up front. Its args reuse
+    // the buffer of a streamed span the tracer did not keep.
     obs_handles_[from].messages_sent->inc();
     obs_handles_[from].bytes_sent->inc(static_cast<double>(bytes));
     obs_tx_seconds_->observe(tx);
     const obs::TrackId track = link_track(from, to);
-    obs_->tracer().complete(track, "tx", engine_->now(), engine_->now() + tx,
-                            {{"bytes", static_cast<double>(bytes)},
-                             {"mbps", mbps}});
+    obs::Tracer& tracer = obs_->tracer();
+    std::vector<obs::Tracer::Arg> args = tracer.recycled_args();
+    args.push_back({"bytes", static_cast<double>(bytes)});
+    args.push_back({"mbps", mbps});
+    tracer.complete(track, "tx", engine_->now(), engine_->now() + tx,
+                    std::move(args));
     if (msg.flow != 0 && obs_->causal()) {
       // Flow step at the tx span's start: links the sender's flow start to
       // this link transmission (and from here to the delivery point).
-      obs_->tracer().flow(track, obs::Tracer::FlowPhase::kStep, "flow",
-                          engine_->now(), msg.flow);
+      tracer.flow(track, obs::Tracer::FlowPhase::kStep, "flow",
+                  engine_->now(), msg.flow);
     }
   }
   // Deliver after transmission + propagation; free the link after
   // transmission only.
-  engine_->after(tx, [this, from, to, bytes, latency,
-                      deliver = std::move(msg.on_delivered)]() mutable {
-    // Messages in flight when a crash window or blackout opens are lost at
-    // transmission end (the wire went dark mid-transfer). The loss draw is
-    // not repeated here: probabilistic loss applies once, at enqueue.
-    if (faults_ != nullptr && !faults_->link_usable(from, to, engine_->now())) {
-      record_drop(from, to, bytes, "drop_in_flight");
-    } else {
-      engine_->after(latency, std::move(deliver));
-    }
-    start_next(from, to);
-  });
+  static_assert(is_inline_callback_v<TxEnd>);
+  engine_->after(tx, TxEnd{this, static_cast<std::uint32_t>(from),
+                           static_cast<std::uint32_t>(to)});
+}
+
+void Network::end_tx(std::size_t from, std::size_t to) {
+  LinkQueue& q = queue_[from][to];
+  Pending msg = q.pop_front();
+  // Messages in flight when a crash window or blackout opens are lost at
+  // transmission end (the wire went dark mid-transfer). The loss draw is
+  // not repeated here: probabilistic loss applies once, at enqueue.
+  const bool dropped =
+      faults_ != nullptr && !faults_->link_usable(from, to, engine_->now());
+  if (dropped) {
+    record_drop(from, to, msg.bytes, "drop_in_flight");
+  } else {
+    engine_->after(msg.latency, std::move(msg.on_delivered));
+  }
+  if (!q.empty()) start_next(from, to);
+  if (dropped) release_dropped(std::move(msg.on_delivered));
 }
 
 NetworkStats Network::total_stats() const {

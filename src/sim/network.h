@@ -14,9 +14,17 @@
 // its uplink - the congestion behaviour the paper's techniques react to.
 // Transfer duration is computed from the rate at transmission start;
 // latency is added after transmission and does not occupy the link.
+//
+// Per-message host cost: a warmed network allocates nothing per transfer.
+// Each link's FIFO is a ring that allocates on the link's first send and
+// doubles when full; the transfer on the wire stays at the ring's front
+// until its tx-end event, which captures only {network, link} (16 bytes,
+// trivially copyable, so std::function stores it inline). A callback passed
+// to send() that fits the same rule (see sim::is_inline_callback_v) makes
+// the whole send -> deliver path allocation-free.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -39,6 +47,9 @@ struct NetworkStats {
 class Network {
  public:
   Network(Engine& engine, std::size_t n_workers);
+  // Scheduled tx-end events hold the network's address.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   std::size_t size() const { return n_; }
   Engine& engine() { return *engine_; }
@@ -77,13 +88,24 @@ class Network {
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
   const FaultInjector* fault_injector() const { return faults_; }
 
+  /// Receives the `on_delivered` of every dropped transfer, never invoked,
+  /// at the point where the network lets go of it: inside send() for a
+  /// drop at enqueue, and in the tx-end event, after the link's next
+  /// transfer has started, for an in-flight drop. The owner of the
+  /// callback's state frees it there (comm::Fabric releases the transfer's
+  /// slot). Without a hook a dropped callback is simply destroyed.
+  using DropHook = std::function<void(std::function<void()> on_delivered)>;
+  void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
+
   /// Enqueue a message of `bytes` on the i->j link; `on_delivered` runs at
   /// the receiver when the transfer (plus latency) completes. `flow` is an
   /// optional causal-flow id (comm::make_flow_id): when non-zero and an
   /// enabled observer is attached, the transmission's tx span is linked
   /// into the flow with a Chrome flow step so viewers draw send → transfer
   /// → deliver arrows. Purely observational — 0 and non-zero flows follow
-  /// identical delivery paths.
+  /// identical delivery paths. Nothing is allocated per call once the link
+  /// has queued before, provided `on_delivered` is an inline callback
+  /// (is_inline_callback_v); a dropped one goes to the drop hook.
   void send(std::size_t from, std::size_t to, common::Bytes bytes,
             std::function<void()> on_delivered, std::uint64_t flow = 0);
 
@@ -100,9 +122,35 @@ class Network {
 
  private:
   struct Pending {
-    common::Bytes bytes;
-    std::function<void()> on_delivered;
+    common::Bytes bytes = 0;
+    double latency = 0.0;    ///< fixed when the transmission starts
     std::uint64_t flow = 0;  ///< causal-flow id (0 = unlinked)
+    std::function<void()> on_delivered;
+  };
+
+  /// One directed link's FIFO. The front entry is the transfer on the wire,
+  /// so the link is busy iff its queue is non-empty. Storage is a ring of
+  /// power-of-two size, allocated on first use and doubled when full.
+  class LinkQueue {
+   public:
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+    Pending& front() { return ring_[head_]; }
+    void push_back(Pending p);
+    Pending pop_front();
+
+   private:
+    std::vector<Pending> ring_;
+    std::uint32_t head_ = 0;
+    std::uint32_t count_ = 0;
+  };
+
+  /// The tx-end event of link from->to (see the file comment).
+  struct TxEnd {
+    Network* net;
+    std::uint32_t from;
+    std::uint32_t to;
+    void operator()() const { net->end_tx(from, to); }
   };
 
   /// Cached per-worker registry handles (resolved once in set_obs).
@@ -113,7 +161,13 @@ class Network {
     obs::Counter* bytes_dropped = nullptr;
   };
 
+  /// Start transmitting the front of link from->to's queue.
   void start_next(std::size_t from, std::size_t to);
+  /// Tx-end event: hand the front transfer to delivery (or drop it), then
+  /// start the next one.
+  void end_tx(std::size_t from, std::size_t to);
+  /// Give a dropped transfer's callback to the drop hook.
+  void release_dropped(std::function<void()> on_delivered);
   /// Lazily created "network / link i->j" tracer track.
   obs::TrackId link_track(std::size_t from, std::size_t to);
   void record_drop(std::size_t from, std::size_t to, common::Bytes bytes,
@@ -125,10 +179,10 @@ class Network {
   std::vector<Schedule> egress_;
   std::vector<std::vector<Schedule>> link_;     // [from][to]
   std::vector<std::vector<double>> latency_;    // [from][to]
-  std::vector<std::vector<std::deque<Pending>>> queue_;  // per-link FIFO
-  std::vector<std::vector<bool>> busy_;         // link currently transmitting
+  std::vector<std::vector<LinkQueue>> queue_;   // [from][to]
   std::vector<NetworkStats> stats_;
   FaultInjector* faults_ = nullptr;             // non-owning, optional
+  DropHook drop_hook_;
 
   obs::Observability* obs_ = nullptr;           // non-owning, optional
   std::vector<ObsHandles> obs_handles_;         // per worker

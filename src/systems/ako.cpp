@@ -46,8 +46,8 @@ AkoStrategy::PeerState& AkoStrategy::peer_state(const nn::Model& model,
   return st;
 }
 
-std::vector<comm::VariableGrad> AkoStrategy::generate(
-    const nn::Model& model, const core::LinkContext& ctx) {
+comm::VarList AkoStrategy::generate(const nn::Model& model,
+                                    const core::LinkContext& ctx) {
   PeerState& st = peer_state(model, ctx);
   const auto& vars = model.variables();
   if (st.last_accumulated_iter != ctx.iteration) {
@@ -65,7 +65,7 @@ std::vector<comm::VariableGrad> AkoStrategy::generate(
   // state) and reset.
   const std::size_t block = ctx.iteration % st.p;
   comm::PayloadWriter writer(payload_arena(ctx));
-  std::vector<comm::VariableGrad> out;
+  comm::VarList out;
   out.reserve(vars.size());
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const std::size_t size = st.acc[v].size();

@@ -18,8 +18,8 @@ class AkoStrategy : public core::PartialGradientStrategy {
   /// p ~= full nominal gradient bytes / per-iteration link byte budget.
   explicit AkoStrategy(std::size_t partitions = 0);
 
-  std::vector<comm::VariableGrad> generate(
-      const nn::Model& model, const core::LinkContext& ctx) override;
+  comm::VarList generate(const nn::Model& model,
+                         const core::LinkContext& ctx) override;
   const char* name() const override { return "ako"; }
 
   /// Partition count currently used for `peer` (0 if not yet derived).

@@ -4,8 +4,8 @@
 
 namespace dlion::systems {
 
-std::vector<comm::VariableGrad> BaselineStrategy::generate(
-    const nn::Model& model, const core::LinkContext& ctx) {
+comm::VarList BaselineStrategy::generate(const nn::Model& model,
+                                         const core::LinkContext& ctx) {
   // generate_partial_gradients == whole gradients (Table 1: 1 line). The
   // dense gradient is staged into payload blocks once per iteration (lazily,
   // on the first peer); every other peer's update shares views over that

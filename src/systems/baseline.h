@@ -9,13 +9,13 @@ namespace dlion::systems {
 
 class BaselineStrategy : public core::PartialGradientStrategy {
  public:
-  std::vector<comm::VariableGrad> generate(
-      const nn::Model& model, const core::LinkContext& ctx) override;
+  comm::VarList generate(const nn::Model& model,
+                         const core::LinkContext& ctx) override;
   const char* name() const override { return "baseline"; }
 
  private:
   /// Per-iteration staged gradient, shared by every peer's update.
-  std::vector<comm::VariableGrad> staged_;
+  comm::VarList staged_;
   std::uint64_t staged_iteration_ = 0;
   bool staged_valid_ = false;
 };

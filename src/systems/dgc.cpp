@@ -27,8 +27,8 @@ DgcStrategy::PeerState& DgcStrategy::peer_state(const nn::Model& model,
   return st;
 }
 
-std::vector<comm::VariableGrad> DgcStrategy::generate(
-    const nn::Model& model, const core::LinkContext& ctx) {
+comm::VarList DgcStrategy::generate(const nn::Model& model,
+                                    const core::LinkContext& ctx) {
   PeerState& st = peer_state(model, ctx.peer);
   const auto& vars = model.variables();
   if (st.last_accumulated_iter != ctx.iteration) {
@@ -44,7 +44,7 @@ std::vector<comm::VariableGrad> DgcStrategy::generate(
   // result straight into payload blocks; clearing the sent residual entries
   // behind it means the payload never aliases live accumulator state.
   comm::PayloadWriter writer(payload_arena(ctx));
-  std::vector<comm::VariableGrad> out;
+  comm::VarList out;
   out.reserve(vars.size());
   for (std::size_t v = 0; v < vars.size(); ++v) {
     auto& residual = st.residual[v];

@@ -19,8 +19,8 @@ class DgcStrategy : public core::PartialGradientStrategy {
   /// `density`: fraction of each variable's entries shipped per iteration.
   explicit DgcStrategy(double density = 0.01);
 
-  std::vector<comm::VariableGrad> generate(
-      const nn::Model& model, const core::LinkContext& ctx) override;
+  comm::VarList generate(const nn::Model& model,
+                         const core::LinkContext& ctx) override;
   const char* name() const override { return "dgc"; }
 
  private:

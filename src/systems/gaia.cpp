@@ -28,8 +28,8 @@ GaiaStrategy::PeerState& GaiaStrategy::peer_state(const nn::Model& model,
   return st;
 }
 
-std::vector<comm::VariableGrad> GaiaStrategy::generate(
-    const nn::Model& model, const core::LinkContext& ctx) {
+comm::VarList GaiaStrategy::generate(const nn::Model& model,
+                                     const core::LinkContext& ctx) {
   PeerState& st = peer_state(model, ctx.peer);
   const auto& vars = model.variables();
   // Fold this iteration's gradients into the per-peer accumulator exactly
@@ -49,7 +49,7 @@ std::vector<comm::VariableGrad> GaiaStrategy::generate(
       ctx.learning_rate / static_cast<double>(std::max<std::size_t>(
                               ctx.n_workers, 1));
   comm::PayloadWriter writer(payload_arena(ctx));
-  std::vector<comm::VariableGrad> out;
+  comm::VarList out;
   out.reserve(vars.size());
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const float* w = vars[v]->value().data();

@@ -17,8 +17,8 @@ class GaiaStrategy : public core::PartialGradientStrategy {
   /// `significance_percent`: the S threshold (paper evaluation: S = 1%).
   explicit GaiaStrategy(double significance_percent = 1.0);
 
-  std::vector<comm::VariableGrad> generate(
-      const nn::Model& model, const core::LinkContext& ctx) override;
+  comm::VarList generate(const nn::Model& model,
+                         const core::LinkContext& ctx) override;
   const char* name() const override { return "gaia"; }
 
  private:

@@ -32,8 +32,8 @@ void PragueStrategy::draw_group(std::size_t self, std::size_t n_workers) {
   std::sort(group_.begin(), group_.end());
 }
 
-std::vector<comm::VariableGrad> PragueStrategy::generate(
-    const nn::Model& model, const core::LinkContext& ctx) {
+comm::VarList PragueStrategy::generate(const nn::Model& model,
+                                       const core::LinkContext& ctx) {
   if (group_iteration_ != ctx.iteration) {
     group_iteration_ = ctx.iteration;
     draw_group(ctx.self, ctx.n_workers);

@@ -20,8 +20,8 @@ class PragueStrategy : public core::PartialGradientStrategy {
   /// (clamped to n-1 once the cluster size is known).
   PragueStrategy(std::size_t group_size, std::uint64_t seed);
 
-  std::vector<comm::VariableGrad> generate(
-      const nn::Model& model, const core::LinkContext& ctx) override;
+  comm::VarList generate(const nn::Model& model,
+                         const core::LinkContext& ctx) override;
   const char* name() const override { return "prague"; }
 
   /// Peers in the most recent iteration's group (for tests).
@@ -35,7 +35,7 @@ class PragueStrategy : public core::PartialGradientStrategy {
   std::uint64_t group_iteration_ = static_cast<std::uint64_t>(-1);
   std::vector<std::size_t> group_;
   /// Per-iteration staged gradient, shared by every group peer's update.
-  std::vector<comm::VariableGrad> staged_;
+  comm::VarList staged_;
   std::uint64_t staged_iteration_ = 0;
   bool staged_valid_ = false;
 };

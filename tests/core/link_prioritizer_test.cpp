@@ -38,7 +38,7 @@ LinkContext make_ctx(double mbps, double iters_per_sec,
   return ctx;
 }
 
-std::size_t total_entries(const std::vector<comm::VariableGrad>& vars) {
+std::size_t total_entries(const comm::VarList& vars) {
   std::size_t n = 0;
   for (const auto& v : vars) n += v.num_entries();
   return n;
@@ -146,7 +146,7 @@ TEST(LinkPrioritizer, ReportsLastEntries) {
 
 /// One link's output plus the prioritizer's report for it.
 struct LinkOutput {
-  std::vector<comm::VariableGrad> vars;
+  comm::VarList vars;
   double last_n = 0.0;
   std::size_t last_entries = 0;
 };

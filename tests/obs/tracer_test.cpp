@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace dlion::obs {
 namespace {
@@ -17,6 +18,27 @@ TEST(Tracer, TrackFindOrCreate) {
   EXPECT_NE(a, b);
   EXPECT_EQ(a, a2);
   EXPECT_EQ(tr.track_count(), 2u);
+}
+
+TEST(Tracer, RecycledArgsReuseBuffersOfEventsNotRetained) {
+  Tracer tr;
+  const TrackId t = tr.track("network", "link 0->1");
+  EXPECT_EQ(tr.recycled_args().capacity(), 0u);  // nothing spare yet
+  // Retained: the tracer keeps the buffer, so none is spare.
+  tr.complete(t, "tx", 0.0, 1.0, {{"bytes", 8.0}, {"mbps", 100.0}});
+  EXPECT_EQ(tr.recycled_args().capacity(), 0u);
+  // Not retained (outside any full-fidelity window): the buffer comes back.
+  tr.set_retain_all(false);
+  tr.complete(t, "tx", 1.0, 2.0, {{"bytes", 8.0}, {"mbps", 100.0}});
+  tr.instant(t, "drop", 2.0, {{"bytes", 8.0}});
+  std::vector<Tracer::Arg> a = tr.recycled_args();
+  std::vector<Tracer::Arg> b = tr.recycled_args();
+  EXPECT_TRUE(a.empty() && b.empty());
+  EXPECT_GE(a.capacity() + b.capacity(), 3u);
+  EXPECT_EQ(tr.recycled_args().capacity(), 0u);
+  ASSERT_EQ(tr.spans().size(), 1u);  // only the retained span
+  EXPECT_EQ(tr.spans()[0].args.size(), 2u);
+  EXPECT_EQ(tr.admitted_events(), 3u);
 }
 
 TEST(Tracer, BeginEndNestLifoPerTrack) {

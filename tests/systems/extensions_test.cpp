@@ -34,7 +34,7 @@ core::LinkContext ctx_for(std::size_t self, std::size_t peer,
   return ctx;
 }
 
-std::size_t total_entries(const std::vector<comm::VariableGrad>& vars) {
+std::size_t total_entries(const comm::VarList& vars) {
   std::size_t n = 0;
   for (const auto& v : vars) n += v.num_entries();
   return n;

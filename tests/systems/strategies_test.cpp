@@ -39,7 +39,7 @@ core::LinkContext ctx_for(std::size_t peer, std::uint64_t iteration) {
   return ctx;
 }
 
-std::size_t total_entries(const std::vector<comm::VariableGrad>& vars) {
+std::size_t total_entries(const comm::VarList& vars) {
   std::size_t n = 0;
   for (const auto& v : vars) n += v.num_entries();
   return n;
@@ -99,7 +99,7 @@ TEST(Gaia, SentMassMatchesAccumulatedGradients) {
   for (nn::Variable* v : bm.model.variables()) v->grad().fill(0.5f);
   GaiaStrategy s(1.0);
   // 0.5 per iteration accumulates; first send should carry k*0.5 exactly.
-  std::vector<comm::VariableGrad> out;
+  comm::VarList out;
   std::uint64_t iters = 0;
   for (std::uint64_t it = 0; it < 100; ++it) {
     out = s.generate(bm.model, ctx_for(1, it));
