@@ -8,8 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "common/config.h"
 #include "common/table.h"
@@ -68,11 +70,40 @@ inline std::string jcurve(const sim::Trace& curve) {
   return j + "]";
 }
 
+/// The flags every figure bench reads: exp::Scale::from_config's, plus
+/// --csv-dir (maybe_export_curve). Their defaults live in exp::Scale.
+inline void print_usage(const char* program) {
+  std::cout
+      << "usage: " << program << " [--flag=value ...]\n\n"
+      << "Flags shared by the figure benches (each also falls back to the\n"
+      << "environment variable DLION_<FLAG>, upper-cased, '-' as '_'):\n"
+      << "  --scale=bench|paper  problem sizes and the defaults of the rest\n"
+      << "  --seed=N             input and initialization seed\n"
+      << "  --repeats=N          runs averaged per cell\n"
+      << "  --duration=S         CPU-cluster window, simulated seconds\n"
+      << "  --gpu-duration=S     GPU-cluster window, simulated seconds\n"
+      << "  --phase=S            dynamic-environment phase, simulated seconds\n"
+      << "  --eval-period=N      accuracy measured every N iterations\n"
+      << "  --dkt-period=N       DKT every N iterations\n"
+      << "  --csv-dir=DIR        write each cell's accuracy curve to "
+         "DIR/<cell>.csv\n"
+      << "  --help               print this and exit\n"
+      << "A bench may read more flags; see its source file.\n";
+}
+
 struct BenchContext {
   common::Config config;
   exp::Scale scale;
 
+  /// Parses the flags. With --help, prints the shared flags and exits 0
+  /// before anything runs.
   static BenchContext from_args(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      if (std::string_view(argv[i]) == "--help") {
+        print_usage(argv[0]);
+        std::exit(0);
+      }
+    }
     BenchContext ctx;
     ctx.config = common::Config::from_args(argc, argv);
     ctx.scale = exp::Scale::from_config(ctx.config);

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <span>
 #include <string>
@@ -105,9 +106,25 @@ constexpr std::uint64_t kPrePrCommCopiesPerMsg = 10;
 constexpr std::uint64_t kPrePrAllocsPerEvent = 2;
 constexpr std::uint64_t kPrePrAllocsPerRecord = 5;
 
+// Small-GEMM operand kinds. The nn/tn kernels take their select-free tiles
+// only when B is finite (and C holds no -0.0), so the rows cover both paths:
+// uniform A; ReLU-like A, about half +0.0 like cipher-lite's activations;
+// and that A with one +inf in B, which gemm() hands to reference_gemm.
+enum class Operands { kDense, kRelu, kNonFiniteB };
+
+const char* operands_name(Operands kind) {
+  switch (kind) {
+    case Operands::kDense: return "dense";
+    case Operands::kRelu: return "relu";
+    case Operands::kNonFiniteB: return "nonfinite_b";
+  }
+  return "?";
+}
+
 struct GemmRow {
   bool ta, tb;
   std::size_t m, n, k;
+  Operands operands;
   double gflops;  // tensor::gemm: packed path, or small kernels below cutoff
   double reference_gflops;
   double max_abs_diff;
@@ -116,12 +133,19 @@ struct GemmRow {
 };
 
 GemmRow bench_gemm_shape(bool ta, bool tb, std::size_t m, std::size_t n,
-                         std::size_t k, dlion::common::Rng& rng) {
+                         std::size_t k, dlion::common::Rng& rng,
+                         Operands operands = Operands::kDense) {
   const std::size_t a_elems = m * k, b_elems = k * n, c_elems = m * n;
   std::vector<float> a(a_elems), b(b_elems), c_packed(c_elems),
       c_ref(c_elems);
   for (auto& x : a) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   for (auto& x : b) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  if (operands != Operands::kDense) {
+    for (auto& x : a) x = std::max(x, 0.0f);
+  }
+  if (operands == Operands::kNonFiniteB) {
+    b[b_elems / 2] = std::numeric_limits<float>::infinity();
+  }
 
   const double flops = 2.0 * static_cast<double>(m) * n * k;
   // Scale repetitions to the problem so small shapes still time well.
@@ -156,8 +180,8 @@ GemmRow bench_gemm_shape(bool ta, bool tb, std::size_t m, std::size_t n,
     }
   }) / batch;
 
-  GemmRow row{ta, tb, m, n, k, flops / t_packed / 1e9, flops / t_ref / 1e9,
-              max_diff, bitmatch, 0.0};
+  GemmRow row{ta, tb, m, n, k, operands, flops / t_packed / 1e9,
+              flops / t_ref / 1e9, max_diff, bitmatch, 0.0};
   if (m == 256 && n == 256 && k == 256) {
     for (const auto& p : kPrePrGemm) {
       if (p.ta == ta && p.tb == tb) row.pre_pr_gflops = p.gflops;
@@ -758,13 +782,21 @@ int main(int argc, char** argv) {
   rows.push_back(bench_gemm_shape(true, false, 4900, 200, 16, rng));
   // The costliest below-cutoff shapes of the end-to-end GEMM census
   // (bench/e2e): cipher-lite's fc1 input gradient and eval forward, and
-  // MobileNet's per-sample pointwise and depthwise-stage convs.
+  // MobileNet's per-sample pointwise and depthwise-stage convs. Then
+  // cipher-lite's fc2 forward and weight gradient with ReLU-density
+  // activations, and one row on the reference fallback.
   std::vector<GemmRow> small_rows;
   small_rows.push_back(bench_gemm_shape(false, true, 32, 64, 48, rng));
   small_rows.push_back(bench_gemm_shape(false, false, 512, 10, 48, rng));
   small_rows.push_back(bench_gemm_shape(false, false, 96, 4, 48, rng));
   small_rows.push_back(bench_gemm_shape(false, false, 48, 9, 48, rng));
   small_rows.push_back(bench_gemm_shape(true, false, 64, 48, 32, rng));
+  small_rows.push_back(
+      bench_gemm_shape(false, false, 32, 48, 64, rng, Operands::kRelu));
+  small_rows.push_back(
+      bench_gemm_shape(true, false, 64, 48, 32, rng, Operands::kRelu));
+  small_rows.push_back(
+      bench_gemm_shape(false, false, 32, 48, 64, rng, Operands::kNonFiniteB));
   dlion::tensor::set_gemm_parallel(prev_parallel);
 
   // --- Training step latency + allocations (pool default threading). ----
@@ -829,6 +861,7 @@ int main(int argc, char** argv) {
          (r.tb ? "t" : "n") + "\", \"m\": " + std::to_string(r.m) +
          ", \"n\": " + std::to_string(r.n) +
          ", \"k\": " + std::to_string(r.k);
+    j += std::string(", \"operands\": \"") + operands_name(r.operands) + "\"";
     j += ", \"small_gflops\": " + fmt(r.gflops);
     j += ", \"reference_gflops\": " + fmt(r.reference_gflops);
     j += ", \"speedup_vs_reference\": " +

@@ -38,8 +38,11 @@ using MicroTileFn = void (*)(std::size_t kc, const float* a_strip,
 
 /// Small-GEMM kernel: C += alpha * op(A) * op(B) for a problem below the
 /// packing cutoff, bit-identical to reference_gemm(..., beta = 1). `panel`
-/// is scratch for ceil(max(m, n) / strip) * strip * k floats.
-using SmallGemmFn = void (*)(bool trans_a, bool trans_b, std::size_t m,
+/// is scratch for ceil(max(m, n) / strip) * strip * k floats. Returns false,
+/// leaving C untouched, for an nn/tn problem with alpha != 1, or whose B
+/// holds an inf or NaN, or whose C holds a -0.0, inf or NaN (see
+/// gemm_small.inl); the caller then runs reference_gemm itself.
+using SmallGemmFn = bool (*)(bool trans_a, bool trans_b, std::size_t m,
                              std::size_t n, std::size_t k, float alpha,
                              const float* a, const float* b, float* c,
                              float* panel);
@@ -79,7 +82,8 @@ const MicroKernel* supported_avx2_micro_kernel();
 
 /// C += alpha * op(A) * op(B) through `kernel.small`, with its panel taken
 /// from the thread's ScratchArena, for problems below the packing cutoff
-/// (beta is applied by the caller). Bit-identical to
+/// (beta is applied by the caller), or through reference_gemm when the
+/// kernel declines the operands. Bit-identical to
 /// reference_gemm(..., beta = 1) for every kernel, so the portable and AVX2
 /// instantiations also agree with each other.
 void small_gemm(const MicroKernel& kernel, bool trans_a, bool trans_b,

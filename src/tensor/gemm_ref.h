@@ -1,6 +1,8 @@
 // Reference GEMM: the pre-blocking naive kernels, kept verbatim as the
 // conformance oracle (tests/tensor/gemm_conformance_test.cpp) - bitwise for
-// the small-GEMM kernels, to a tolerance for the packed kernels - and as the
+// the small-GEMM kernels, to a tolerance for the packed kernels - as the
+// small-GEMM path for nn/tn calls the small kernels decline (alpha != 1, an
+// inf or NaN in B, a -0.0 or non-finite C; see gemm_small.inl), and as the
 // "before" side of the tracked hot-path benchmark (bench/hotpath.cpp ->
 // BENCH_hotpath.json). Built with -ffp-contract=off so its multiplies and
 // adds stay separate on every compiler and target.

@@ -10,6 +10,7 @@
 #include "common/scratch.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm_kernel.h"
+#include "tensor/gemm_ref.h"
 
 namespace dlion::tensor {
 
@@ -200,7 +201,9 @@ void small_gemm(const MicroKernel& kernel, bool trans_a, bool trans_b,
   common::ScratchArena::Scope scope(arena);
   float* panel =
       arena.alloc_floats(ceil_div(std::max(m, n), strip) * strip * k);
-  kernel.small.gemm(trans_a, trans_b, m, n, k, alpha, a, b, c, panel);
+  if (!kernel.small.gemm(trans_a, trans_b, m, n, k, alpha, a, b, c, panel)) {
+    reference_gemm(trans_a, trans_b, m, n, k, alpha, a, b, 1.0f, c);
+  }
 }
 }  // namespace detail
 

@@ -3,9 +3,10 @@
 // Below the packing cutoff gemm() must equal the naive reference
 // (tensor::reference_gemm) bit for bit: the small-GEMM kernels are checked
 // over every below-cutoff shape of the end-to-end benchmark's GEMM census
-// plus an odd-shape grid, with inputs that exercise the reference's
-// zero-skip, through gemm() and through the portable and (where the CPU has
-// it) AVX2 instantiations directly. Above the cutoff the packed kernel
+// plus an odd-shape grid, with operand kinds on both sides of the nn/tn
+// kernels' guard (the reference's zero-skip is dropped only where it cannot
+// change a bit), through gemm() and through the portable and (where the CPU
+// has it) AVX2 instantiations directly. Above the cutoff the packed kernel
 // accumulates in another order, so it is checked to a tolerance across all
 // four transpose variants, odd shapes that exercise every edge-tile path of
 // the blocking (m/n/k of 1, 3, tile +/- 1, and above the MC/KC/NC
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -165,35 +167,118 @@ constexpr Shape5 kCensusShapes[] = {
 constexpr float kAlphas[] = {1.0f, 0.5f, -2.0f};
 constexpr float kBetas[] = {0.0f, 1.0f, 0.5f};
 
-// Operands. A holds +0.0 and -0.0 entries (the reference skips av == 0) and
-// C holds -0.0 (a dropped skip would turn it into +0.0). With `specials`, B
-// also holds +inf, -inf and NaN, so a dropped skip turns 0 * inf into NaN.
+// Operand kinds. The nn/tn kernels add every term av * B(p,j), even where
+// the reference skips av == 0, and that is exact only when B is finite and C
+// holds no -0.0 (see gemm_small.inl); otherwise, and whenever alpha != 1,
+// they decline and small_gemm runs the reference. Each kind exercises one
+// side of that guard.
+enum class Kind {
+  // A holds +0.0 and -0.0 entries (the reference skips av == 0) and C
+  // holds -0.0 (a dropped skip would turn it into +0.0).
+  kMixedZeros,
+  // The same, and B also holds +inf, -inf and NaN, so a dropped skip turns
+  // 0 * inf into NaN.
+  kMixedSpecials,
+  // No zero in A, finite B, no -0.0 in C.
+  kZeroFree,
+  // ReLU-like A: about half +0.0 or -0.0, plus an all-zero row and an
+  // all-zero column of op(A); finite B and no -0.0 in C. Every skipped term
+  // adds +-0 to a C element that is not -0.0.
+  kRelu,
+  // kRelu with one +inf, -inf or NaN in B.
+  kReluNonFiniteB,
+  // kRelu with -0.0 in C and nowhere else.
+  kReluNegZeroC,
+};
+constexpr Kind kKinds[] = {Kind::kMixedZeros,    Kind::kMixedSpecials,
+                           Kind::kZeroFree,      Kind::kRelu,
+                           Kind::kReluNonFiniteB, Kind::kReluNegZeroC};
+constexpr std::size_t kNumKinds = sizeof(kKinds) / sizeof(kKinds[0]);
+
+const char* kind_name(Kind kind) {
+  switch (kind) {
+    case Kind::kMixedZeros: return "mixed-zeros";
+    case Kind::kMixedSpecials: return "mixed-specials";
+    case Kind::kZeroFree: return "zero-free";
+    case Kind::kRelu: return "relu";
+    case Kind::kReluNonFiniteB: return "relu-nonfinite-b";
+    case Kind::kReluNegZeroC: return "relu-negzero-c";
+  }
+  return "?";
+}
+
 struct Operands {
   std::vector<float> a, b, c;
 };
 
-Operands make_operands(std::size_t m, std::size_t n, std::size_t k,
-                       bool specials, std::uint64_t seed) {
+Operands make_operands(const Shape5& s, Kind kind, std::uint64_t seed) {
   common::Rng rng(seed);
   const float kSpecial[] = {std::numeric_limits<float>::infinity(),
                             -std::numeric_limits<float>::infinity(),
                             std::numeric_limits<float>::quiet_NaN()};
-  Operands o{random_vec(m * k, rng), random_vec(k * n, rng),
-             random_vec(m * n, rng)};
-  for (auto& x : o.a) {
-    const auto r = rng.uniform_int(0, 7);
-    if (r == 0) x = 0.0f;
-    if (r == 1) x = -0.0f;
-  }
-  for (auto& x : o.c) {
-    if (rng.uniform_int(0, 3) == 0) x = -0.0f;
-  }
-  if (specials) {
-    for (auto& x : o.b) {
-      if (rng.uniform_int(0, 31) == 0) x = kSpecial[rng.uniform_int(0, 2)];
-    }
+  Operands o{random_vec(s.m * s.k, rng), random_vec(s.k * s.n, rng),
+             random_vec(s.m * s.n, rng)};
+  // A(i,p) of op(A).
+  const auto a_at = [&](std::size_t i, std::size_t p) -> float& {
+    return s.ta ? o.a[p * s.m + i] : o.a[i * s.k + p];
+  };
+  switch (kind) {
+    case Kind::kMixedZeros:
+    case Kind::kMixedSpecials:
+      for (auto& x : o.a) {
+        const auto r = rng.uniform_int(0, 7);
+        if (r == 0) x = 0.0f;
+        if (r == 1) x = -0.0f;
+      }
+      for (auto& x : o.c) {
+        if (rng.uniform_int(0, 3) == 0) x = -0.0f;
+      }
+      if (kind == Kind::kMixedSpecials) {
+        for (auto& x : o.b) {
+          if (rng.uniform_int(0, 31) == 0) x = kSpecial[rng.uniform_int(0, 2)];
+        }
+      }
+      break;
+    case Kind::kZeroFree:
+      for (auto& x : o.a) {
+        if (x == 0.0f) x = 1.0f;
+      }
+      break;
+    case Kind::kRelu:
+    case Kind::kReluNonFiniteB:
+    case Kind::kReluNegZeroC:
+      for (auto& x : o.a) {
+        if (rng.uniform_int(0, 1) == 0) {
+          x = rng.uniform_int(0, 1) == 0 ? 0.0f : -0.0f;
+        }
+      }
+      for (std::size_t p = 0; p < s.k; ++p) a_at(s.m / 2, p) = 0.0f;
+      for (std::size_t i = 0; i < s.m; ++i) a_at(i, s.k / 2) = -0.0f;
+      if (kind == Kind::kReluNonFiniteB) {
+        const auto last = static_cast<std::int64_t>(o.b.size()) - 1;
+        o.b[static_cast<std::size_t>(rng.uniform_int(0, last))] =
+            kSpecial[rng.uniform_int(0, 2)];
+      }
+      if (kind == Kind::kReluNegZeroC) {
+        for (auto& x : o.c) {
+          if (rng.uniform_int(0, 3) == 0) x = -0.0f;
+        }
+      }
+      break;
   }
   return o;
+}
+
+// Whether the select-free nn/tn tiles may run: every B element finite and
+// every C element (after beta) finite and not -0.0.
+bool axpy_exact(const std::vector<float>& b, const std::vector<float>& c) {
+  for (float x : b) {
+    if (!std::isfinite(x)) return false;
+  }
+  for (float x : c) {
+    if (!std::isfinite(x) || (x == 0.0f && std::signbit(x))) return false;
+  }
+  return true;
 }
 
 // Bitwise equality, except that any NaN matches any NaN: IEEE 754 leaves
@@ -212,11 +297,13 @@ Operands make_operands(std::size_t m, std::size_t n, std::size_t k,
 }
 
 // Runs gemm() and each small-GEMM instantiation on one problem and expects
-// every result to equal reference_gemm bit for bit.
-void expect_bitwise(const Shape5& s, float alpha, float beta, bool specials,
+// every result to equal reference_gemm bit for bit. Each kernel's own entry
+// point must also take the select-free nn/tn tiles exactly when alpha == 1
+// and the guard allows them, and leave C untouched when it declines.
+void expect_bitwise(const Shape5& s, float alpha, float beta, Kind kind,
                     std::uint64_t seed) {
   ASSERT_LT(s.m * s.n * s.k, kPackedCutoff);
-  const Operands o = make_operands(s.m, s.n, s.k, specials, seed);
+  const Operands o = make_operands(s, kind, seed);
   std::vector<float> want = o.c;
   reference_gemm(s.ta, s.tb, s.m, s.n, s.k, alpha, o.a.data(), o.b.data(),
                  beta, want.data());
@@ -224,7 +311,7 @@ void expect_bitwise(const Shape5& s, float alpha, float beta, bool specials,
     return ::testing::Message()
            << "ta=" << s.ta << " tb=" << s.tb << " m=" << s.m << " n=" << s.n
            << " k=" << s.k << " alpha=" << alpha << " beta=" << beta
-           << " specials=" << specials;
+           << " kind=" << kind_name(kind);
   };
 
   std::vector<float> got = o.c;
@@ -232,13 +319,34 @@ void expect_bitwise(const Shape5& s, float alpha, float beta, bool specials,
        got.data());
   EXPECT_TRUE(bits_equal(got, want)) << "gemm() " << where();
 
+  // small_gemm expects beta already applied, as gemm() does.
+  std::vector<float> scaled = o.c;
+  for (float& x : scaled) x = beta == 0.0f ? 0.0f : x * beta;
+  const bool exact = axpy_exact(o.b, scaled);
+  if (kind == Kind::kZeroFree || kind == Kind::kRelu) {
+    ASSERT_TRUE(exact) << where();
+  }
+  if (kind == Kind::kReluNonFiniteB) {
+    ASSERT_FALSE(exact) << where();
+  }
+
   const detail::MicroKernel* kernels[] = {
       &detail::portable_micro_kernel(), detail::supported_avx2_micro_kernel()};
   for (const detail::MicroKernel* kernel : kernels) {
     if (kernel == nullptr) continue;
-    // small_gemm expects beta already applied, as gemm() does.
-    got = o.c;
-    for (float& x : got) x = beta == 0.0f ? 0.0f : x * beta;
+    const std::size_t strip = kernel->small.strip;
+    std::vector<float> panel((std::max(s.m, s.n) + strip - 1) / strip * strip *
+                             s.k);
+    got = scaled;
+    const bool ran = kernel->small.gemm(s.ta, s.tb, s.m, s.n, s.k, alpha,
+                                        o.a.data(), o.b.data(), got.data(),
+                                        panel.data());
+    EXPECT_EQ(ran, s.tb || (alpha == 1.0f && exact))
+        << kernel->name << " " << where();
+    EXPECT_TRUE(bits_equal(got, ran ? want : scaled))
+        << kernel->name << " kernel " << where();
+
+    got = scaled;
     detail::small_gemm(*kernel, s.ta, s.tb, s.m, s.n, s.k, alpha, o.a.data(),
                        o.b.data(), got.data());
     EXPECT_TRUE(bits_equal(got, want)) << kernel->name << " " << where();
@@ -250,8 +358,8 @@ TEST(GemmBitwise, CensusShapesMatchReference) {
   for (const Shape5& s : kCensusShapes) {
     for (float alpha : kAlphas) {
       for (float beta : kBetas) {
-        for (bool specials : {false, true}) {
-          expect_bitwise(s, alpha, beta, specials, seed++);
+        for (Kind kind : kKinds) {
+          expect_bitwise(s, alpha, beta, kind, seed++);
         }
       }
     }
@@ -268,10 +376,15 @@ TEST_P(GemmConformance, OddShapesBitwiseBelowCutoff) {
     for (std::size_t n : dims) {
       for (std::size_t k : dims) {
         if (m * n * k >= kPackedCutoff) continue;
+        const Shape5 s{ta, tb, m, n, k};
         const float alpha = kAlphas[index % 3];
         const float beta = kBetas[(index / 3) % 3];
-        expect_bitwise({ta, tb, m, n, k}, alpha, beta, index % 2 == 1,
-                       index);
+        // The cycled call may go to the reference (alpha != 1, or operands
+        // the guard rejects); the kRelu call at alpha 1 always passes the
+        // guard, so every shape reaches the nn/tn tiles.
+        expect_bitwise(s, 1.0f, beta, Kind::kRelu, 2 * index);
+        expect_bitwise(s, alpha, beta, kKinds[(index / 9) % kNumKinds],
+                       2 * index + 1);
         ++index;
       }
     }
