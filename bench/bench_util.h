@@ -65,7 +65,11 @@ inline std::string jcurve(const sim::Trace& curve) {
   for (const auto& p : curve.points()) {
     if (!first) j += ", ";
     first = false;
-    j += "[" + jnum(p.time, 2) + ", " + jnum(p.value) + "]";
+    j += '[';
+    j += jnum(p.time, 2);
+    j += ", ";
+    j += jnum(p.value);
+    j += ']';
   }
   return j + "]";
 }

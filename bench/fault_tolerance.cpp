@@ -216,8 +216,6 @@ int main(int argc, char** argv) {
             std::to_string(res.bootstrap_bytes) + ",\n";
     json += "      \"stale_epoch_rejected\": " +
             std::to_string(res.stale_epoch_rejected) + ",\n";
-    json += "      \"dead_letter_evictions\": " +
-            std::to_string(res.dead_letter_evictions) + ",\n";
     json += "      \"total_iterations\": " +
             std::to_string(res.total_iterations) + ",\n";
     json += std::string("      \"watchdog_degraded\": ") +

@@ -1,16 +1,16 @@
 // Observability overhead bench: runs the same 6-worker DLion simulation
-// four ways -- no observer attached, observer attached but runtime-disabled,
-// enabled without causal tracing, fully enabled (spans + flows + apply
-// anchors) -- and reports the wall-clock and allocation cost of each layer.
+// two ways -- no observer attached, and an observer attached (spans,
+// counters, flows and apply anchors) -- and reports the wall-clock and
+// allocation cost of recording.
 //
-// All four configurations must produce bit-identical simulation results
+// Both configurations must produce bit-identical simulation results
 // (iterations, bytes, accuracy): recording never draws randomness and never
 // schedules events, so this bench doubles as a determinism check. With
 // --out=PATH a machine-readable BENCH_obs.json is written (fixed key order;
 // only the timing fields vary run-to-run -- event counts, metric series,
-// and the `identical` flag are deterministic). With --csv-dir=<dir> the
-// enabled run's artifacts (Chrome trace, metrics JSON/CSV, telemetry
-// summary, critical-path report) are exported for inspection.
+// and the `identical` flag are deterministic). With --csv-dir=<dir> an
+// observed run's artifacts (Chrome trace, metrics JSON, telemetry summary,
+// critical-path report) are exported for inspection.
 //
 // With --workers=N the bench instead runs the scale configuration (ROADMAP
 // item 1): N workers in micro-clouds of --groups, full observability with a
@@ -18,7 +18,8 @@
 // per-micro-cloud metric rollups. It reports the trace-memory numbers that
 // gate the obs-scale-smoke CI job (admitted/sampled events, retained bytes,
 // bytes per retained event, sink checksum, peak RSS) and exits nonzero if
-// --max-retained-bytes is exceeded.
+// --max-retained-bytes is exceeded, if sampling never dropped an event, or
+// if the critical path does not resolve.
 //
 // Usage: obs_overhead [--scale=bench|paper] [--env="Hetero SYS A"]
 //                     [--timing-reps=5] [--out=BENCH_obs.json] [--csv-dir=out]
@@ -28,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,12 +86,11 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// One timed rep of one configuration (fresh observer per rep so the
 /// tracer never accumulates across reps). Folds the wall time, allocation
 /// count, and result into `out`.
-using MakeObs = std::function<std::unique_ptr<obs::Observability>()>;
-
 void run_rep(const exp::RunSpec& base, const exp::Workload& workload,
-             const MakeObs& make_obs, int slot, Timed& out) {
+             bool observed, int slot, Timed& out) {
   exp::RunSpec spec = base;
-  std::unique_ptr<obs::Observability> o = make_obs();
+  std::unique_ptr<obs::Observability> o;
+  if (observed) o = std::make_unique<obs::Observability>();
   spec.obs = o.get();
   // One counter slot per configuration: the reps interleave round-robin,
   // so a shared counter would let one config's window bleed into the next.
@@ -252,6 +251,10 @@ int run_scale(const bench::BenchContext& ctx, std::size_t workers) {
               << " bytes exceeds budget " << max_retained << "\n";
     return 1;
   }
+  if (sampled_out == 0) {
+    std::cerr << "FAIL: sampling never engaged (no event sampled out)\n";
+    return 1;
+  }
   if (!report.valid) {
     std::cerr << "FAIL: critical path invalid (full-fidelity window "
                  "retained no spans)\n";
@@ -282,43 +285,22 @@ int main(int argc, char** argv) {
       bench::make_run_spec(ctx.scale, "dlion", env_name,
                            ctx.scale.duration_s);
 
-  // The four configurations:
-  //  1. baseline -- no observer anywhere in the stack;
-  //  2. attached but runtime-disabled -- every record site pays its gate
-  //     check (pointer + flag) and nothing else;
-  //  3. enabled without the causal layer -- counters, histograms, spans,
-  //     but no flow events and no zero-duration apply anchors;
-  //  4. fully enabled -- spans + flow events + apply anchors (what
-  //     compute_critical_path consumes).
-  // Reps are interleaved round-robin (rep 0 of each config, then rep 1 of
-  // each, ...) so slow drift in machine load biases all configurations
-  // equally instead of whichever ran last. Round r starts at configuration
-  // r mod 4, so no configuration always runs first.
-  const MakeObs makers[4] = {
-      [] { return std::unique_ptr<obs::Observability>(); },
-      [] {
-        auto o = std::make_unique<obs::Observability>();
-        o->set_enabled(false);
-        return o;
-      },
-      [] {
-        auto o = std::make_unique<obs::Observability>();
-        o->set_causal(false);
-        return o;
-      },
-      [] { return std::make_unique<obs::Observability>(); },
-  };
-  Timed timed[4];
+  // The two configurations: no observer anywhere in the stack, and an
+  // observer attached (spans, counters, flow events and apply anchors --
+  // what compute_critical_path consumes). Reps are interleaved round-robin
+  // (rep 0 of each config, then rep 1 of each, ...) so slow drift in
+  // machine load biases both configurations equally instead of whichever
+  // ran last. Round r starts at configuration r mod 2, so neither
+  // configuration always runs first.
+  Timed timed[2];
   for (int r = 0; r < reps; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      const int c = (i + r) % 4;
-      run_rep(spec, workload, makers[c], c, timed[c]);
+    for (int i = 0; i < 2; ++i) {
+      const int c = (i + r) % 2;
+      run_rep(spec, workload, c == 1, c, timed[c]);
     }
   }
   Timed& off = timed[0];
-  Timed& disabled = timed[1];
-  Timed& plain = timed[2];
-  Timed& on = timed[3];
+  Timed& on = timed[1];
   // Every timing below is a median over the interleaved reps, reported
   // with its quartiles, so run-to-run noise shows as spread.
   const double off_ms = spread(off.wall_ms).median;
@@ -348,49 +330,34 @@ int main(int argc, char** argv) {
         .cell(std::to_string(t.allocs));
   };
   add_row("obs off (baseline)", off, true);
-  add_row("obs attached, disabled", disabled, false);
-  add_row("obs enabled, no causal", plain, false);
-  add_row("obs enabled + causal", on, false);
+  add_row("obs on", on, false);
   table.print(std::cout);
 
-  const bool identical = same_results(off.result, disabled.result) &&
-                         same_results(off.result, plain.result) &&
-                         same_results(off.result, on.result);
+  const bool identical = same_results(off.result, on.result);
   std::cout << "\nsimulation results identical across configs: "
             << (identical ? "yes" : "NO -- DETERMINISM VIOLATION") << "\n"
             << "  iterations=" << off.result.total_iterations
             << " bytes=" << off.result.total_bytes
             << " final_acc=" << off.result.final_accuracy << "\n";
   if (on.trace_events > 0) {
-    std::printf(
-        "allocation cost of recording: %.3f allocs/event "
-        "(%llu extra allocs over no-causal, %llu flow+anchor events)\n",
-        static_cast<double>(on.allocs > off.allocs ? on.allocs - off.allocs
-                                                   : 0) /
-            static_cast<double>(on.trace_events),
-        static_cast<unsigned long long>(
-            on.allocs > plain.allocs ? on.allocs - plain.allocs : 0),
-        static_cast<unsigned long long>(
-            on.trace_events > plain.trace_events
-                ? on.trace_events - plain.trace_events
-                : 0));
+    std::printf("allocation cost of recording: %.3f allocs/event\n",
+                static_cast<double>(on.allocs > off.allocs
+                                        ? on.allocs - off.allocs
+                                        : 0) /
+                    static_cast<double>(on.trace_events));
   }
 
-  // Telemetry summary from the enabled run (recomputed via RunSpec's
-  // collect_telemetry path so the summary code is exercised too).
-  {
-    exp::RunSpec tspec = spec;
-    tspec.collect_telemetry = true;
-    exp::RunResult t = exp::run_experiment(tspec, workload);
-    if (t.telemetry.collected) {
-      std::cout << "\nwhere simulated time went (cluster totals):\n";
-      std::printf("  compute  %10.2f s\n", t.telemetry.compute_seconds);
-      std::printf("  stall    %10.2f s\n", t.telemetry.stall_seconds);
-      std::printf("  dkt pull %10.2f s\n", t.telemetry.dkt_pull_seconds);
-      std::printf("  net tx   %10.2f s  (p50=%.4gs p90=%.4gs p99=%.4gs)\n",
-                  t.telemetry.net_tx_seconds, t.telemetry.tx_p50_s,
-                  t.telemetry.tx_p90_s, t.telemetry.tx_p99_s);
-    }
+  // Telemetry summary of the observed run (filled because an observer
+  // was attached).
+  const obs::RunTelemetry& tel = on.result.telemetry;
+  if (tel.collected) {
+    std::cout << "\nwhere simulated time went (cluster totals):\n";
+    std::printf("  compute  %10.2f s\n", tel.compute_seconds);
+    std::printf("  stall    %10.2f s\n", tel.stall_seconds);
+    std::printf("  dkt pull %10.2f s\n", tel.dkt_pull_seconds);
+    std::printf("  net tx   %10.2f s  (p50=%.4gs p90=%.4gs p99=%.4gs)\n",
+                tel.net_tx_seconds, tel.tx_p50_s, tel.tx_p90_s,
+                tel.tx_p99_s);
   }
 
   if (!out_path.empty()) {
@@ -399,7 +366,7 @@ int main(int argc, char** argv) {
     // for a given scale/env.
     std::ofstream js(out_path, std::ios::trunc);
     js << "{\n";
-    js << "  \"schema\": \"dlion-obs-v2\",\n";
+    js << "  \"schema\": \"dlion-obs-v3\",\n";
     js << "  \"bench\": \"obs_overhead\",\n";
     js << "  \"env\": \"" << env_name << "\",\n";
     js << "  \"scale\": \"" << (ctx.scale.paper ? "paper" : "bench")
@@ -420,39 +387,34 @@ int main(int argc, char** argv) {
          << ", \"allocs\": " << t.allocs << "}" << (last ? "\n" : ",\n");
     };
     cfg("off", off, false);
-    cfg("disabled", disabled, false);
-    cfg("enabled_no_causal", plain, false);
-    cfg("enabled_causal", on, true);
+    cfg("on", on, true);
     js << "}\n";
     std::cout << "\n[json] wrote " << out_path << "\n";
   }
 
   const std::string dir = ctx.config.get_string("csv-dir", "");
   if (!dir.empty()) {
-    // Export artifacts from a fresh enabled run so each file reflects
+    // Export artifacts from a fresh observed run so each file reflects
     // exactly one simulation.
     auto o = std::make_unique<obs::Observability>();
     exp::RunSpec espec = spec;
     espec.obs = o.get();
-    exp::RunResult r = exp::run_experiment(espec, workload);
+    const exp::RunResult r = exp::run_experiment(espec, workload);
     try {
       exp::write_chrome_trace(o->tracer(), dir + "/obs_trace.json");
       exp::write_metrics_json(o->metrics(), dir + "/obs_metrics.json");
-      exp::write_metrics_csv(o->metrics(), dir + "/obs_metrics.csv");
-      exp::write_telemetry_json(obs::summarize(*o),
-                                dir + "/obs_telemetry.json");
+      exp::write_telemetry_json(r.telemetry, dir + "/obs_telemetry.json");
       const obs::CriticalPathReport report = obs::compute_critical_path(
           o->tracer(), {ctx.scale.duration_s / 10.0});
       exp::write_critical_path_json(report, dir + "/obs_critical_path.json");
       exp::write_critical_path_table(report, dir + "/obs_critical_path.txt");
       std::cout << "\n[csv] wrote " << dir
-                << "/obs_trace.json (load in Perfetto), obs_metrics.{json,"
-                   "csv}, obs_telemetry.json, obs_critical_path.{json,txt}\n";
+                << "/obs_trace.json (load in Perfetto), obs_metrics.json, "
+                   "obs_telemetry.json, obs_critical_path.{json,txt}\n";
     } catch (const std::exception& e) {
       std::cerr << "[csv] export failed (" << e.what()
                 << ") - does the directory exist?\n";
     }
-    (void)r;
   }
   return 0;
 }

@@ -100,10 +100,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (summary_only) {
-    const obs::CriticalPathSummary s = obs::summary_of(report);
-    std::cout << "critical path: " << s.total_s << " s\n"
+    std::cout << "critical path: " << report.total_seconds() << " s\n"
               << "  straggler:  "
-              << (s.straggler.empty() ? "(none)" : s.straggler) << "\n"
+              << (report.straggler.empty() ? "(none)" : report.straggler)
+              << "\n"
               << "  bottleneck: "
               << (report.bottleneck_link.empty() ? "(none)"
                                                  : report.bottleneck_link)
@@ -121,10 +121,7 @@ int main(int argc, char** argv) {
     if (result.telemetry.watchdog_events.empty()) {
       std::cout << "watchdog: silent (no detector fired)\n";
     } else {
-      std::cout << "watchdog: "
-                << (result.telemetry.watchdog_aborted ? "ABORTED"
-                                                      : "degraded")
-                << "\n";
+      std::cout << "watchdog: degraded\n";
       for (const std::string& e : result.telemetry.watchdog_events) {
         std::cout << "  - " << e << "\n";
       }

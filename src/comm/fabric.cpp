@@ -37,9 +37,8 @@ Fabric::~Fabric() { network_->set_drop_hook(nullptr); }
 void Fabric::set_obs(obs::Observability* o) {
   obs_ = o;
   obs_types_.clear();
-  obs_dead_letters_ = obs_dead_letter_evictions_ = obs_stale_rejected_ =
-      obs_retries_ = obs_failures_ = nullptr;
-  obs_dead_letter_pinned_bytes_ = nullptr;
+  obs_dead_letters_ = obs_stale_rejected_ = obs_retries_ = obs_failures_ =
+      nullptr;
   obs_track_ = 0;
   obs_worker_tracks_.clear();
   if (o == nullptr) return;
@@ -51,8 +50,6 @@ void Fabric::set_obs(obs::Observability* o) {
     obs_types_[i].sent_bytes = &m.counter("comm.fabric.sent_bytes", labels);
   }
   obs_dead_letters_ = &m.counter("comm.fabric.dead_letters");
-  obs_dead_letter_evictions_ = &m.counter("comm.fabric.dead_letter_evictions");
-  obs_dead_letter_pinned_bytes_ = &m.gauge("comm.dead_letter_pinned_bytes");
   obs_stale_rejected_ = &m.counter("comm.fabric.stale_epoch_rejected");
   obs_retries_ = &m.counter("comm.fabric.reliable_retries");
   obs_failures_ = &m.counter("comm.fabric.reliable_failures");
@@ -117,7 +114,6 @@ bool Fabric::deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
     // link's tx span, which is exactly what happened.
     ++dead_letters_;
     ++dead_letters_to_[to];
-    record_dead_letter(from, to, msg);
     if (obs::on(obs_)) {
       obs_dead_letters_->inc();
       obs_->tracer().instant(obs_track_, "dead_letter",
@@ -130,7 +126,7 @@ bool Fabric::deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
     }
     return false;
   }
-  if (obs::on(obs_) && obs_->causal() && flow != 0) {
+  if (obs::on(obs_) && flow != 0) {
     // Flow end on the receiver's lane, at delivery time, just before the
     // handler runs — the handler's same-timestamp "apply" span (or the
     // next span on the lane) is the arrow's destination.
@@ -139,29 +135,6 @@ bool Fabric::deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
   }
   handlers_[to](from, msg);
   return true;
-}
-
-void Fabric::record_dead_letter(std::size_t from, std::size_t to,
-                                const MessagePtr& msg) {
-  DLION_AFFINITY_DCHECK(affinity_);
-  const common::Bytes pinned = payload_bytes(*msg);
-  dead_letter_queue_.push_back(
-      DeadLetter{engine().now(), from, to, msg->index(), msg, pinned});
-  dead_letter_pinned_bytes_ += pinned;
-  // Evict oldest-first until both bounds hold: record count and total
-  // pinned payload bytes (a retained data-lane message keeps its arena
-  // blocks alive, so the byte bound is what actually caps memory).
-  while (dead_letter_queue_.size() > kDeadLetterCap ||
-         dead_letter_pinned_bytes_ > kDeadLetterMaxBytes) {
-    dead_letter_pinned_bytes_ -= dead_letter_queue_.front().payload_bytes;
-    dead_letter_queue_.pop_front();
-    ++dead_letter_evictions_;
-    if (obs::on(obs_)) obs_dead_letter_evictions_->inc();
-  }
-  if (obs::on(obs_)) {
-    obs_dead_letter_pinned_bytes_->set(
-        static_cast<double>(dead_letter_pinned_bytes_));
-  }
 }
 
 void Fabric::set_epoch(std::size_t worker, std::uint64_t epoch) {
@@ -186,7 +159,7 @@ void Fabric::transmit(std::size_t from, std::size_t to, MessagePtr msg,
   // Flow-id monotonicity contract: the per-sender sequence is strictly
   // increasing and must stay inside its 40-bit field — a wrap would reuse
   // ids and silently cross-link unrelated causal flows in the trace.
-  DLION_ASSERT(flow_seq_[from] < (std::uint64_t{1} << kFlowSeqBits),
+  DLION_ASSERT(flow_seq_[from] < (std::uint64_t{1} << obs::kFlowSeqBits),
                "per-sender flow sequence overflowed 2^40 transmissions");
   DLION_DCHECK(flow_src_worker(flow) == from && flow != 0,
                "flow id round-trip lost the sender");
@@ -194,13 +167,11 @@ void Fabric::transmit(std::size_t from, std::size_t to, MessagePtr msg,
     ObsTypeHandles& h = obs_types_[msg->index()];
     h.sent->inc();
     h.sent_bytes->inc(static_cast<double>(bytes));
-    if (obs_->causal()) {
-      // Flow start on the sender's lane at transmit time; the enclosing
-      // slice (compute/apply) becomes the arrow's origin.
-      obs_->tracer().flow(obs_worker_tracks_[from],
-                          obs::Tracer::FlowPhase::kStart,
-                          message_type_name(*msg), engine().now(), flow);
-    }
+    // Flow start on the sender's lane at transmit time; the enclosing
+    // slice (compute/apply) becomes the arrow's origin.
+    obs_->tracer().flow(obs_worker_tracks_[from],
+                        obs::Tracer::FlowPhase::kStart,
+                        message_type_name(*msg), engine().now(), flow);
   }
   std::uint32_t slot;
   if (free_transfers_.empty()) {
@@ -247,7 +218,7 @@ void Fabric::complete(std::uint32_t slot) {
       // succeeds iff the worker reattaches within its retry budget.
       break;
     case Kind::kAck:
-      if (obs::on(obs_) && obs_->causal()) {
+      if (obs::on(obs_)) {
         obs_->tracer().flow(obs_worker_tracks_[t.to],
                             obs::Tracer::FlowPhase::kEnd, "Ack",
                             engine().now(), t.flow);
@@ -331,7 +302,6 @@ void Fabric::on_timeout(std::uint64_t seq) {
     ++reliable_failures_;
     ++dead_letters_;
     ++dead_letters_to_[p.to];
-    record_dead_letter(p.from, p.to, p.msg);
     if (obs::on(obs_)) {
       obs_failures_->inc();
       obs_dead_letters_->inc();

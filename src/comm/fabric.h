@@ -28,7 +28,6 @@
 // releases its payload blocks exactly when it always did.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_set>
@@ -49,38 +48,12 @@ struct RetryPolicy {
   std::size_t max_attempts = 4;
 };
 
-/// Record kept for a message that dead-lettered (arrived at a detached
-/// worker, or exhausted its reliable-send retry budget). The record retains
-/// the message for diagnosis — for a data-lane message that pins its
-/// arena-backed payload blocks — so retention is bounded two ways: at most
-/// `Fabric::kDeadLetterCap` records, and at most
-/// `Fabric::kDeadLetterMaxBytes` of pinned payload across the queue
-/// (`payload_bytes` is each record's contribution). Whichever bound is
-/// exceeded first evicts the oldest records.
-struct DeadLetter {
-  common::SimTime time = 0.0;
-  std::size_t from = 0;
-  std::size_t to = 0;
-  std::size_t type = 0;  ///< Message variant index
-  MessagePtr msg;        ///< retained for diagnosis (pins payload blocks)
-  common::Bytes payload_bytes = 0;  ///< arena bytes this record pins
-};
-
 class Fabric {
  public:
   using Handler = std::function<void(std::size_t from, MessagePtr msg)>;
   /// Outcome callback for reliable sends: acked = true once the receiver's
   /// ack arrives; false when every attempt timed out.
   using ReliableCallback = std::function<void(bool acked)>;
-
-  /// Maximum retained DeadLetter records. When full, the oldest record is
-  /// evicted (counted in dead_letter_evictions) — long churn runs cannot
-  /// grow the queue without limit.
-  static constexpr std::size_t kDeadLetterCap = 256;
-  /// Maximum payload bytes the retained records may pin in total; records
-  /// are evicted oldest-first until the sum fits. Bounds the arena memory
-  /// a burst of dead-lettered gradient/weight messages can hold alive.
-  static constexpr common::Bytes kDeadLetterMaxBytes = 8 * 1024 * 1024;
 
   /// `byte_scale` multiplies data-queue wire sizes (> 0; 1 = exact). The
   /// fabric installs its drop hook on `network` and clears it again on
@@ -120,26 +93,12 @@ class Fabric {
                               const RetryPolicy& policy = {},
                               ReliableCallback done = {});
 
-  /// Messages that arrived at a worker with no handler attached.
+  /// Messages that arrived at a worker with no handler attached, or that
+  /// exhausted their reliable-send retry budget. The message itself is
+  /// released at once.
   std::uint64_t dead_letters() const { return dead_letters_; }
   std::uint64_t dead_letters(std::size_t to) const {
     return dead_letters_to_.at(to);
-  }
-  /// Most recent dead-letter records (bounded by kDeadLetterCap records
-  /// and kDeadLetterMaxBytes of pinned payload).
-  const std::deque<DeadLetter>& recent_dead_letters() const {
-    return dead_letter_queue_;
-  }
-  /// Dead-letter records evicted because the queue hit its cap (record
-  /// count or pinned payload bytes).
-  std::uint64_t dead_letter_evictions() const {
-    return dead_letter_evictions_;
-  }
-  /// Payload bytes currently pinned by retained dead-letter records
-  /// (mirrored as the `comm.dead_letter_pinned_bytes` gauge when an
-  /// observer is attached).
-  common::Bytes dead_letter_pinned_bytes() const {
-    return dead_letter_pinned_bytes_;
   }
 
   // --- Roster epochs (elastic membership, DESIGN.md) ---
@@ -235,8 +194,6 @@ class Fabric {
   /// sender's roster epoch captured at transmit time.
   bool deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
                FlowId flow, std::uint64_t epoch);
-  void record_dead_letter(std::size_t from, std::size_t to,
-                          const MessagePtr& msg);
   void transmit(std::size_t from, std::size_t to, MessagePtr msg,
                 common::Bytes bytes, Kind kind, std::uint64_t seq);
   /// Delivery of the transfer in `slot` (frees the slot first).
@@ -256,11 +213,6 @@ class Fabric {
   std::vector<Handler> handlers_;
   std::vector<std::uint64_t> dead_letters_to_;
   std::uint64_t dead_letters_ = 0;
-  /// Bounded by kDeadLetterCap records and kDeadLetterMaxBytes of pinned
-  /// payload.
-  std::deque<DeadLetter> dead_letter_queue_;
-  common::Bytes dead_letter_pinned_bytes_ = 0;
-  std::uint64_t dead_letter_evictions_ = 0;
   /// Roster epochs: per-sender transmission stamp, per-receiver acceptance
   /// floor, and the rejected-delivery counter. All-zero unless the elastic
   /// membership layer is active.
@@ -286,8 +238,6 @@ class Fabric {
   obs::Observability* obs_ = nullptr;  // non-owning, optional
   std::vector<ObsTypeHandles> obs_types_;
   obs::Counter* obs_dead_letters_ = nullptr;
-  obs::Counter* obs_dead_letter_evictions_ = nullptr;
-  obs::Gauge* obs_dead_letter_pinned_bytes_ = nullptr;
   obs::Counter* obs_stale_rejected_ = nullptr;
   obs::Counter* obs_retries_ = nullptr;
   obs::Counter* obs_failures_ = nullptr;

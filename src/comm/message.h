@@ -16,6 +16,7 @@
 #include "comm/node_pool.h"
 #include "comm/payload.h"
 #include "common/units.h"
+#include "obs/tracer.h"
 
 namespace dlion::comm {
 
@@ -175,30 +176,24 @@ std::vector<bool> unpack_members(const std::vector<std::uint64_t>& words,
 /// clocks — so the same simulation always produces the same flow ids and an
 /// attached tracer can link send → transfer → deliver events across tracks.
 ///
-/// Layout: bits [40, 64) hold src_worker + 1 (so a valid id is never 0),
-/// bits [0, 40) the 1-based per-sender sequence number.
+/// Layout (obs::kFlowSeqBits, shared with the tracer's flow sampling):
+/// bits [40, 64) hold src_worker + 1 (so a valid id is never 0), bits
+/// [0, 40) the 1-based per-sender sequence number.
 using FlowId = std::uint64_t;
 
-inline constexpr int kFlowSeqBits = 40;
-
 constexpr FlowId make_flow_id(std::size_t src_worker, std::uint64_t seq) {
-  return (static_cast<FlowId>(src_worker + 1) << kFlowSeqBits) |
-         (seq & ((FlowId{1} << kFlowSeqBits) - 1));
+  return (static_cast<FlowId>(src_worker + 1) << obs::kFlowSeqBits) |
+         obs::flow_seq(seq);
 }
 constexpr std::size_t flow_src_worker(FlowId id) {
-  return static_cast<std::size_t>(id >> kFlowSeqBits) - 1;
-}
-constexpr std::uint64_t flow_seq(FlowId id) {
-  return id & ((FlowId{1} << kFlowSeqBits) - 1);
+  return static_cast<std::size_t>(id >> obs::kFlowSeqBits) - 1;
 }
 
 /// True for messages that ride the control queue (small, latency-bound).
 bool is_control(const Message& msg);
 
 /// Arena bytes a retained copy of `msg` pins (sum of its payload view
-/// lengths; 0 for control messages). Feeds the fabric's dead-letter
-/// byte-based eviction: a dead-lettered data message keeps its blocks alive
-/// until the record is dropped.
+/// lengths; 0 for control messages).
 std::size_t payload_bytes(const Message& msg);
 
 /// Bytes `msg` costs on a link before the fabric's byte scaling: the

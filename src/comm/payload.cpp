@@ -57,8 +57,8 @@ PayloadHandle PayloadArena::acquire(std::size_t min_bytes) {
     }
   }
   // Size new blocks by demand, never by doubling the previous block: a
-  // consumer that legitimately retains messages (dead-letter queue, a test
-  // harness inbox) pins blocks indefinitely, and demand-doubling would turn
+  // consumer that legitimately retains messages (a test harness inbox)
+  // pins blocks indefinitely, and demand-doubling would turn
   // every pinned block into exponential growth. Linear-in-retention is the
   // worst case here; recycling keeps the steady state at O(1) blocks.
   const std::size_t size = std::max(kMinBlockBytes, round_up(min_bytes));

@@ -1,6 +1,7 @@
 #include "common/config.h"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace dlion::common {
 
@@ -48,33 +49,51 @@ std::string Config::get_string(std::string_view key,
   return fallback;
 }
 
+namespace {
+
+[[noreturn]] void reject(std::string_view key, const std::string& value,
+                         const char* want) {
+  std::string msg = "--";
+  msg += key;
+  msg += "=";
+  msg += value;
+  msg += ": expected ";
+  msg += want;
+  throw std::invalid_argument(msg);
+}
+
+}  // namespace
+
 long long Config::get_int(std::string_view key, long long fallback) const {
-  if (auto v = lookup(key)) {
-    try {
-      return std::stoll(*v);
-    } catch (const std::exception&) {  // invalid_argument / out_of_range
-      return fallback;
-    }
+  const auto v = lookup(key);
+  if (!v) return fallback;
+  std::size_t used = 0;
+  try {
+    const long long parsed = std::stoll(*v, &used);
+    if (used == v->size()) return parsed;
+  } catch (const std::exception&) {  // invalid_argument / out_of_range
   }
-  return fallback;
+  reject(key, *v, "an integer");
 }
 
 double Config::get_double(std::string_view key, double fallback) const {
-  if (auto v = lookup(key)) {
-    try {
-      return std::stod(*v);
-    } catch (const std::exception&) {  // invalid_argument / out_of_range
-      return fallback;
-    }
+  const auto v = lookup(key);
+  if (!v) return fallback;
+  std::size_t used = 0;
+  try {
+    const double parsed = std::stod(*v, &used);
+    if (used == v->size()) return parsed;
+  } catch (const std::exception&) {  // invalid_argument / out_of_range
   }
-  return fallback;
+  reject(key, *v, "a number");
 }
 
 bool Config::get_bool(std::string_view key, bool fallback) const {
-  if (auto v = lookup(key)) {
-    return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
-  }
-  return fallback;
+  const auto v = lookup(key);
+  if (!v) return fallback;
+  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
+  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
+  reject(key, *v, "true|1|yes|on or false|0|no|off");
 }
 
 }  // namespace dlion::common

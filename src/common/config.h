@@ -23,6 +23,10 @@ class Config {
   void set(std::string key, std::string value);
   bool contains(std::string_view key) const;
 
+  /// Typed getters return `fallback` when the key is unset. A set value
+  /// must parse whole — an integer, a number, or one of true|1|yes|on and
+  /// false|0|no|off — or the getter throws std::invalid_argument naming
+  /// the flag.
   std::string get_string(std::string_view key, std::string fallback) const;
   long long get_int(std::string_view key, long long fallback) const;
   double get_double(std::string_view key, double fallback) const;

@@ -711,7 +711,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
               options_.weighted_update);
           apply_gradient_update(built_.model, m, options_.learning_rate,
                                 n_live, db);
-          if (obs::on(obs_) && obs_->causal()) {
+          if (obs::on(obs_)) {
             // Zero-duration "apply" span at delivery time: the destination
             // slice for the fabric's flow-end recorded just before this
             // handler ran (same track, same timestamp), and the node the

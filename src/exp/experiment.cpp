@@ -5,8 +5,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "obs/critical_path.h"
-
 namespace dlion::exp {
 
 Scale Scale::from_config(const common::Config& cfg) {
@@ -91,14 +89,12 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
     cluster_spec.elastic = std::move(elastic);
   }
 
-  // Observability: prefer the caller's observer; otherwise, when telemetry
-  // was requested, attach a run-local one whose summary survives in
+  // Observability: prefer the caller's observer; otherwise a watchdog gets
+  // a run-local one to feed it, whose summary survives in
   // RunResult::telemetry.
   std::unique_ptr<obs::Observability> local_obs;
   obs::Observability* run_obs = spec.obs;
-  if (run_obs == nullptr &&
-      (spec.collect_telemetry || spec.collect_critical_path ||
-       spec.watchdog.has_value())) {
+  if (run_obs == nullptr && spec.watchdog.has_value()) {
     local_obs = std::make_unique<obs::Observability>();
     run_obs = local_obs.get();
   }
@@ -115,15 +111,12 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
   core::Cluster cluster(cluster_spec, workload.data.train,
                         workload.data.test);
 
-  // Watchdog policy: fed from record sites during the run; abort (opt-in)
-  // stops the engine after the offending event.
+  // Watchdog: fed from record sites during the run; it never steers it.
   std::unique_ptr<obs::Watchdog> watchdog;
-  if (spec.watchdog.has_value() && run_obs != nullptr) {
+  if (spec.watchdog.has_value()) {
     watchdog = std::make_unique<obs::Watchdog>(*spec.watchdog,
                                                cluster.size());
     watchdog->set_tracer(&run_obs->tracer());
-    watchdog->set_abort_hook(
-        [&cluster] { cluster.engine().request_stop(); });
     run_obs->set_watchdog(watchdog.get());
   }
 
@@ -149,7 +142,6 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
     result.worker_recoveries += cluster.worker(i).recover_count();
   }
   result.stale_epoch_rejected = cluster.fabric().stale_epoch_rejected();
-  result.dead_letter_evictions = cluster.fabric().dead_letter_evictions();
   if (const core::MembershipController* mc = cluster.membership()) {
     core::ElasticStats stats = mc->stats();
     result.joins = stats.joins;
@@ -177,10 +169,6 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
   }
   if (run_obs != nullptr) {
     result.telemetry = obs::summarize(*run_obs);
-    if (spec.collect_critical_path) {
-      result.telemetry.critical_path =
-          obs::summary_of(obs::compute_critical_path(run_obs->tracer()));
-    }
     // The watchdog dies with this call; never leave a caller-owned
     // observer pointing at it.
     run_obs->set_watchdog(nullptr);

@@ -71,22 +71,14 @@ struct RunSpec {
   /// schedule is non-empty (set false for the undefended baseline).
   bool auto_fault_tolerance = true;
   /// Observer wired through the whole stack for this run (non-owning; must
-  /// outlive run_experiment). Leave nullptr for an uninstrumented run; set
-  /// `collect_telemetry` instead to get a RunTelemetry summary without
-  /// keeping the raw registry/tracer around.
+  /// outlive run_experiment). Leave nullptr for an uninstrumented run.
+  /// RunResult::telemetry is filled exactly when an observer is attached;
+  /// the critical path is read from its tracer (obs::compute_critical_path).
   obs::Observability* obs = nullptr;
-  /// When true and `obs` is unset, run_experiment attaches a run-local
-  /// observer and fills RunResult::telemetry from it.
-  bool collect_telemetry = false;
-  /// Compute the critical-path attribution after the run and store its
-  /// headline in RunResult::telemetry.critical_path (a run-local observer
-  /// is attached if neither `obs` nor `collect_telemetry` provided one).
-  bool collect_critical_path = false;
-  /// Online watchdog policy: when set, run_experiment attaches an
-  /// obs::Watchdog for the run (detector events land in
-  /// RunResult::telemetry.watchdog_*). With `abort_on_fire` the first
-  /// fired detector stops the engine — the run result then reflects the
-  /// aborted state.
+  /// Online watchdog: when set, run_experiment attaches an obs::Watchdog
+  /// for the run (detector events land in RunResult::telemetry.watchdog_*),
+  /// and a run-local observer to feed it if `obs` is unset. A fired
+  /// detector only reports; the run is the same as an unwatched one.
   std::optional<obs::WatchdogConfig> watchdog;
   /// Elastic membership override: used verbatim when set. When unset and
   /// the (resolved) environment is elastic — make_elastic_environment, or
@@ -111,7 +103,7 @@ struct RunResult {
   std::uint64_t reliable_retries = 0;   ///< control-plane retransmissions
   std::uint64_t worker_recoveries = 0;  ///< completed crash->recover cycles
   /// Where simulated time and bytes went (populated when the run had an
-  /// observer attached via RunSpec::obs or RunSpec::collect_telemetry;
+  /// observer attached via RunSpec::obs or RunSpec::watchdog;
   /// `telemetry.collected` is false otherwise).
   obs::RunTelemetry telemetry;
   // Elastic membership accounting (all zero / empty for static rosters).
@@ -124,7 +116,6 @@ struct RunResult {
   std::size_t min_bootstrap_donors = 0;  ///< over completed joins (>= 2 goal)
   std::uint64_t bootstrap_bytes = 0;     ///< total charged bootstrap traffic
   std::uint64_t stale_epoch_rejected = 0;
-  std::uint64_t dead_letter_evictions = 0;
   std::vector<core::JoinRecord> join_log;
 };
 

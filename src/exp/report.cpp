@@ -67,11 +67,6 @@ void write_metrics_json(const obs::MetricsRegistry& registry,
   write_string_file("write_metrics_json", registry.to_json(), path);
 }
 
-void write_metrics_csv(const obs::MetricsRegistry& registry,
-                       const std::string& path) {
-  write_string_file("write_metrics_csv", registry.to_csv(), path);
-}
-
 void write_chrome_trace(const obs::Tracer& tracer, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("write_chrome_trace: cannot open " + path);

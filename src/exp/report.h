@@ -33,10 +33,6 @@ void export_run_curve(const RunResult& result, const std::string& dir,
 void write_metrics_json(const obs::MetricsRegistry& registry,
                         const std::string& path);
 
-/// Write a metrics snapshot as CSV (one row per series).
-void write_metrics_csv(const obs::MetricsRegistry& registry,
-                       const std::string& path);
-
 /// Write a tracer's events as Chrome trace-event JSON (load in Perfetto or
 /// chrome://tracing).
 void write_chrome_trace(const obs::Tracer& tracer, const std::string& path);

@@ -456,9 +456,9 @@ std::string CriticalPathReport::to_json() const {
   out += ",\"categories\":{";
   for (std::size_t c = 0; c < kNumPathCategories; ++c) {
     if (c != 0) out += ",";
-    out += "\"" + std::string(path_category_name(
-                      static_cast<PathCategory>(c))) +
-           "\":{\"seconds\":" + fmt(category_seconds[c]) + ",\"fraction\":" +
+    out += '"';
+    out += path_category_name(static_cast<PathCategory>(c));
+    out += "\":{\"seconds\":" + fmt(category_seconds[c]) + ",\"fraction\":" +
            fmt(category_fraction(static_cast<PathCategory>(c))) + "}";
   }
   out += "}";
@@ -585,16 +585,6 @@ std::string CriticalPathReport::attribution_table() const {
     }
   }
   return out;
-}
-
-CriticalPathSummary summary_of(const CriticalPathReport& report) {
-  CriticalPathSummary s;
-  s.computed = report.valid;
-  s.total_s = report.total_seconds();
-  s.category_s = report.category_seconds;
-  s.straggler = report.straggler;
-  s.bottleneck_link = report.bottleneck_link;
-  return s;
 }
 
 }  // namespace dlion::obs

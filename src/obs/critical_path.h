@@ -115,14 +115,4 @@ CriticalPathReport compute_critical_path(const Tracer& tracer,
                                          const CriticalPathOptions& options =
                                              {});
 
-/// Compact headline distilled from a report (embedded in RunTelemetry).
-struct CriticalPathSummary {
-  bool computed = false;
-  double total_s = 0.0;
-  std::array<double, kNumPathCategories> category_s{};
-  std::string straggler;
-  std::string bottleneck_link;
-};
-CriticalPathSummary summary_of(const CriticalPathReport& report);
-
 }  // namespace dlion::obs

@@ -1,8 +1,8 @@
-// Shared JSON/CSV string helpers for the observability exporters.
+// Shared JSON string escaping for the observability exporters.
 //
 // One definition of string escaping for every obs exporter (metrics JSON,
-// metrics CSV, Chrome trace JSON, telemetry JSON) so the formats cannot
-// drift apart. Header-only; no dependencies beyond the standard library.
+// Chrome trace JSON, telemetry JSON) so the formats cannot drift apart.
+// Header-only; no dependencies beyond the standard library.
 #pragma once
 
 #include <cstdio>
@@ -32,40 +32,6 @@ inline std::string json_escape(const std::string& s) {
         }
     }
   }
-  return out;
-}
-
-/// RFC-4180 CSV field quoting: fields containing commas, double quotes, or
-/// newlines are wrapped in quotes with embedded quotes doubled; everything
-/// else passes through unchanged.
-inline std::string csv_field(const std::string& s) {
-  bool needs_quotes = false;
-  for (char c : s) {
-    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
-      needs_quotes = true;
-      break;
-    }
-  }
-  if (!needs_quotes) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-/// CSV field that is *always* quoted (used for the labels column so its
-/// shape is stable whether or not the labels contain commas), with embedded
-/// quotes doubled.
-inline std::string csv_quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
   return out;
 }
 

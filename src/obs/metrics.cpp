@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json_util.h"
@@ -43,8 +42,11 @@ std::string labels_json(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(labels[i].first) + "\":\"" +
-           json_escape(labels[i].second) + "\"";
+    out += '"';
+    out += json_escape(labels[i].first);
+    out += "\":\"";
+    out += json_escape(labels[i].second);
+    out += '"';
   }
   out += "}";
   return out;
@@ -418,38 +420,6 @@ std::string MetricsRegistry::to_json() const {
   }
   out += "]}";
   return out;
-}
-
-std::string MetricsRegistry::to_csv() const {
-  std::ostringstream out;
-  out << "type,name,labels,value,count,sum,min,max,p50,p90,p99\n";
-  auto cell = [](double v) { return std::isnan(v) ? std::string() : fmt_double(v); };
-  for (const Row& r : rows()) {
-    // The labels column is always quoted (its shape is stable whether or
-    // not label values contain commas), with embedded quotes doubled; the
-    // type/name columns are quoted only when they need to be (commas,
-    // quotes, newlines) so the common case stays byte-compatible.
-    out << csv_field(r.type) << "," << csv_field(r.name) << ","
-        << csv_quoted(canonical_labels(r.labels)) << ",";
-    if (r.win != nullptr) {
-      // Windowed rows reuse the histogram columns: aggregate count/sum/
-      // min/max across all windows, no quantiles (per-window detail lives
-      // in the JSON export).
-      const Windowed& w = *r.win;
-      out << "," << w.count() << "," << cell(w.sum()) << ","
-          << cell(w.observed_min()) << "," << cell(w.observed_max())
-          << ",,,\n";
-    } else if (r.hist == nullptr) {
-      out << fmt_double(r.value) << ",,,,,,,\n";
-    } else {
-      const Histogram& h = *r.hist;
-      out << "," << h.count() << "," << cell(h.sum()) << ","
-          << cell(h.observed_min()) << "," << cell(h.observed_max()) << ","
-          << cell(h.quantile(0.5)) << "," << cell(h.quantile(0.9)) << ","
-          << cell(h.quantile(0.99)) << "\n";
-    }
-  }
-  return out.str();
 }
 
 }  // namespace dlion::obs

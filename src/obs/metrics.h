@@ -1,5 +1,5 @@
 // MetricsRegistry: labeled counters, gauges, fixed-bucket histograms, and
-// time-windowed series with snapshot/export to JSON and CSV.
+// time-windowed series with snapshot/export to JSON.
 //
 // Design constraints (see DESIGN.md "Observability layer"):
 //  - *Deterministic*: no clocks, no RNG, no iteration-order dependence in
@@ -9,7 +9,7 @@
 //    sites resolve the (name, labels) key once and keep the handle. An
 //    increment is then a single add on a cached pointer.
 //  - *No dependencies* beyond the standard library: exports are written by
-//    a tiny built-in JSON/CSV emitter.
+//    a tiny built-in JSON emitter.
 //
 // Histograms use fixed bucket upper bounds (default: log-spaced seconds
 // from 1 µs to ~1000 s) and estimate quantiles by linear interpolation
@@ -22,10 +22,8 @@
 // (per-window count/sum/min/max). Both default off; an unconfigured
 // registry behaves exactly as before.
 //
-// Export schemas: JSON snapshots carry "schema":"dlion-metrics-v2"
-// (v1 = PR 2's shape without the schema key or windowed rows); the CSV
-// header row is the dlion-metrics-csv-v1 contract, unchanged — windowed
-// rows reuse the count/sum/min/max columns.
+// Export schema: JSON snapshots carry "schema":"dlion-metrics-v2"
+// (v1 = PR 2's shape without the schema key or windowed rows).
 #pragma once
 
 #include <cstdint>
@@ -203,9 +201,6 @@ class MetricsRegistry {
   /// {"schema":"dlion-metrics-v2","metrics":[{...}, ...]} — see DESIGN.md
   /// for the exact shape.
   std::string to_json() const;
-  /// Header: type,name,labels,value,count,sum,min,max,p50,p90,p99
-  /// (dlion-metrics-csv-v1; windowed rows fill count/sum/min/max).
-  std::string to_csv() const;
 
  private:
   template <typename T>

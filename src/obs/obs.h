@@ -5,9 +5,9 @@
 // Cost model (DESIGN.md "Observability layer"):
 //  - compiled out  (cmake -DDLION_OBS=OFF): `obs::on()` is constexpr false,
 //    every instrumentation branch is dead code and is eliminated;
-//  - runtime-disabled (no observer attached, the default): each potential
-//    record site costs one pointer null-check;
-//  - enabled: counter bumps on cached handles plus append-only pushes.
+//  - otherwise an attached observer is the only switch: with none attached
+//    (the default) each record site costs one pointer null-check; with one
+//    attached, counter bumps on cached handles plus append-only pushes.
 //
 // Determinism contract: recording reads the simulated clock only, draws no
 // randomness, schedules no events, and never feeds back into control flow,
@@ -29,21 +29,8 @@ class Watchdog;  // obs/watchdog.h (online health detectors)
 class Observability {
  public:
   Observability() = default;
-  explicit Observability(bool enabled) : enabled_(enabled) {}
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
-
-  /// Runtime switch: a disabled observer stays attached but records
-  /// nothing (every call site checks `obs::on()` first).
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool e) { enabled_ = e; }
-
-  /// Runtime switch for the causal-tracing layer (flow events + apply
-  /// spans). On by default; turning it off keeps the PR-2 span/counter
-  /// recording while skipping the cross-track flow linkage (used by
-  /// bench/obs_overhead to price causal tracing separately).
-  bool causal() const { return causal_; }
-  void set_causal(bool c) { causal_ = c; }
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -52,14 +39,12 @@ class Observability {
 
   /// Optional online watchdog (non-owning; nullptr detaches). Record sites
   /// feed it inside their `obs::on()` branches, so an attached watchdog
-  /// costs nothing when observability is compiled out or disabled.
+  /// costs nothing when observability is compiled out.
   Watchdog* watchdog() { return watchdog_; }
   const Watchdog* watchdog() const { return watchdog_; }
   void set_watchdog(Watchdog* w) { watchdog_ = w; }
 
  private:
-  bool enabled_ = true;
-  bool causal_ = true;
   MetricsRegistry metrics_;
   Tracer tracer_;
   Watchdog* watchdog_ = nullptr;  // non-owning, optional
@@ -70,9 +55,7 @@ class Observability {
 /// Compiles to `false` (dead-code-eliminating the branch) when the
 /// subsystem is compiled out.
 #if DLION_OBS_ENABLED
-inline bool on(const Observability* o) {
-  return o != nullptr && o->enabled();
-}
+inline bool on(const Observability* o) { return o != nullptr; }
 #else
 constexpr bool on(const Observability*) { return false; }
 #endif

@@ -70,7 +70,6 @@ RunTelemetry summarize(const Observability& obs) {
 
   if (const Watchdog* wd = obs.watchdog()) {
     t.watchdog_degraded = wd->degraded();
-    t.watchdog_aborted = wd->aborted();
     for (const WatchdogEvent& e : wd->events()) {
       char at[48];
       std::snprintf(at, sizeof(at), "%.3f", e.t);
@@ -110,24 +109,14 @@ std::string RunTelemetry::to_json() const {
     out += ",\"max_s\":" + fmt(phases[i].max_s) + "}";
   }
   out += "]";
-  out += ",\"critical_path\":{\"computed\":" +
-         std::string(critical_path.computed ? "true" : "false");
-  out += ",\"total_s\":" + fmt(critical_path.total_s);
-  for (std::size_t c = 0; c < kNumPathCategories; ++c) {
-    out += ",\"" + std::string(path_category_name(
-                       static_cast<PathCategory>(c))) +
-           "_s\":" + fmt(critical_path.category_s[c]);
-  }
-  out += ",\"straggler\":\"" + json_escape(critical_path.straggler) + "\"";
-  out += ",\"bottleneck_link\":\"" +
-         json_escape(critical_path.bottleneck_link) + "\"}";
   out += ",\"watchdog\":{\"degraded\":" +
          std::string(watchdog_degraded ? "true" : "false");
-  out += ",\"aborted\":" + std::string(watchdog_aborted ? "true" : "false");
   out += ",\"events\":[";
   for (std::size_t i = 0; i < watchdog_events.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(watchdog_events[i]) + "\"";
+    out += '"';
+    out += json_escape(watchdog_events[i]);
+    out += '"';
   }
   out += "]}}";
   return out;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/critical_path.h"
 #include "obs/obs.h"
 
 namespace dlion::obs {
@@ -56,14 +55,8 @@ struct RunTelemetry {
   /// Every span name seen, sorted by total time descending (ties by name).
   std::vector<PhaseStat> phases;
 
-  /// Critical-path headline (filled when the caller asked for the analysis
-  /// — RunSpec::collect_critical_path; `critical_path.computed` is false
-  /// otherwise).
-  CriticalPathSummary critical_path;
-
-  /// Watchdog outcome (all-false/empty when no watchdog was attached).
+  /// Watchdog outcome (false/empty when no watchdog was attached).
   bool watchdog_degraded = false;
-  bool watchdog_aborted = false;
   /// One formatted line per fired detector ("detector @ t: detail").
   std::vector<std::string> watchdog_events;
 

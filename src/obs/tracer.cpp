@@ -362,7 +362,7 @@ void Tracer::flow(TrackId track, FlowPhase phase, std::string name, double t,
   // the s/t/f points of one chain live or die together (track sampling
   // would strand arrows between kept and dropped lanes).
   if (sample_.flow_sampling() && !in_window(t, t) &&
-      ((id & sample_.flow_seq_mask) % sample_.flow_stride) != 0) {
+      (flow_seq(id) % sample_.flow_stride) != 0) {
     ++sampled_out_;
     return;
   }

@@ -36,6 +36,14 @@ using TrackId = std::uint32_t;
 
 class ChromeStreamSink;  // obs/trace_sink.h
 
+/// Flow-id layout (comm::make_flow_id): the low kFlowSeqBits bits hold the
+/// sender's deterministic transmission sequence, the bits above them the
+/// sender. Flow sampling keys off the sequence.
+inline constexpr int kFlowSeqBits = 40;
+constexpr std::uint64_t flow_seq(std::uint64_t id) {
+  return id & ((std::uint64_t{1} << kFlowSeqBits) - 1);
+}
+
 /// Deterministic sampling policy for large-N traces. Every decision is a
 /// pure function of (track name, flow id, event time) — same run, same
 /// sampled trace, at any DLION_THREADS.
@@ -50,15 +58,11 @@ struct TraceSampleConfig {
   /// sampled-out track are kept anyway, so every lane shows its startup
   /// shape. 0 = none.
   std::uint64_t head_events_per_track = 0;
-  /// Keep flow chains whose sequence number — (id & flow_seq_mask) —
-  /// satisfies seq % flow_stride == 0. The same decision applies to the
-  /// s/t/f points of one chain (they share the id), so sampled chains stay
-  /// whole. 1 keeps every flow.
+  /// Keep flow chains whose sequence number — flow_seq(id) — satisfies
+  /// seq % flow_stride == 0. The same decision applies to the s/t/f points
+  /// of one chain (they share the id), so sampled chains stay whole.
+  /// 1 keeps every flow.
   std::uint64_t flow_stride = 1;
-  /// Low-bit mask isolating the per-source sequence counter inside a flow
-  /// id. The default matches comm::make_flow_id's layout (kFlowSeqBits low
-  /// bits are the deterministic per-sender sequence).
-  std::uint64_t flow_seq_mask = (std::uint64_t{1} << 40) - 1;
   /// Full-fidelity window [full_t0, full_t1): every event overlapping it is
   /// admitted AND retained regardless of the strides, so critical-path
   /// attribution over the window sees an unsampled trace. Empty (t1 <= t0)

@@ -52,10 +52,6 @@ void Watchdog::fire(const char* detector, double t, std::size_t worker,
                                      : static_cast<double>(worker)},
                       {"value", value}});
   }
-  if (config_.abort_on_fire && !aborted_) {
-    aborted_ = true;
-    if (abort_hook_) abort_hook_();
-  }
 }
 
 void Watchdog::check_progress(double t) {

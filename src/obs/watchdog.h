@@ -3,23 +3,19 @@
 // The watchdog is *fed* by the instrumented components (worker iterations,
 // loss values, staleness readings, fabric dead letters, network fault
 // drops) from inside their `obs::on()` branches, so it costs nothing when
-// observability is compiled out or disabled, and it evaluates its detectors
-// lazily on those feeds — it never schedules simulation events and reads
-// only the timestamps it is handed. A fired detector *latches*: each
-// (detector, worker) pair reports at most once per run, as a structured
-// WatchdogEvent (and, when a tracer is attached, an instant on a
-// "watchdog / alerts" track).
+// observability is compiled out, and it evaluates its detectors lazily on
+// those feeds — it never schedules simulation events and reads only the
+// timestamps it is handed. A fired detector *latches*: each (detector,
+// worker) pair reports at most once per run, as a structured WatchdogEvent
+// (and, when a tracer is attached, an instant on a "watchdog / alerts"
+// track).
 //
-// Determinism contract: feeding the watchdog never changes a run — with one
-// explicit, opt-in exception. When `abort_on_fire` is set the first fired
-// event invokes the abort hook (run_experiment wires it to
-// sim::Engine::request_stop()), ending the run early. That is a declared
-// policy choice in the RunSpec, not a side effect of observing.
+// Determinism contract: feeding the watchdog never changes a run. A fired
+// detector only reports; nothing it records reaches the simulation.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,8 +41,6 @@ struct WatchdogConfig {
   /// Staleness breach: a worker starts an iteration >= this many iterations
   /// ahead of its slowest live peer. 0 disables the detector.
   double staleness_limit = 0.0;
-  /// Abort the run on the first fired detector (see header comment).
-  bool abort_on_fire = false;
 };
 
 /// One fired detector, latched for the rest of the run.
@@ -78,16 +72,9 @@ class Watchdog {
 
   /// True once any detector has fired.
   bool degraded() const { return !events_.empty(); }
-  /// True when a fired detector aborted the run (abort_on_fire policy).
-  bool aborted() const { return aborted_; }
   const std::vector<WatchdogEvent>& events() const { return events_; }
   const WatchdogConfig& config() const { return config_; }
 
-  /// Abort hook invoked on the first firing when abort_on_fire is set
-  /// (run_experiment wires this to Engine::request_stop).
-  void set_abort_hook(std::function<void()> hook) {
-    abort_hook_ = std::move(hook);
-  }
   /// Optional tracer: fired events also become instants on a
   /// "watchdog / alerts" track (non-owning; nullptr detaches).
   void set_tracer(Tracer* tracer);
@@ -107,8 +94,6 @@ class Watchdog {
   std::deque<double> dead_letter_ts_;  ///< sliding-window timestamps
   std::deque<double> drop_ts_;
   std::vector<WatchdogEvent> events_;
-  bool aborted_ = false;
-  std::function<void()> abort_hook_;
   Tracer* tracer_ = nullptr;  // non-owning, optional
   TrackId track_ = 0;
 };

@@ -54,8 +54,7 @@ void Engine::note_executed() {
 }
 
 void Engine::run_until(common::SimTime t_end) {
-  stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty() && queue_.next_time() <= t_end) {
+  while (!queue_.empty() && queue_.next_time() <= t_end) {
     auto [time, fn] = queue_.pop();
     // Event-time monotonicity: the virtual clock never runs backwards.
     // at()/after() reject past times at the API edge; this catches any
@@ -67,14 +66,11 @@ void Engine::run_until(common::SimTime t_end) {
     note_executed();
     fn();
   }
-  // A requested stop freezes the clock at the aborting event so callers
-  // (and the watchdog's finalize) see when the run actually ended.
-  if (!stop_requested_ && now_ < t_end) now_ = t_end;
+  if (now_ < t_end) now_ = t_end;
 }
 
 void Engine::run() {
-  stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty()) {
+  while (!queue_.empty()) {
     auto [time, fn] = queue_.pop();
     DLION_ASSERT(time >= now_, "clock would regress from t=" +
                                    std::to_string(now_) + " to t=" +

@@ -30,14 +30,6 @@ class Engine {
   /// Run until the queue drains completely.
   void run();
 
-  /// Ask the running loop to stop after the current event. Pending events
-  /// stay queued; a later run()/run_until() resumes them. Used by the
-  /// watchdog's opt-in abort policy (WatchdogConfig::abort_on_fire) — the
-  /// only sanctioned way observability feeds back into a run, and only when
-  /// the caller explicitly asked for it.
-  void request_stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
-
   std::uint64_t events_executed() const { return executed_; }
   std::size_t events_pending() const { return queue_.size(); }
   /// High-water mark of the pending-event queue (the simulator's own
@@ -61,7 +53,6 @@ class Engine {
   common::SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
-  bool stop_requested_ = false;
   obs::Observability* obs_ = nullptr;   // non-owning, optional
   obs::Counter* obs_events_ = nullptr;  // cached registry handles
   obs::Gauge* obs_depth_ = nullptr;

@@ -194,7 +194,7 @@ void Network::start_next(std::size_t from, std::size_t to) {
     args.push_back({"mbps", mbps});
     tracer.complete(track, "tx", engine_->now(), engine_->now() + tx,
                     std::move(args));
-    if (msg.flow != 0 && obs_->causal()) {
+    if (msg.flow != 0) {
       // Flow step at the tx span's start: links the sender's flow start to
       // this link transmission (and from here to the delivery point).
       tracer.flow(track, obs::Tracer::FlowPhase::kStep, "flow",

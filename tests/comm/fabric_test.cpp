@@ -254,103 +254,6 @@ TEST_F(FabricTest, EpochStampIsCapturedAtTransmitTime) {
   EXPECT_EQ(fabric_.stale_epoch_rejected(), 0u);
 }
 
-TEST(Fabric, DeadLetterQueueIsBoundedWithEvictionCounter) {
-  sim::Engine e;
-  sim::Network net(e, 2);
-  Fabric fabric(net);
-  fabric.attach(0, [](std::size_t, MessagePtr) {});
-  // Worker 1 never attaches: every message to it dead-letters.
-  const std::size_t sent = Fabric::kDeadLetterCap + 5;
-  for (std::size_t i = 0; i < sent; ++i) fabric.send(0, 1, Heartbeat{0, i});
-  e.run();
-  EXPECT_EQ(fabric.dead_letters(), sent);
-  EXPECT_EQ(fabric.recent_dead_letters().size(), Fabric::kDeadLetterCap);
-  EXPECT_EQ(fabric.dead_letter_evictions(), 5u);
-  // The retained records are the most recent ones, oldest evicted first.
-  std::uint64_t expected = 5;
-  for (const DeadLetter& dl : fabric.recent_dead_letters()) {
-    EXPECT_EQ(dl.from, 0u);
-    EXPECT_EQ(dl.to, 1u);
-    ASSERT_NE(dl.msg, nullptr);
-    EXPECT_EQ(std::get<Heartbeat>(*dl.msg).iteration, expected++);
-  }
-}
-
-/// Dense gradient with `n` float values: pins exactly n * 4 payload bytes.
-GradientUpdate dense_payload_update(std::size_t n) {
-  GradientUpdate u;
-  u.from = 0;
-  VariableGrad vg;
-  vg.var_index = 0;
-  vg.dense_size = static_cast<std::uint32_t>(n);
-  vg.values = std::vector<float>(n, 1.0f);
-  u.vars.push_back(std::move(vg));
-  return u;
-}
-
-/// Float count of a gradient that pins 3 MiB: two fit under the 8 MiB
-/// pinned-byte bound, a third does not.
-constexpr std::size_t kThreeMiBFloats = 3 * 1024 * 1024 / sizeof(float);
-
-TEST(Fabric, DeadLetterQueueEvictsByPinnedPayloadBytes) {
-  sim::Engine e;
-  sim::Network net(e, 2);
-  Fabric fabric(net);
-  fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    GradientUpdate u = dense_payload_update(kThreeMiBFloats);
-    u.iteration = i;
-    fabric.send(0, 1, std::move(u));
-  }
-  e.run();
-  EXPECT_EQ(fabric.dead_letters(), 5u);
-  // 5 x 3 MiB pinned exceeds the 8 MiB bound: evict oldest-first down to 2
-  // records / 6 MiB even though the record bound (256) was never reached.
-  EXPECT_EQ(fabric.recent_dead_letters().size(), 2u);
-  EXPECT_EQ(fabric.dead_letter_evictions(), 3u);
-  EXPECT_EQ(fabric.dead_letter_pinned_bytes(), 6u * 1024 * 1024);
-  EXPECT_LE(fabric.dead_letter_pinned_bytes(), Fabric::kDeadLetterMaxBytes);
-  std::uint64_t expected = 3;
-  for (const DeadLetter& dl : fabric.recent_dead_letters()) {
-    EXPECT_EQ(dl.payload_bytes, 3u * 1024 * 1024);
-    ASSERT_NE(dl.msg, nullptr);
-    EXPECT_EQ(payload_bytes(*dl.msg), 3u * 1024 * 1024);
-    EXPECT_EQ(std::get<GradientUpdate>(*dl.msg).iteration, expected++);
-  }
-}
-
-TEST(Fabric, DeadLetterControlMessagesPinNoBytes) {
-  sim::Engine e;
-  sim::Network net(e, 2);
-  Fabric fabric(net);
-  fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (std::size_t i = 0; i < Fabric::kDeadLetterCap + 5; ++i) {
-    fabric.send(0, 1, Heartbeat{0, 1});
-  }
-  e.run();
-  // Control messages carry no payload views: only the record cap binds.
-  EXPECT_EQ(fabric.recent_dead_letters().size(), Fabric::kDeadLetterCap);
-  EXPECT_EQ(fabric.dead_letter_pinned_bytes(), 0u);
-}
-
-#if DLION_OBS_ENABLED
-TEST(Fabric, DeadLetterPinnedBytesGaugeTracksRetention) {
-  sim::Engine e;
-  sim::Network net(e, 2);
-  Fabric fabric(net);
-  obs::Observability obs(true);
-  fabric.set_obs(&obs);
-  fabric.attach(0, [](std::size_t, MessagePtr) {});
-  for (int i = 0; i < 5; ++i) {
-    fabric.send(0, 1, dense_payload_update(kThreeMiBFloats));
-  }
-  e.run();
-  EXPECT_DOUBLE_EQ(
-      obs.metrics().gauge("comm.dead_letter_pinned_bytes").value(),
-      6.0 * 1024 * 1024);
-}
-#endif  // DLION_OBS_ENABLED
-
 TEST_F(FabricTest, TargetedBroadcastSkipsUnflaggedWorkers) {
   std::vector<bool> targets = {true, false, true};
   fabric_.broadcast(2, LossReport{2, 0, 0.5}, targets);

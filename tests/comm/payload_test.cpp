@@ -109,7 +109,7 @@ TEST(PayloadArena, PinnedBlockIsNeverRecycled) {
 TEST(PayloadArena, GrowthIsDemandSizedNotDoubling) {
   PayloadArena arena;
   // Pin every block as it is handed out, forcing growth each time - the
-  // pathological retention pattern (dead-letter queue, test inboxes).
+  // pathological retention pattern (test inboxes).
   std::vector<PayloadHandle> pinned;
   for (int i = 0; i < 8; ++i) pinned.push_back(arena.acquire(64));
   EXPECT_EQ(arena.blocks(), 8u);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace dlion::common {
 namespace {
@@ -43,10 +45,31 @@ TEST(Config, NonFlagArgumentsIgnored) {
   EXPECT_FALSE(cfg.contains("positional"));
 }
 
-TEST(Config, MalformedNumberFallsBack) {
-  const Config cfg = parse({"--n=abc"});
-  EXPECT_EQ(cfg.get_int("n", 9), 9);
-  EXPECT_DOUBLE_EQ(cfg.get_double("n", 1.5), 1.5);
+TEST(Config, MalformedNumberThrows) {
+  // Neither garbage nor a numeric prefix ("6O" is six and a letter O)
+  // silently becomes the fallback or the prefix.
+  for (const char* bad : {"--n=abc", "--n=6O", "--n=", "--n=1.5x"}) {
+    const Config cfg = parse({bad});
+    EXPECT_THROW(cfg.get_double("n", 1.5), std::invalid_argument) << bad;
+    EXPECT_THROW(cfg.get_int("n", 9), std::invalid_argument) << bad;
+  }
+  // A fractional value is not an integer.
+  EXPECT_THROW(parse({"--n=2.5"}).get_int("n", 9), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse({"--n=2.5"}).get_double("n", 0.0), 2.5);
+  try {
+    parse({"--seed=abc"}).get_int("seed", 42);
+    FAIL() << "--seed=abc parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed=abc"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Config, MalformedBoolThrows) {
+  for (const char* bad : {"--a=maybe", "--a=TRUE", "--a=", "--a=2"}) {
+    EXPECT_THROW(parse({bad}).get_bool("a", false), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Config, BoolParsingVariants) {
@@ -56,6 +79,8 @@ TEST(Config, BoolParsingVariants) {
   EXPECT_TRUE(parse({"--a=on"}).get_bool("a", false));
   EXPECT_FALSE(parse({"--a=false"}).get_bool("a", true));
   EXPECT_FALSE(parse({"--a=0"}).get_bool("a", true));
+  EXPECT_FALSE(parse({"--a=no"}).get_bool("a", true));
+  EXPECT_FALSE(parse({"--a=off"}).get_bool("a", true));
 }
 
 TEST(Config, EnvironmentFallback) {

@@ -195,6 +195,8 @@ TEST(CriticalPath, ReportJsonParsesAndMatchesTotals) {
 
 // ---------------------------------------------------- integration checks
 
+#if DLION_OBS_ENABLED
+
 exp::RunResult run_env(const exp::Environment& env, obs::Observability* o,
                        double duration = 40.0) {
   exp::Scale scale;
@@ -209,8 +211,6 @@ exp::RunResult run_env(const exp::Environment& env, obs::Observability* o,
   spec.obs = o;
   return exp::run_experiment(spec, workload);
 }
-
-#if DLION_OBS_ENABLED
 
 TEST(CriticalPath, HeteroComputeAttributionNamesTheStraggler) {
   exp::Environment env;
@@ -275,29 +275,6 @@ TEST(CriticalPath, RealRunEpochFractionsSumToOne) {
     prev = s.t1;
   }
   EXPECT_DOUBLE_EQ(prev, r.t_end);
-}
-
-TEST(CriticalPath, RunExperimentSummaryMatchesRecomputation) {
-  exp::Environment env = exp::make_environment("Homo A", 20.0);
-  exp::Scale scale;
-  scale.duration_s = 30.0;
-  const exp::Workload workload = exp::make_workload("cpu", scale);
-  exp::RunSpec spec;
-  spec.duration_s = scale.duration_s;
-  spec.eval_period_iters = scale.eval_period_iters;
-  spec.dkt_period_iters = scale.dkt_period_iters;
-  spec.env_override = env;
-  spec.collect_critical_path = true;
-  const exp::RunResult res = exp::run_experiment(spec, workload);
-  ASSERT_TRUE(res.telemetry.collected);
-  ASSERT_TRUE(res.telemetry.critical_path.computed);
-  EXPECT_GT(res.telemetry.critical_path.total_s, 0.0);
-  double total = 0.0;
-  for (double s : res.telemetry.critical_path.category_s) total += s;
-  EXPECT_NEAR(total, res.telemetry.critical_path.total_s, 1e-9);
-  // The summary lands in the telemetry JSON.
-  EXPECT_NE(res.telemetry.to_json().find("\"critical_path\""),
-            std::string::npos);
 }
 
 #endif  // DLION_OBS_ENABLED

@@ -175,18 +175,6 @@ TEST(Registry, JsonSnapshotShape) {
   EXPECT_NE(json.find("\"le\":1e999"), std::string::npos);
 }
 
-TEST(Registry, CsvSnapshotShape) {
-  MetricsRegistry reg;
-  reg.counter("c", {{"k", "v"}}).inc(2.0);
-  reg.histogram("h", {}, {1.0}).observe(0.5);
-  const std::string csv = reg.to_csv();
-  EXPECT_EQ(csv.rfind("type,name,labels,value,count,sum,min,max,p50,p90,p99\n",
-                      0),
-            0u);
-  EXPECT_NE(csv.find("counter,c,\"k=v\",2,"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h,\"\","), std::string::npos);
-}
-
 TEST(Registry, ExportIsDeterministic) {
   auto build = [] {
     auto reg = std::make_unique<MetricsRegistry>();
@@ -199,7 +187,6 @@ TEST(Registry, ExportIsDeterministic) {
   const auto r1 = build();
   const auto r2 = build();
   EXPECT_EQ(r1->to_json(), r2->to_json());
-  EXPECT_EQ(r1->to_csv(), r2->to_csv());
 }
 
 }  // namespace

@@ -98,16 +98,6 @@ TEST(ObsWiring, AttachedObserverDoesNotPerturbTheRun) {
 #endif
 }
 
-TEST(ObsWiring, DisabledObserverRecordsNothing) {
-  obs::Observability o;
-  o.set_enabled(false);
-  const RunOut off = run_cluster(nullptr);
-  const RunOut res = run_cluster(&o);
-  EXPECT_EQ(off.iterations, res.iterations);
-  EXPECT_EQ(o.tracer().event_count(), 0u);
-  EXPECT_DOUBLE_EQ(o.metrics().counter_total("sim.events_executed"), 0.0);
-}
-
 #if DLION_OBS_ENABLED
 
 TEST(ObsWiring, RegistryMirrorsLegacyCounters) {
@@ -171,7 +161,8 @@ TEST(ObsWiring, RunExperimentCollectsTelemetry) {
   exp::RunResult plain = exp::run_experiment(spec, workload);
   EXPECT_FALSE(plain.telemetry.collected);
 
-  spec.collect_telemetry = true;
+  obs::Observability o;
+  spec.obs = &o;
   exp::RunResult inst = exp::run_experiment(spec, workload);
   EXPECT_TRUE(inst.telemetry.collected);
   EXPECT_GT(inst.telemetry.compute_seconds, 0.0);

@@ -1,8 +1,7 @@
 // Windowed metric rollups (DESIGN.md, "Observability at scale"): windowed
 // series aggregate observations into fixed time windows, and RollupConfig
 // collapses per-worker label cardinality into per-micro-cloud groups.
-// Snapshot schemas are versioned explicitly (JSON: dlion-metrics-v2, CSV
-// header unchanged: dlion-metrics-csv-v1).
+// Snapshot schemas are versioned explicitly (JSON: dlion-metrics-v2).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -126,18 +125,6 @@ TEST(Schema, JsonSnapshotIsVersionedV2) {
     }
   }
   EXPECT_TRUE(saw_windowed);
-}
-
-TEST(Schema, CsvHeaderContractIsUnchanged) {
-  MetricsRegistry m;
-  m.counter("c").inc();
-  m.windowed("w", {}, 10.0).observe(1.0, 2.0);
-  const std::string csv = m.to_csv();
-  // dlion-metrics-csv-v1: windowed rows reuse the count/sum/min/max
-  // columns, so consumers of the v1 header keep parsing.
-  EXPECT_EQ(csv.rfind("type,name,labels,value,count,sum,min,max,p50,p90,p99", 0),
-            0u);
-  EXPECT_NE(csv.find("windowed"), std::string::npos);
 }
 
 }  // namespace

@@ -163,6 +163,33 @@ TEST(BenchdiffTool, CustomRulesFileReplacesThePolicy) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+// The committed rules CI compares two obs_overhead --workers reports with
+// (DLION_THREADS=1 vs 4): recorded counts are exact, host costs report only.
+TEST(BenchdiffTool, ObsScaleRulesGateRecordedCountsOnly) {
+  const auto scale_report = [](const char* checksum, int allocs,
+                               double wall_ms) {
+    std::ostringstream js;
+    js << "{\"schema\": \"dlion-obs-scale-v1\", \"iterations\": 900, "
+       << "\"events_admitted\": 5000, \"events_sampled_out\": 4000, "
+       << "\"retained_events\": 700, \"retained_bytes\": 90000, "
+       << "\"sink_events\": 1000, \"sink_checksum\": \"" << checksum
+       << "\", \"metric_series\": 40, \"wall_ms\": " << wall_ms
+       << ", \"allocs\": " << allocs << ", \"peak_rss_kb\": 1}";
+    return js.str();
+  };
+  const std::string rules = "--rules=\"" + std::string(DLION_REPO_ROOT) +
+                            "/tools/benchdiff/obs_scale.rules\" ";
+  const std::string t1 = write_file("t1.json", scale_report("0xab", 10, 1.0));
+  const std::string t4 = write_file("t4.json", scale_report("0xab", 90, 9.0));
+  const RunResult same = run_benchdiff(rules + t1 + " " + t4);
+  EXPECT_EQ(same.exit_code, 0) << same.output;
+  const std::string drift =
+      write_file("drift.json", scale_report("0xac", 10, 1.0));
+  const RunResult r = run_benchdiff(rules + t1 + " " + drift);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("sink_checksum"), std::string::npos) << r.output;
+}
+
 TEST(BenchdiffTool, UsageAndParseErrorsExitTwo) {
   EXPECT_EQ(run_benchdiff("").exit_code, 2);
   EXPECT_EQ(run_benchdiff("one.json").exit_code, 2);

@@ -82,7 +82,7 @@ struct Options {
 };
 
 const std::regex kArtifactWriter(
-    R"(\b(?:to_json|write_json|json_escape|to_csv|write_csv|csv|checksum|fnv1a|Telemetry|MetricsRegistry|export_chrome_trace|std::ofstream)\b)",
+    R"(\b(?:to_json|write_json|json_escape|write_csv|csv|checksum|fnv1a|Telemetry|MetricsRegistry|export_chrome_trace|std::ofstream)\b)",
     std::regex::icase);
 
 const std::regex kInlineAllow(R"(dlion-lint:\s*allow\(([^)]*)\))");

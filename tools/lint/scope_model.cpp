@@ -301,7 +301,7 @@ ScopeModel build_scope_model(const std::vector<Token>& tokens) {
           st.toks.size() == 1 && is_word(st.toks[0]) &&
           (st.toks[0].text == "public" || st.toks[0].text == "private" ||
            st.toks[0].text == "protected")) {
-        st.terminator = ":";
+        st.terminator = t.text;
         ++i;
         break;
       }
