@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -100,7 +101,8 @@ struct BenchContext {
   exp::Scale scale;
 
   /// Parses the flags. With --help, prints the shared flags and exits 0
-  /// before anything runs.
+  /// before anything runs; a malformed shared flag is a usage error
+  /// (exit 2).
   static BenchContext from_args(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::string_view(argv[i]) == "--help") {
@@ -110,7 +112,12 @@ struct BenchContext {
     }
     BenchContext ctx;
     ctx.config = common::Config::from_args(argc, argv);
-    ctx.scale = exp::Scale::from_config(ctx.config);
+    try {
+      ctx.scale = exp::Scale::from_config(ctx.config);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << argv[0] << ": " << e.what() << " (see --help)\n";
+      std::exit(2);
+    }
     return ctx;
   }
 };

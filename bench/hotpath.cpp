@@ -7,10 +7,13 @@
 //
 // Emits a machine-readable BENCH_hotpath.json (fixed key order; only the
 // timing fields vary run-to-run, the checksum fields are deterministic) so
-// CI can track kernel regressions and cross-check bit-determinism across
-// DLION_THREADS settings. The `pre_pr` blocks are frozen measurements of
-// the pre-blocking kernels on the reference dev container, kept as the
-// comparison anchor for the packed-GEMM speedup.
+// dlion-benchdiff can track kernel regressions against the committed anchor
+// and cross-check bit-determinism across DLION_THREADS settings
+// (tools/benchdiff/hotpath_threads.rules). The exit status is 2 when an
+// invariant of the run fails: a bitmatch flag, the selection budget, or a
+// zero-copy / zero-allocation count. The `pre_pr` blocks are frozen
+// measurements of the pre-blocking kernels on the reference dev container,
+// kept as the comparison anchor for the packed-GEMM speedup.
 //
 // Usage: hotpath [--out=PATH] [--steps=N]
 
@@ -282,7 +285,8 @@ using dlion::bench::weights_checksum;
 
 /// Trains the cipher CNN for `steps` steps from a fixed seed and returns
 /// the final weight checksum. Bit-deterministic by design at any thread
-/// count; CI compares this value across DLION_THREADS settings.
+/// count; tools/benchdiff/hotpath_threads.rules compares this value across
+/// DLION_THREADS settings.
 std::uint64_t train_checksum(int steps, bool parallel_gemm) {
   const bool prev = dlion::tensor::set_gemm_parallel(parallel_gemm);
   dlion::common::Rng rng(7);
@@ -572,9 +576,9 @@ FanOutStats measure_fan_out(int exchanges, std::uint64_t peers,
 ///    and an observer records every transmission's tx span with its args
 ///    and the message's causal flow, streamed through a ChromeStreamSink
 ///    into a null stream without retention, as on the scale workloads.
-/// CI requires both to make 0 heap allocations per message: message nodes,
-/// variable lists, transfer slots, link queues, event callbacks and span
-/// args are all recycled.
+/// The exit status requires both to make 0 heap allocations per message:
+/// message nodes, variable lists, transfer slots, link queues, event
+/// callbacks and span args are all recycled.
 CommStats bench_comm(int exchanges) {
   static constexpr std::size_t kSlots = 4;  // 1 sender + 3 receivers
   constexpr std::uint64_t kPeers = kSlots - 1;
@@ -697,7 +701,8 @@ struct EngineStats {
 /// cycles whose callbacks capture 16 bytes (a pointer and a value, like
 /// the engine's scheduled lambdas), and per-message trace records (a
 /// link's "tx" span and a flow point) streamed through a ChromeStreamSink
-/// into a null stream. CI requires all three counts to be exactly 0.
+/// into a null stream. The exit status requires all three counts to be
+/// exactly 0.
 EngineStats bench_engine(int rounds) {
   constexpr int kBatch = 64;  // events pending at once
   dlion::sim::EventQueue queue;
@@ -1048,8 +1053,42 @@ int main(int argc, char** argv) {
   std::printf("[hotpath] small GEMM bitmatch vs reference: %s\n",
               small_bitmatch ? "yes" : "NO");
   std::printf("[hotpath] wrote %s\n", out_path.c_str());
-  return bitmatch && small_bitmatch && links.bitmatch &&
-                 links.bitmatch_reference
-             ? 0
-             : 2;
+
+  // Invariants of one run that no committed anchor pins: each one that
+  // fails is named on stderr, and the exit status is 2.
+  const bool has_fallback_row =
+      std::any_of(small_rows.begin(), small_rows.end(), [](const GemmRow& r) {
+        return r.operands == Operands::kNonFiniteB;
+      });
+  const struct {
+    bool ok;
+    const char* what;
+  } checks[] = {
+      {bitmatch, "serial and pooled training checksums differ"},
+      {small_bitmatch, "a small-GEMM row differs from reference_gemm"},
+      {has_fallback_row, "no nonfinite_b small-GEMM row"},
+      {links.bitmatch, "shared link selection differs from fresh prioritizers"},
+      {links.bitmatch_reference,
+       "a link selection differs from reference_select_top_k_mags"},
+      {links.selections_per_iteration <= 2 * links.variables,
+       "more than 2 x variables selections per iteration"},
+      {comm.plain.copies_per_msg == 0 && comm.plain.copy_bytes_per_msg == 0,
+       "the plain fan-out copies payloads"},
+      {comm.plain.allocs_per_msg_total == 0,
+       "the plain fan-out allocates per message"},
+      {comm.observed.copies_per_msg == 0,
+       "the observed fan-out copies payloads"},
+      {comm.observed.allocs_per_msg_total == 0,
+       "the observed fan-out allocates per message"},
+      {engine.allocs_per_event == 0.0 && engine.allocs_per_span_record == 0.0 &&
+           engine.allocs_per_flow_record == 0.0,
+       "the engine allocates per event or per trace record"},
+  };
+  int status = 0;
+  for (const auto& c : checks) {
+    if (c.ok) continue;
+    std::fprintf(stderr, "[hotpath] FAILED: %s\n", c.what);
+    status = 2;
+  }
+  return status;
 }

@@ -10,16 +10,18 @@
 // only the timing fields vary run-to-run -- event counts, metric series,
 // and the `identical` flag are deterministic). With --csv-dir=<dir> an
 // observed run's artifacts (Chrome trace, metrics JSON, telemetry summary,
-// critical-path report) are exported for inspection.
+// critical-path report) are exported for inspection. The exit status is 1
+// when the configurations' results differ or an export fails.
 //
 // With --workers=N the bench instead runs the scale configuration (ROADMAP
 // item 1): N workers in micro-clouds of --groups, full observability with a
 // streaming Chrome sink, deterministic sampling, window-only retention, and
-// per-micro-cloud metric rollups. It reports the trace-memory numbers that
-// gate the obs-scale-smoke CI job (admitted/sampled events, retained bytes,
-// bytes per retained event, sink checksum, peak RSS) and exits nonzero if
-// --max-retained-bytes is exceeded, if sampling never dropped an event, or
-// if the critical path does not resolve.
+// per-micro-cloud metric rollups. It reports the trace-memory numbers
+// (admitted/sampled events, retained bytes, bytes per retained event, sink
+// checksum, peak RSS) that tools/benchdiff/obs_scale.rules compares across
+// DLION_THREADS, and exits nonzero if --max-retained-bytes is exceeded, if
+// sampling never dropped an event, or if the critical path does not
+// resolve.
 //
 // Usage: obs_overhead [--scale=bench|paper] [--env="Hetero SYS A"]
 //                     [--timing-reps=5] [--out=BENCH_obs.json] [--csv-dir=out]
@@ -219,7 +221,7 @@ int run_scale(const bench::BenchContext& ctx, std::size_t workers) {
   if (!scale_out.empty()) {
     // Everything except wall_ms / allocs / peak_rss_kb is deterministic for
     // a given (workers, groups, duration, seed) — the sink checksum is the
-    // cross-thread-count identity fingerprint the CI smoke job compares.
+    // cross-thread-count identity fingerprint obs_scale.rules compares.
     std::ofstream js(scale_out, std::ios::trunc);
     js << "{\n";
     js << "  \"schema\": \"dlion-obs-scale-v1\",\n";
@@ -389,6 +391,10 @@ int main(int argc, char** argv) {
     cfg("off", off, false);
     cfg("on", on, true);
     js << "}\n";
+    if (!js) {
+      std::cerr << "[json] cannot write " << out_path << "\n";
+      return 1;
+    }
     std::cout << "\n[json] wrote " << out_path << "\n";
   }
 
@@ -414,7 +420,8 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "[csv] export failed (" << e.what()
                 << ") - does the directory exist?\n";
+      return 1;
     }
   }
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
   const obs::CriticalPathReport report =
       obs::compute_critical_path(obs->tracer(), {epoch_s});
   if (!report.valid) {
-    std::cout << "no spans recorded -- was the build configured with "
-                 "-DDLION_OBS=OFF?\n";
-    return 0;
+    std::cerr << "trace_explain: no critical path: the run recorded no "
+                 "spans\n";
+    return 1;
   }
   if (summary_only) {
     std::cout << "critical path: " << report.total_seconds() << " s\n"

@@ -28,7 +28,7 @@
 // the first materialization of that payload. Duplicating bytes that already
 // exist (Payload construction from an owned vector or initializer list)
 // increments the global payload-copy counters below; the hot data path must
-// keep them flat (bench/hotpath "comm" section, CI perf-smoke).
+// keep them flat (bench/hotpath's "comm" section and exit status).
 #pragma once
 
 #include <atomic>

@@ -113,8 +113,8 @@ std::vector<std::string> elastic_environment_names();
 /// (ROADMAP item 1; the paper stops at 6 nodes, the architecture doesn't):
 /// workers are grouped into micro-clouds of `group_size`; links inside a
 /// cloud run at LAN speed, links between clouds are capped at `inter_mbps`.
-/// Used by bench/obs_overhead's --workers section and the obs-scale-smoke
-/// CI job (256 workers, full observability, bounded trace memory).
+/// Used by bench/obs_overhead's --workers section, which CI runs at 256
+/// workers (full observability, bounded trace memory).
 Environment make_scale_environment(std::size_t n_workers,
                                    std::size_t group_size = 8,
                                    double inter_mbps = 200.0,

@@ -2,12 +2,10 @@
 // span Tracer, handed (as a non-owning pointer) to the components that
 // record into it — sim::Engine, sim::Network, comm::Fabric, core::Worker.
 //
-// Cost model (DESIGN.md "Observability layer"):
-//  - compiled out  (cmake -DDLION_OBS=OFF): `obs::on()` is constexpr false,
-//    every instrumentation branch is dead code and is eliminated;
-//  - otherwise an attached observer is the only switch: with none attached
-//    (the default) each record site costs one pointer null-check; with one
-//    attached, counter bumps on cached handles plus append-only pushes.
+// Cost model (DESIGN.md "Observability layer"): an attached observer is the
+// only switch. With none attached (the default) each record site costs one
+// pointer null-check; with one attached, counter bumps on cached handles
+// plus append-only pushes.
 //
 // Determinism contract: recording reads the simulated clock only, draws no
 // randomness, schedules no events, and never feeds back into control flow,
@@ -16,11 +14,6 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-
-// Set by CMake (-DDLION_OBS=OFF => DLION_OBS_ENABLED=0). Default: on.
-#ifndef DLION_OBS_ENABLED
-#define DLION_OBS_ENABLED 1
-#endif
 
 namespace dlion::obs {
 
@@ -38,8 +31,7 @@ class Observability {
   const Tracer& tracer() const { return tracer_; }
 
   /// Optional online watchdog (non-owning; nullptr detaches). Record sites
-  /// feed it inside their `obs::on()` branches, so an attached watchdog
-  /// costs nothing when observability is compiled out.
+  /// feed it inside their `obs::on()` branches.
   Watchdog* watchdog() { return watchdog_; }
   const Watchdog* watchdog() const { return watchdog_; }
   void set_watchdog(Watchdog* w) { watchdog_ = w; }
@@ -52,12 +44,6 @@ class Observability {
 
 /// The instrumentation gate every call site uses:
 ///   if (obs::on(obs_)) { ...record... }
-/// Compiles to `false` (dead-code-eliminating the branch) when the
-/// subsystem is compiled out.
-#if DLION_OBS_ENABLED
 inline bool on(const Observability* o) { return o != nullptr; }
-#else
-constexpr bool on(const Observability*) { return false; }
-#endif
 
 }  // namespace dlion::obs

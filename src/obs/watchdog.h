@@ -2,9 +2,9 @@
 //
 // The watchdog is *fed* by the instrumented components (worker iterations,
 // loss values, staleness readings, fabric dead letters, network fault
-// drops) from inside their `obs::on()` branches, so it costs nothing when
-// observability is compiled out, and it evaluates its detectors lazily on
-// those feeds — it never schedules simulation events and reads only the
+// drops) from inside their `obs::on()` branches, so it costs nothing
+// without an observer, and it evaluates its detectors lazily on those
+// feeds — it never schedules simulation events and reads only the
 // timestamps it is handed. A fired detector *latches*: each (detector,
 // worker) pair reports at most once per run, as a structured WatchdogEvent
 // (and, when a tracer is attached, an instant on a "watchdog / alerts"

@@ -1,7 +1,7 @@
 // Tests for the zero-copy payload substrate (comm/payload.h): view
 // semantics, refcounted pinning, deterministic arena recycling, writer
-// stage/commit packing, and the payload-copy accounting that the perf-smoke
-// gate asserts on.
+// stage/commit packing, and the payload-copy accounting that bench/hotpath's
+// exit status asserts on.
 
 #include "comm/payload.h"
 

@@ -6,6 +6,7 @@
 // without an observer attached). Unit tests for the pure pieces -
 // plan_bootstrap, allocate_lbs_live, RosterView::adopt - pin the
 // protocol-level invariants the integration runs rely on.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -21,8 +22,10 @@
 #include "core/roster.h"
 #include "data/synthetic.h"
 #include "exp/environments.h"
+#include "exp/experiment.h"
 #include "obs/obs.h"
 #include "obs/track_names.h"
+#include "obs/watchdog.h"
 #include "systems/registry.h"
 
 namespace dlion::core {
@@ -262,8 +265,6 @@ TEST(ElasticMembership, DisabledElasticMatchesLegacyRunExactly) {
 TEST(ElasticMembership, FixedLbsJoinerRecordsLbsCounterAtJoin) {
   // A fixed-LBS joiner charts its LBS on its worker track at join time,
   // exactly as a worker starting at t=0 does.
-  if (!DLION_OBS_ENABLED)
-    GTEST_SKIP() << "observability compiled out (DLION_OBS=OFF)";
   const data::TrainTest data = blobs_data();
   ClusterSpec spec = spec_for(4, 40.0, "baseline");
   ASSERT_FALSE(spec.worker_options.dynamic_batching);
@@ -341,6 +342,43 @@ TEST(ElasticMembership, SuspectLeaveRejoinReplaysBitIdentically) {
   expect_identical(a, b);
   EXPECT_EQ(a.leaves, 2u);
   EXPECT_EQ(a.joins, 1u);
+}
+
+// The elastic scenario family as bench/fault_tolerance runs it with
+// --duration=60 --phase=20: dlion on the cipher workload, default watchdog.
+TEST(ElasticMembership, ScenariosKeepTheirMembershipInvariants) {
+  exp::Scale scale;
+  scale.duration_s = 60.0;
+  scale.dynamic_phase_s = 20.0;
+  const exp::Workload workload = exp::make_workload("cpu", scale);
+  for (const std::string& kind : exp::elastic_environment_names()) {
+    SCOPED_TRACE(kind);
+    exp::RunSpec spec;
+    spec.system = "dlion";
+    spec.environment = kind;
+    spec.duration_s = scale.duration_s;
+    spec.eval_period_iters = scale.eval_period_iters;
+    spec.dkt_period_iters = scale.dkt_period_iters;
+    spec.env_override =
+        exp::make_elastic_environment(kind, scale.dynamic_phase_s);
+    spec.watchdog = obs::WatchdogConfig{};
+    const exp::RunResult res = exp::run_experiment(spec, workload);
+    EXPECT_EQ(res.roster_epoch, res.joins + res.leaves);
+    if (kind == "flash-crowd") {
+      EXPECT_GT(res.joins, 0u);
+      EXPECT_GT(res.leaves, 0u) << "flash-crowd never scaled back in";
+      EXPECT_GE(res.min_bootstrap_donors, 2u);
+      EXPECT_EQ(std::count_if(res.join_log.begin(), res.join_log.end(),
+                              [](const JoinRecord& rec) {
+                                return rec.donors < 2;
+                              }),
+                0)
+          << "joins that bootstrapped from fewer than 2 peers";
+    } else if (kind == "scale-in") {
+      EXPECT_GT(res.leaves, 0u);
+      EXPECT_FALSE(res.telemetry.watchdog_degraded);
+    }
+  }
 }
 
 // --- Unit tests for the pure protocol pieces. ----------------------------

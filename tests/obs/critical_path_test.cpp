@@ -195,8 +195,6 @@ TEST(CriticalPath, ReportJsonParsesAndMatchesTotals) {
 
 // ---------------------------------------------------- integration checks
 
-#if DLION_OBS_ENABLED
-
 exp::RunResult run_env(const exp::Environment& env, obs::Observability* o,
                        double duration = 40.0) {
   exp::Scale scale;
@@ -250,34 +248,49 @@ TEST(CriticalPath, HeteroNetworkAttributionNamesTheSlowLink) {
 }
 
 TEST(CriticalPath, RealRunEpochFractionsSumToOne) {
-  exp::Environment env = exp::make_environment("Hetero CPU A", 20.0);
-  obs::Observability o;
-  run_env(env, &o);
-  const obs::CriticalPathReport r =
-      obs::compute_critical_path(o.tracer(), {/*epoch_seconds=*/10.0});
-  ASSERT_TRUE(r.valid);
-  ASSERT_FALSE(r.epochs.empty());
-  for (const obs::EpochWindow& w : r.epochs) {
-    if (w.total() == 0.0) continue;  // window fully off-path (none expected)
-    double f = 0.0;
-    for (std::size_t c = 0; c < obs::kNumPathCategories; ++c) {
-      f += w.fraction(static_cast<PathCategory>(c));
+  // A clean run, and the same environment with two staggered crashes and
+  // recoveries inside the 40 s window.
+  exp::ChurnSpec churn;
+  churn.crash_start_s = 10.0;
+  churn.downtime_s = 10.0;
+  churn.stagger_s = 5.0;
+  const exp::Environment envs[] = {
+      exp::make_environment("Hetero CPU A", 20.0),
+      exp::make_churn_environment("Hetero CPU A", churn, 20.0)};
+  for (const exp::Environment& env : envs) {
+    SCOPED_TRACE(env.name);
+    obs::Observability o;
+    run_env(env, &o);
+    const obs::CriticalPathReport r =
+        obs::compute_critical_path(o.tracer(), {/*epoch_seconds=*/10.0});
+    ASSERT_TRUE(r.valid);
+    ASSERT_FALSE(r.epochs.empty());
+    for (const obs::EpochWindow& w : r.epochs) {
+      if (w.total() == 0.0) continue;  // window fully off-path
+      double f = 0.0;
+      for (std::size_t c = 0; c < obs::kNumPathCategories; ++c) {
+        f += w.fraction(static_cast<PathCategory>(c));
+      }
+      EXPECT_NEAR(f, 1.0, 1e-9);
+      // Windows are tiled by the path: per-window seconds equal the
+      // window's on-path extent.
+      EXPECT_LE(w.total(), (w.t1 - w.t0) + 1e-9);
     }
-    EXPECT_NEAR(f, 1.0, 1e-9);
-    // Windows are tiled by the path: per-window seconds equal the window's
-    // on-path extent.
-    EXPECT_LE(w.total(), (w.t1 - w.t0) + 1e-9);
+    // The categories cover the whole path.
+    double total = 0.0;
+    for (std::size_t c = 0; c < obs::kNumPathCategories; ++c) {
+      total += r.category_seconds[c];
+    }
+    EXPECT_NEAR(total, r.total_seconds(), 1e-6);
+    // Segments tile the whole path contiguously.
+    double prev = r.t_start;
+    for (const obs::PathSegment& s : r.segments) {
+      ASSERT_DOUBLE_EQ(s.t0, prev);
+      prev = s.t1;
+    }
+    EXPECT_DOUBLE_EQ(prev, r.t_end);
   }
-  // Segments tile the whole path contiguously.
-  double prev = r.t_start;
-  for (const obs::PathSegment& s : r.segments) {
-    ASSERT_DOUBLE_EQ(s.t0, prev);
-    prev = s.t1;
-  }
-  EXPECT_DOUBLE_EQ(prev, r.t_end);
 }
-
-#endif  // DLION_OBS_ENABLED
 
 }  // namespace
 }  // namespace dlion

@@ -92,9 +92,6 @@ ScaleRun run_sampled(double duration = 60.0) {
 }
 
 TEST(ObsScaleDeterminism, SampledTraceIsByteIdenticalAcrossThreadCounts) {
-  // The positive admitted/sampled_out assertions need spans to exist.
-  if (!DLION_OBS_ENABLED)
-    GTEST_SKIP() << "observability compiled out (DLION_OBS=OFF)";
   common::ThreadPool::reset_global_for_testing(1);
   const ScaleRun single = run_sampled();
 
@@ -132,8 +129,6 @@ TEST(ObsScaleDeterminism, StreamingSinkDoesNotPerturbTraining) {
 TEST(ObsScaleDeterminism, RetentionIsBoundedByTheWindow) {
   // Same run, full retention vs window-only retention: the windowed run
   // must stream the same admitted events while retaining far less.
-  if (!DLION_OBS_ENABLED)
-    GTEST_SKIP() << "observability compiled out (DLION_OBS=OFF)";
   const data::TrainTest data = blobs_data();
   auto run = [&data](bool retain_all) {
     core::ClusterSpec spec = tiny_spec(4, 60.0);

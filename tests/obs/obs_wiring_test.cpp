@@ -90,15 +90,9 @@ TEST(ObsWiring, AttachedObserverDoesNotPerturbTheRun) {
     EXPECT_DOUBLE_EQ(pa[i].time, pb[i].time);
     EXPECT_DOUBLE_EQ(pa[i].value, pb[i].value);
   }
-#if DLION_OBS_ENABLED
   EXPECT_GT(o.tracer().event_count(), 0u);
   EXPECT_GT(o.metrics().size(), 0u);
-#else
-  EXPECT_EQ(o.tracer().event_count(), 0u);
-#endif
 }
-
-#if DLION_OBS_ENABLED
 
 TEST(ObsWiring, RegistryMirrorsLegacyCounters) {
   obs::Observability o;
@@ -282,8 +276,6 @@ TEST(ObsWiring, ChromeTraceJsonFollowsSchema) {
   ASSERT_TRUE(JsonParser(obs::summarize(o).to_json()).parse(tel));
   EXPECT_NE(tel.find("compute_seconds"), nullptr);
 }
-
-#endif  // DLION_OBS_ENABLED
 
 }  // namespace
 }  // namespace dlion

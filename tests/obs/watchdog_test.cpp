@@ -151,8 +151,6 @@ TEST(Watchdog, FiredEventsLandOnTheAlertsTrack) {
 
 // ---------------------------------------------------- integration checks
 
-#if DLION_OBS_ENABLED
-
 exp::RunSpec churn_spec(double duration) {
   exp::ChurnSpec churn;
   churn.crashed_workers = 2;
@@ -244,8 +242,6 @@ TEST(Watchdog, AttachingAWatchdogDoesNotPerturbTheRun) {
       << "the churn case must fire a detector";
   expect_same_run(unwatched, fired);
 }
-
-#endif  // DLION_OBS_ENABLED
 
 }  // namespace
 }  // namespace dlion

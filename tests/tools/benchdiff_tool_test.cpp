@@ -2,8 +2,8 @@
 // gate). The build injects:
 //   DLION_BENCHDIFF_BINARY - absolute path to the built tool
 //   DLION_REPO_ROOT        - absolute path to the source tree
-// Tests shell out to the real executable, exactly as CI's bench-regress
-// step does — the gate being relied on is the gate being tested.
+// Tests shell out to the real executable, exactly as CI's build-test job
+// does — the gate being relied on is the gate being tested.
 
 #include <cstdio>
 #include <cstdlib>
@@ -188,6 +188,66 @@ TEST(BenchdiffTool, ObsScaleRulesGateRecordedCountsOnly) {
   const RunResult r = run_benchdiff(rules + t1 + " " + drift);
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("sink_checksum"), std::string::npos) << r.output;
+}
+
+// The committed rules CI compares two hotpath reports with (DLION_THREADS=1
+// vs 4): checksums, bitmatch flags and the fork-join, comm and engine
+// counters are exact, throughput and latency report only.
+TEST(BenchdiffTool, HotpathThreadRulesGateCrossThreadInvariants) {
+  struct Hotpath {
+    const char* checksum = "0x8ce8b5ccb56609dd";
+    int eval_allocs = 24;
+    bool small_bitmatch = true;
+    double gflops = 40.0;
+    double ms = 13.0;
+  };
+  const auto hotpath_report = [](const Hotpath& h) {
+    std::ostringstream js;
+    js << "{\"schema\": \"dlion-hotpath-v1\", "
+       << "\"gemm_small_single_thread\": [{\"small_gflops\": " << h.gflops
+       << ", \"small_bitmatch_vs_reference\": "
+       << (h.small_bitmatch ? "true" : "false") << "}], "
+       << "\"training_step\": {\"ms_per_step_median\": " << h.ms
+       << ", \"allocs_per_step\": 3}, "
+       << "\"mobilenet_step\": {\"eval_ms_per_step_median\": " << h.ms
+       << ", \"eval_allocs_per_step\": " << h.eval_allocs << "}, "
+       << "\"link_selection\": {\"selections_per_iteration\": 11}, "
+       << "\"comm\": {\"allocs_per_msg_total\": 0, "
+       << "\"payload_copies_per_msg\": 0}, "
+       << "\"engine\": {\"allocs_per_event\": 0.0}, "
+       << "\"determinism\": {\"weights_checksum_serial\": \"" << h.checksum
+       << "\", \"serial_parallel_bitmatch\": true}}";
+    return js.str();
+  };
+  const std::string rules = "--rules=\"" + std::string(DLION_REPO_ROOT) +
+                            "/tools/benchdiff/hotpath_threads.rules\" ";
+  const std::string t1 = write_file("t1.json", hotpath_report({}));
+  Hotpath timings;
+  timings.gflops = 10.0;
+  timings.ms = 50.0;
+  const std::string t4 = write_file("t4.json", hotpath_report(timings));
+  const RunResult same = run_benchdiff(rules + t1 + " " + t4);
+  EXPECT_EQ(same.exit_code, 0) << same.output;
+
+  Hotpath checksum, eval_allocs, bitmatch;
+  checksum.checksum = "0x8ce8b5ccb56609de";
+  eval_allocs.eval_allocs = 25;
+  bitmatch.small_bitmatch = false;
+  const struct {
+    const char* name;
+    Hotpath doc;
+    const char* metric;
+  } drifts[] = {
+      {"checksum.json", checksum, "weights_checksum_serial"},
+      {"eval_allocs.json", eval_allocs, "eval_allocs_per_step"},
+      {"bitmatch.json", bitmatch, "small_bitmatch_vs_reference"},
+  };
+  for (const auto& d : drifts) {
+    const std::string t4_drift = write_file(d.name, hotpath_report(d.doc));
+    const RunResult r = run_benchdiff(rules + t1 + " " + t4_drift);
+    EXPECT_EQ(r.exit_code, 1) << d.name << "\n" << r.output;
+    EXPECT_NE(r.output.find(d.metric), std::string::npos) << r.output;
+  }
 }
 
 TEST(BenchdiffTool, UsageAndParseErrorsExitTwo) {

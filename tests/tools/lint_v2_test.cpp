@@ -302,14 +302,4 @@ TEST(LintV2Test, StaleAllowlistEntryIsReportedAndGateable) {
       << off.output;
 }
 
-TEST(LintV2Test, ProductionTreeIsCleanUnderSemanticRules) {
-  const std::string root(DLION_REPO_ROOT);
-  const RunResult r = run_lint("--root " + root + " --allowlist " + root +
-                               "/tools/lint/allowlist.txt " + root + "/src " +
-                               root + "/bench " + root + "/tools " + root +
-                               "/examples");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("files clean"), std::string::npos) << r.output;
-}
-
 }  // namespace
