@@ -19,7 +19,6 @@
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "nn/model.h"
-#include "sim/trace.h"
 
 namespace dlion::bench {
 
@@ -59,22 +58,6 @@ inline std::string jnum(double v, int prec = 4) {
   return buf;
 }
 
-/// JSON array of [time, value] pairs from a sim trace.
-inline std::string jcurve(const sim::Trace& curve) {
-  std::string j = "[";
-  bool first = true;
-  for (const auto& p : curve.points()) {
-    if (!first) j += ", ";
-    first = false;
-    j += '[';
-    j += jnum(p.time, 2);
-    j += ", ";
-    j += jnum(p.value);
-    j += ']';
-  }
-  return j + "]";
-}
-
 /// The flags every figure bench reads: exp::Scale::from_config's, plus
 /// --csv-dir (maybe_export_curve). Their defaults live in exp::Scale.
 inline void print_usage(const char* program) {
@@ -96,6 +79,20 @@ inline void print_usage(const char* program) {
       << "A bench may read more flags; see its source file.\n";
 }
 
+/// Runs `read`, which reads flags with common::Config's getters, and
+/// returns its result. A getter throws std::invalid_argument naming the
+/// flag when its value does not parse; that is a usage error, so print it
+/// and exit 2.
+template <typename Read>
+auto read_flags(const char* program, Read&& read) {
+  try {
+    return read();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << program << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 struct BenchContext {
   common::Config config;
   exp::Scale scale;
@@ -112,12 +109,8 @@ struct BenchContext {
     }
     BenchContext ctx;
     ctx.config = common::Config::from_args(argc, argv);
-    try {
-      ctx.scale = exp::Scale::from_config(ctx.config);
-    } catch (const std::invalid_argument& e) {
-      std::cerr << argv[0] << ": " << e.what() << " (see --help)\n";
-      std::exit(2);
-    }
+    ctx.scale = read_flags(
+        argv[0], [&] { return exp::Scale::from_config(ctx.config); });
     return ctx;
   }
 };

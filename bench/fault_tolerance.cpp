@@ -10,14 +10,9 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 
 namespace {
-
-using dlion::bench::jcurve;
-using dlion::bench::jnum;
 
 /// Largest drop of the cluster-mean accuracy after `t0` below its pre-fault
 /// peak (0 if the curve never dips).
@@ -136,128 +131,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-
-  // --- Elastic membership: deterministic join/leave + multi-peer bootstrap
-  // (DESIGN.md, "Elastic membership"). Each scenario runs once with its
-  // churn schedule and once as the churn-free static roster of its initial
-  // members; the comparison is the accuracy cost of elasticity. Results go
-  // to stdout, and to a JSON report with --elastic-out=PATH (the committed
-  // anchor is regenerated with --elastic-out=BENCH_elastic.json).
-  std::cout << "\n--- elastic membership: join/leave + multi-peer bootstrap "
-               "---\n\n";
-  common::Table etable({"scenario", "slots", "members", "joins", "leaves",
-                        "epoch", "join lat", "min donors", "boot MB",
-                        "final acc", "static acc", "watchdog"});
-  std::string json;
-  json += "{\n";
-  json += "  \"schema\": \"dlion-elastic-v1\",\n";
-  json += "  \"generated_by\": \"bench/fault_tolerance\",\n";
-  json += "  \"system\": \"dlion\",\n";
-  json += "  \"seed\": " + std::to_string(ctx.scale.seed) + ",\n";
-  json += "  \"duration_s\": " + jnum(duration, 1) + ",\n";
-  json += "  \"scenarios\": [\n";
-  const std::vector<std::string> kinds = exp::elastic_environment_names();
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    const std::string& kind = kinds[k];
-    const exp::Environment elastic_env =
-        exp::make_elastic_environment(kind, ctx.scale.dynamic_phase_s);
-
-    exp::RunSpec spec =
-        bench::make_run_spec(ctx.scale, "dlion", kind, duration);
-    spec.env_override = elastic_env;
-    spec.watchdog = obs::WatchdogConfig{};
-    const exp::RunResult res = exp::run_experiment(spec, workload);
-
-    // Churn-free counterpart: the initial members as a static roster.
-    exp::Environment static_env;
-    static_env.name = kind + " static";
-    static_env.compute.assign(
-        elastic_env.compute.begin(),
-        elastic_env.compute.begin() +
-            static_cast<std::ptrdiff_t>(elastic_env.initial_workers));
-    exp::RunSpec static_spec =
-        bench::make_run_spec(ctx.scale, "dlion", static_env.name, duration);
-    static_spec.env_override = static_env;
-    const exp::RunResult sres = exp::run_experiment(static_spec, workload);
-
-    etable.row()
-        .cell(kind)
-        .cell(static_cast<double>(elastic_env.compute.size()), 0)
-        .cell(std::to_string(elastic_env.initial_workers) + "->" +
-              std::to_string(res.final_members))
-        .cell(static_cast<double>(res.joins), 0)
-        .cell(static_cast<double>(res.leaves), 0)
-        .cell(static_cast<double>(res.roster_epoch), 0)
-        .cell(res.join_latency_mean_s, 2)
-        .cell(static_cast<double>(res.min_bootstrap_donors), 0)
-        .cell(static_cast<double>(res.bootstrap_bytes) / 1e6, 2)
-        .cell(res.final_accuracy, 3)
-        .cell(sres.final_accuracy, 3)
-        .cell(res.telemetry.watchdog_degraded ? "degraded" : "clean");
-
-    json += "    {\n";
-    json += "      \"name\": \"" + kind + "\",\n";
-    json += "      \"capacity\": " +
-            std::to_string(elastic_env.compute.size()) + ",\n";
-    json += "      \"initial_members\": " +
-            std::to_string(elastic_env.initial_workers) + ",\n";
-    json += "      \"final_members\": " + std::to_string(res.final_members) +
-            ",\n";
-    json += "      \"joins\": " + std::to_string(res.joins) + ",\n";
-    json += "      \"leaves\": " + std::to_string(res.leaves) + ",\n";
-    json += "      \"roster_epoch\": " + std::to_string(res.roster_epoch) +
-            ",\n";
-    json += "      \"join_latency_mean_s\": " +
-            jnum(res.join_latency_mean_s) + ",\n";
-    json += "      \"join_latency_max_s\": " + jnum(res.join_latency_max_s) +
-            ",\n";
-    json += "      \"min_bootstrap_donors\": " +
-            std::to_string(res.min_bootstrap_donors) + ",\n";
-    json += "      \"bootstrap_bytes\": " +
-            std::to_string(res.bootstrap_bytes) + ",\n";
-    json += "      \"stale_epoch_rejected\": " +
-            std::to_string(res.stale_epoch_rejected) + ",\n";
-    json += "      \"total_iterations\": " +
-            std::to_string(res.total_iterations) + ",\n";
-    json += std::string("      \"watchdog_degraded\": ") +
-            (res.telemetry.watchdog_degraded ? "true" : "false") + ",\n";
-    json += "      \"watchdog_events\": " +
-            std::to_string(res.telemetry.watchdog_events.size()) + ",\n";
-    json += "      \"final_accuracy\": " + jnum(res.final_accuracy) + ",\n";
-    json += "      \"best_accuracy\": " + jnum(res.best_accuracy) + ",\n";
-    json += "      \"time_to_70_s\": " + jnum(res.time_to_70, 2) + ",\n";
-    json += "      \"static_final_accuracy\": " + jnum(sres.final_accuracy) +
-            ",\n";
-    json += "      \"static_best_accuracy\": " + jnum(sres.best_accuracy) +
-            ",\n";
-    json += "      \"join_log\": [";
-    for (std::size_t i = 0; i < res.join_log.size(); ++i) {
-      const core::JoinRecord& rec = res.join_log[i];
-      if (i > 0) json += ", ";
-      json += "{\"worker\": " + std::to_string(rec.worker) +
-              ", \"requested_s\": " + jnum(rec.requested, 2) +
-              ", \"completed_s\": " + jnum(rec.completed, 2) +
-              ", \"donors\": " + std::to_string(rec.donors) +
-              ", \"bytes\": " + std::to_string(rec.bootstrap_bytes) + "}";
-    }
-    json += "],\n";
-    json += "      \"accuracy_curve\": " + jcurve(res.mean_curve) + ",\n";
-    json += "      \"static_accuracy_curve\": " + jcurve(sres.mean_curve) +
-            "\n";
-    json += "    }";
-    if (k + 1 < kinds.size()) json += ",";
-    json += "\n";
-  }
-  json += "  ]\n}\n";
-  etable.print(std::cout);
-
-  const std::string elastic_out =
-      ctx.config.get_string("elastic-out", "");
-  if (!elastic_out.empty()) {
-    std::ofstream out(elastic_out);
-    out << json;
-    std::cout << "\n[json] wrote " << elastic_out << "\n";
-  }
 
   std::cout
       << "\nReading the table: with the fault-tolerance layer off, the\n"

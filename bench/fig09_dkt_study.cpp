@@ -10,7 +10,8 @@ int main(int argc, char** argv) {
   const auto ctx = bench::BenchContext::from_args(argc, argv);
   bench::print_header("Figure 9: direct knowledge transfer study", ctx.scale);
   const exp::Workload workload = exp::make_workload("cpu", ctx.scale);
-  const double target = ctx.config.get_double("target", 0.65);
+  const double target = bench::read_flags(
+      argv[0], [&] { return ctx.config.get_double("target", 0.65); });
 
   // (a) when-to-send: DKT period sweep. The paper sweeps {10, 100, 1000}
   // iterations plus a frequent-early-only variant over windows ~20x longer;

@@ -12,7 +12,8 @@ int main(int argc, char** argv) {
   const exp::Workload workload = exp::make_workload("cpu", ctx.scale);
 
   // Lower threshold at bench scale keeps the metric reachable in every cell.
-  const double target = ctx.config.get_double("target", 0.65);
+  const double target = bench::read_flags(
+      argv[0], [&] { return ctx.config.get_double("target", 0.65); });
 
   common::Table table({"environment", "variant", "time-to-target",
                        "accuracy"});

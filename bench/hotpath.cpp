@@ -764,13 +764,11 @@ EngineStats bench_engine(int rounds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_hotpath.json";
-  int steps = 30;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    if (arg.rfind("--steps=", 0) == 0) steps = std::atoi(arg.c_str() + 8);
-  }
+  const dlion::common::Config cfg =
+      dlion::common::Config::from_args(argc, argv);
+  const std::string out_path = cfg.get_string("out", "BENCH_hotpath.json");
+  int steps = static_cast<int>(dlion::bench::read_flags(
+      argv[0], [&] { return cfg.get_int("steps", 30); }));
   if (steps < 4) steps = 4;
 
   const char* threads_env = std::getenv("DLION_THREADS");

@@ -136,12 +136,14 @@ std::uint64_t peak_rss_kb() {
 /// The --workers=N scale configuration: N workers, full observability,
 /// streaming sink + deterministic sampling + window-only retention +
 /// per-micro-cloud rollups. Returns the process exit code.
-int run_scale(const bench::BenchContext& ctx, std::size_t workers) {
-  const std::size_t groups =
-      static_cast<std::size_t>(ctx.config.get_int("groups", 8));
-  const double dur = ctx.config.get_double("scale-duration", 30.0);
-  const std::uint64_t max_retained = static_cast<std::uint64_t>(
-      ctx.config.get_int("max-retained-bytes", 0));
+int run_scale(const bench::BenchContext& ctx, const char* program,
+              std::size_t workers) {
+  const auto groups = static_cast<std::size_t>(bench::read_flags(
+      program, [&] { return ctx.config.get_int("groups", 8); }));
+  const double dur = bench::read_flags(
+      program, [&] { return ctx.config.get_double("scale-duration", 30.0); });
+  const auto max_retained = static_cast<std::uint64_t>(bench::read_flags(
+      program, [&] { return ctx.config.get_int("max-retained-bytes", 0); }));
   const std::string scale_out = ctx.config.get_string("scale-out", "");
 
   bench::print_header(
@@ -271,13 +273,12 @@ int main(int argc, char** argv) {
   using namespace dlion;
   bench::BenchContext ctx = bench::BenchContext::from_args(argc, argv);
   const std::string env_name = ctx.config.get_string("env", "Hetero SYS A");
-  const int reps =
-      static_cast<int>(ctx.config.get_int("timing-reps", 5));
   const std::string out_path = ctx.config.get_string("out", "");
-
-  const auto workers =
-      static_cast<std::size_t>(ctx.config.get_int("workers", 0));
-  if (workers > 0) return run_scale(ctx, workers);
+  const int reps = static_cast<int>(bench::read_flags(
+      argv[0], [&] { return ctx.config.get_int("timing-reps", 5); }));
+  const auto workers = static_cast<std::size_t>(bench::read_flags(
+      argv[0], [&] { return ctx.config.get_int("workers", 0); }));
+  if (workers > 0) return run_scale(ctx, argv[0], workers);
 
   bench::print_header("Observability overhead (6-worker " + env_name + ")",
                       ctx.scale);

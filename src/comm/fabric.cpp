@@ -17,8 +17,6 @@ Fabric::Fabric(sim::Network& network, double byte_scale)
       byte_scale_(byte_scale),
       handlers_(network.size()),
       dead_letters_to_(network.size(), 0),
-      epoch_stamp_(network.size(), 0),
-      epoch_floor_(network.size(), 0),
       flow_seq_(network.size(), 0),
       delivered_seqs_(network.size()) {
   if (byte_scale <= 0.0) {
@@ -37,8 +35,7 @@ Fabric::~Fabric() { network_->set_drop_hook(nullptr); }
 void Fabric::set_obs(obs::Observability* o) {
   obs_ = o;
   obs_types_.clear();
-  obs_dead_letters_ = obs_stale_rejected_ = obs_retries_ = obs_failures_ =
-      nullptr;
+  obs_dead_letters_ = obs_retries_ = obs_failures_ = nullptr;
   obs_track_ = 0;
   obs_worker_tracks_.clear();
   if (o == nullptr) return;
@@ -50,7 +47,6 @@ void Fabric::set_obs(obs::Observability* o) {
     obs_types_[i].sent_bytes = &m.counter("comm.fabric.sent_bytes", labels);
   }
   obs_dead_letters_ = &m.counter("comm.fabric.dead_letters");
-  obs_stale_rejected_ = &m.counter("comm.fabric.stale_epoch_rejected");
   obs_retries_ = &m.counter("comm.fabric.reliable_retries");
   obs_failures_ = &m.counter("comm.fabric.reliable_failures");
   obs_track_ = o->tracer().track("fabric", "control");
@@ -88,30 +84,14 @@ common::Bytes Fabric::charged_bytes(const GradientUpdate& update) const {
 }
 
 bool Fabric::deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
-                     FlowId flow, std::uint64_t epoch) {
+                     FlowId flow) {
   DLION_AFFINITY_DCHECK(affinity_);
   DLION_DCHECK(to < handlers_.size(), "delivery to out-of-range worker");
   DLION_DCHECK(msg != nullptr);
-  if (epoch < epoch_floor_[to]) {
-    // Stamped before the receiver's join epoch: traffic addressed to a
-    // previous occupant of this roster slot (or from a member that had not
-    // yet observed the roster change when it transmitted). Rejected
-    // deterministically — the outcome depends only on the stamp and the
-    // floor, both of which are event-ordered state.
-    ++stale_rejected_;
-    if (obs::on(obs_)) {
-      obs_stale_rejected_->inc();
-      obs_->tracer().instant(obs_track_, "stale_epoch", engine().now(),
-                             {{"to", static_cast<double>(to)},
-                              {"epoch", static_cast<double>(epoch)},
-                              {"type", static_cast<double>(msg->index())}});
-    }
-    return false;
-  }
   if (!handlers_[to]) {
-    // Receiver is detached (crashed or never joined): dead-letter. The
-    // causal flow ends nowhere — viewers show the arrow stopping at the
-    // link's tx span, which is exactly what happened.
+    // Receiver is detached (crashed): dead-letter. The causal flow ends
+    // nowhere — viewers show the arrow stopping at the link's tx span,
+    // which is exactly what happened.
     ++dead_letters_;
     ++dead_letters_to_[to];
     if (obs::on(obs_)) {
@@ -137,14 +117,6 @@ bool Fabric::deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
   return true;
 }
 
-void Fabric::set_epoch(std::size_t worker, std::uint64_t epoch) {
-  epoch_stamp_.at(worker) = epoch;
-}
-
-void Fabric::set_epoch_floor(std::size_t worker, std::uint64_t epoch) {
-  epoch_floor_.at(worker) = epoch;
-}
-
 void Fabric::transmit(std::size_t from, std::size_t to, MessagePtr msg,
                       common::Bytes bytes, Kind kind, std::uint64_t seq) {
   DLION_AFFINITY_DCHECK(affinity_);
@@ -153,9 +125,6 @@ void Fabric::transmit(std::size_t from, std::size_t to, MessagePtr msg,
   // itself never influences delivery — see Network::send).
   DLION_DCHECK(from < flow_seq_.size(), "transmit from out-of-range worker");
   const FlowId flow = make_flow_id(from, ++flow_seq_[from]);
-  // Roster-epoch stamp: captured at transmit time, so a reliable-channel
-  // retry after the sender's epoch advanced carries the *new* stamp.
-  const std::uint64_t epoch = epoch_stamp_[from];
   // Flow-id monotonicity contract: the per-sender sequence is strictly
   // increasing and must stay inside its 40-bit field — a wrap would reuse
   // ids and silently cross-link unrelated causal flows in the trace.
@@ -183,7 +152,7 @@ void Fabric::transmit(std::size_t from, std::size_t to, MessagePtr msg,
     slot = free_transfers_.back();
     free_transfers_.pop_back();
   }
-  transfers_[slot] = Transfer{from, to, std::move(msg), flow, epoch, seq, kind};
+  transfers_[slot] = Transfer{from, to, std::move(msg), flow, seq, kind};
   network_->send(from, to, bytes, Delivery{this, slot}, flow);
 }
 
@@ -201,7 +170,7 @@ void Fabric::complete(std::uint32_t slot) {
   const Transfer t = take(slot);
   switch (t.kind) {
     case Kind::kPlain:
-      deliver(t.from, t.to, t.msg, t.flow, t.epoch);
+      deliver(t.from, t.to, t.msg, t.flow);
       break;
     case Kind::kReliable:
       if (delivered_seqs_[t.to].contains(t.seq)) {
@@ -210,7 +179,7 @@ void Fabric::complete(std::uint32_t slot) {
         send_ack(t.to, t.from, t.seq);
         break;
       }
-      if (deliver(t.from, t.to, t.msg, t.flow, t.epoch)) {
+      if (deliver(t.from, t.to, t.msg, t.flow)) {
         delivered_seqs_[t.to].insert(t.seq);
         send_ack(t.to, t.from, t.seq);
       }
@@ -243,6 +212,7 @@ void Fabric::broadcast(std::size_t from, const Message& msg) {
   }
 }
 
+// Kept for the end-to-end benchmark's link; see fabric.h.
 void Fabric::broadcast(std::size_t from, const Message& msg,
                        const std::vector<bool>& targets) {
   DLION_ASSERT(targets.size() == size(),

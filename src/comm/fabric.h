@@ -80,9 +80,11 @@ class Fabric {
   void broadcast(std::size_t from, const Message& msg);
 
   /// Broadcast restricted to workers flagged in `targets` (self skipped).
-  /// Elastic-membership runs use this to address the current roster only,
-  /// so dormant capacity slots neither receive traffic nor consume the
-  /// sender's egress share. An all-true mask reproduces broadcast exactly.
+  /// An all-true mask reproduces broadcast exactly.
+  ///
+  /// No library code calls this overload. It stays, defined out of line,
+  /// because the end-to-end benchmark (bench/e2e/layer_wraps.cpp) wraps it
+  /// by mangled name; removing it breaks that link.
   void broadcast(std::size_t from, const Message& msg,
                  const std::vector<bool>& targets);
 
@@ -101,25 +103,6 @@ class Fabric {
     return dead_letters_to_.at(to);
   }
 
-  // --- Roster epochs (elastic membership, DESIGN.md) ---
-  //
-  // Like the causal FlowId, the epoch stamp is transport-level state: it is
-  // attached to every transmission at transmit time and never encoded into
-  // the wire format, so non-elastic runs (where every stamp and floor stays
-  // 0) charge exactly the bytes they always did and reject nothing.
-
-  /// Set worker `w`'s current roster epoch; every subsequent transmission
-  /// from `w` carries this stamp (including reliable-channel retries, which
-  /// re-stamp at each attempt).
-  void set_epoch(std::size_t worker, std::uint64_t epoch);
-  std::uint64_t epoch(std::size_t worker) const { return epoch_stamp_.at(worker); }
-  /// Set worker `w`'s acceptance floor: deliveries stamped with an epoch
-  /// below it are rejected deterministically (counted, never handled). A
-  /// joiner raises its floor to its join epoch, so in-flight traffic
-  /// addressed to a previous occupant of the slot can never reach it.
-  void set_epoch_floor(std::size_t worker, std::uint64_t epoch);
-  /// Deliveries rejected by the epoch floor so far.
-  std::uint64_t stale_epoch_rejected() const { return stale_rejected_; }
   /// Reliable-channel retransmissions and failures so far.
   std::uint64_t reliable_retries() const { return reliable_retries_; }
   std::uint64_t reliable_failures() const { return reliable_failures_; }
@@ -157,8 +140,7 @@ class Fabric {
     std::size_t to = 0;
     MessagePtr msg;
     FlowId flow = 0;
-    std::uint64_t epoch = 0;  ///< sender's roster epoch at transmit time
-    std::uint64_t seq = 0;    ///< reliable request the attempt or ack is for
+    std::uint64_t seq = 0;  ///< reliable request the attempt or ack is for
     Kind kind = Kind::kPlain;
   };
 
@@ -187,13 +169,11 @@ class Fabric {
   };
 
   sim::Engine& engine() { return network_->engine(); }
-  /// Hand `msg` to the receiver's handler; dead-letters if detached and
-  /// rejects deliveries stamped below the receiver's epoch floor. `flow` is
-  /// the transmission's causal-flow id (flow-end is recorded on the
-  /// receiver's track just before the handler runs); `epoch` is the
-  /// sender's roster epoch captured at transmit time.
+  /// Hand `msg` to the receiver's handler; dead-letters if detached.
+  /// `flow` is the transmission's causal-flow id (flow-end is recorded on
+  /// the receiver's track just before the handler runs).
   bool deliver(std::size_t from, std::size_t to, const MessagePtr& msg,
-               FlowId flow, std::uint64_t epoch);
+               FlowId flow);
   void transmit(std::size_t from, std::size_t to, MessagePtr msg,
                 common::Bytes bytes, Kind kind, std::uint64_t seq);
   /// Delivery of the transfer in `slot` (frees the slot first).
@@ -213,12 +193,6 @@ class Fabric {
   std::vector<Handler> handlers_;
   std::vector<std::uint64_t> dead_letters_to_;
   std::uint64_t dead_letters_ = 0;
-  /// Roster epochs: per-sender transmission stamp, per-receiver acceptance
-  /// floor, and the rejected-delivery counter. All-zero unless the elastic
-  /// membership layer is active.
-  std::vector<std::uint64_t> epoch_stamp_;
-  std::vector<std::uint64_t> epoch_floor_;
-  std::uint64_t stale_rejected_ = 0;
   std::uint64_t next_seq_ = 1;
   /// Per-sender transmission counters feeding make_flow_id. Advance
   /// unconditionally (observer attached or not) so obs-on and obs-off runs
@@ -238,7 +212,6 @@ class Fabric {
   obs::Observability* obs_ = nullptr;  // non-owning, optional
   std::vector<ObsTypeHandles> obs_types_;
   obs::Counter* obs_dead_letters_ = nullptr;
-  obs::Counter* obs_stale_rejected_ = nullptr;
   obs::Counter* obs_retries_ = nullptr;
   obs::Counter* obs_failures_ = nullptr;
   obs::TrackId obs_track_ = 0;  // "fabric / control"

@@ -9,18 +9,8 @@ namespace {
 constexpr common::Bytes kGradientHeader = 20;
 constexpr common::Bytes kPerVarHeader = 16;  // one VariableGrad
 constexpr common::Bytes kSnapshotHeader = 24;
-constexpr common::Bytes kChunkHeader = 44;
-constexpr common::Bytes kPublishHeader = 32;
 // Control messages are charged a flat size, not the bytes of their fields.
 constexpr common::Bytes kControlBytes = 64;
-
-/// A weight-bearing message: its header, then a u32 length and the floats
-/// of each part.
-common::Bytes weights_wire_bytes(common::Bytes header,
-                                 const WeightPayload& weights) {
-  return header + weights.parts.size() * sizeof(std::uint32_t) +
-         weights.num_values() * sizeof(float);
-}
 
 }  // namespace
 
@@ -34,27 +24,6 @@ double GradientUpdate::density(std::size_t model_params) const {
   if (model_params == 0) return 0.0;
   return static_cast<double>(num_entries()) /
          static_cast<double>(model_params);
-}
-
-std::vector<std::uint64_t> pack_members(const std::vector<bool>& members) {
-  std::vector<std::uint64_t> words((members.size() + 63) / 64, 0);
-  for (std::size_t w = 0; w < members.size(); ++w) {
-    if (members[w]) words[w / 64] |= std::uint64_t{1} << (w % 64);
-  }
-  return words;
-}
-
-std::vector<bool> unpack_members(const std::vector<std::uint64_t>& words,
-                                 std::size_t capacity) {
-  std::vector<bool> members(capacity, false);
-  for (std::size_t w = 0; w < capacity; ++w) {
-    const std::size_t word = w / 64;
-    if (word < words.size() &&
-        ((words[word] >> (w % 64)) & std::uint64_t{1}) != 0) {
-      members[w] = true;
-    }
-  }
-  return members;
 }
 
 const char* message_type_name(std::size_t variant_index) {
@@ -75,16 +44,11 @@ const char* message_type_name(const Message& msg) {
 }
 
 bool is_control(const Message& msg) {
-  // BootstrapChunk and ModelPublish are deliberately absent: they carry
-  // model weights and ride the data queue at their (byte-scaled) wire size,
-  // exactly like a WeightSnapshot.
   return std::holds_alternative<LossReport>(msg) ||
          std::holds_alternative<DktRequest>(msg) ||
          std::holds_alternative<RcpReport>(msg) ||
          std::holds_alternative<Heartbeat>(msg) ||
-         std::holds_alternative<Ack>(msg) ||
-         std::holds_alternative<RosterUpdate>(msg) ||
-         std::holds_alternative<BootstrapRequest>(msg);
+         std::holds_alternative<Ack>(msg);
 }
 
 std::size_t payload_bytes(const Message& msg) {
@@ -98,9 +62,7 @@ std::size_t payload_bytes(const Message& msg) {
                      v.values.size() * sizeof(float);
           }
           return bytes;
-        } else if constexpr (std::is_same_v<T, WeightSnapshot> ||
-                             std::is_same_v<T, BootstrapChunk> ||
-                             std::is_same_v<T, ModelPublish>) {
+        } else if constexpr (std::is_same_v<T, WeightSnapshot>) {
           return m.weights.num_values() * sizeof(float);
         } else {
           return 0;
@@ -125,11 +87,10 @@ common::Bytes wire_bytes(const Message& msg) {
         if constexpr (std::is_same_v<T, GradientUpdate>) {
           return wire_bytes(m);
         } else if constexpr (std::is_same_v<T, WeightSnapshot>) {
-          return weights_wire_bytes(kSnapshotHeader, m.weights);
-        } else if constexpr (std::is_same_v<T, BootstrapChunk>) {
-          return weights_wire_bytes(kChunkHeader, m.weights);
-        } else if constexpr (std::is_same_v<T, ModelPublish>) {
-          return weights_wire_bytes(kPublishHeader, m.weights);
+          // The header, then a u32 length and the floats of each part.
+          return kSnapshotHeader +
+                 m.weights.parts.size() * sizeof(std::uint32_t) +
+                 m.weights.num_values() * sizeof(float);
         } else {
           return kControlBytes;
         }

@@ -96,60 +96,15 @@ struct Ack {
   std::uint64_t seq = 0;
 };
 
-/// Roster-change announcement (elastic membership, DESIGN.md "Elastic
-/// membership"). Carries the new monotone roster epoch and the full member
-/// set packed as a little-endian bitmap (bit w of word w/64 = worker w is a
-/// member). Receivers adopt the roster iff `epoch` exceeds their current
-/// epoch; older announcements are stale by definition and rejected.
-struct RosterUpdate {
-  std::uint32_t from = 0;
-  std::uint64_t epoch = 0;
-  std::uint32_t capacity = 0;                ///< cluster capacity (slots)
-  std::vector<std::uint64_t> member_words;   ///< ceil(capacity/64) words
-};
-
-/// Joiner's request for one disjoint chunk of the model: the weight
-/// variables [first_var, first_var + var_count). A joiner splits the model
-/// across >= 2 live donors (TensorHub-style sharded bootstrap) and sends
-/// one request per donor over the reliable control channel.
-struct BootstrapRequest {
-  std::uint32_t from = 0;
-  std::uint64_t epoch = 0;      ///< joiner's roster epoch
-  std::uint32_t first_var = 0;
-  std::uint32_t var_count = 0;
-};
-
-/// One donor's bootstrap reply: weight values for the requested variable
-/// range plus the training-clock state (iteration, GBS controller ticks)
-/// the joiner adopts once every chunk has arrived.
-struct BootstrapChunk {
-  std::uint32_t from = 0;
-  std::uint64_t epoch = 0;
-  std::uint32_t first_var = 0;
-  std::uint64_t iteration = 0;
-  std::uint64_t gbs_ticks = 0;  ///< donor's GBS controller tick count
-  double loss = 0.0;            ///< donor's smoothed loss (DKT seed)
-  WeightPayload weights;        ///< parts for [first_var, first_var+n)
-};
-
-/// Versioned weight-snapshot publication. Uses the bootstrap chunking
-/// scheme: `weights` holds the variables [first_var, first_var +
-/// weights.parts.size()) out of `total_vars`. `version` is a monotone
-/// publish sequence number; `iteration` is the training iteration the
-/// snapshot was taken at.
-///
-/// No library code sends this message. It stays in `Message` because the
-/// end-to-end benchmark (bench/e2e/layer_wraps.cpp) wraps `Fabric::send`,
-/// `broadcast` and `send_reliable` by mangled names that spell out every
-/// alternative of `Message`; removing one breaks that link.
-struct ModelPublish {
-  std::uint32_t from = 0;
-  std::uint64_t version = 0;
-  std::uint64_t iteration = 0;
-  std::uint32_t first_var = 0;
-  std::uint32_t total_vars = 0;
-  WeightPayload weights;  ///< parts for [first_var, first_var+n)
-};
+/// Tags that no library code sends. They stay in `Message`, in this
+/// order, because the end-to-end benchmark (bench/e2e/layer_wraps.cpp)
+/// wraps `Fabric::send`, `broadcast` and `send_reliable` by mangled names
+/// that spell out every alternative of `Message`; removing or renaming one
+/// breaks that link.
+struct RosterUpdate {};
+struct BootstrapRequest {};
+struct BootstrapChunk {};
+struct ModelPublish {};
 
 using Message = std::variant<GradientUpdate, WeightSnapshot, LossReport,
                              DktRequest, RcpReport, Heartbeat, Ack,
@@ -164,11 +119,6 @@ MessagePtr make_message(M&& msg) {
   return std::allocate_shared<const Message>(PoolAllocator<Message>{},
                                              std::forward<M>(msg));
 }
-
-/// Pack a member set into the RosterUpdate bitmap words (and back).
-std::vector<std::uint64_t> pack_members(const std::vector<bool>& members);
-std::vector<bool> unpack_members(const std::vector<std::uint64_t>& words,
-                                 std::size_t capacity);
 
 /// Deterministic causal-flow identifier stamped on every fabric
 /// transmission (DESIGN.md "Causal tracing"). Derived purely from

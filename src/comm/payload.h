@@ -1,8 +1,7 @@
 // Zero-copy data-plane payloads (DESIGN.md "Zero-copy data plane").
 //
-// Data-lane messages (gradients, weight snapshots, bootstrap chunks, model
-// publishes) carry *views* into refcounted arena blocks instead of owned
-// vectors. The building blocks:
+// Data-lane messages (gradients and weight snapshots) carry *views* into
+// refcounted arena blocks instead of owned vectors. The building blocks:
 //
 //  * PayloadArena - a pool of refcounted, 64-byte-aligned, grow-only blocks
 //    (the `common/scratch.h` block shape plus refcounting). A block is

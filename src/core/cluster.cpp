@@ -44,18 +44,6 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
   fabric_ = std::make_unique<comm::Fabric>(*network_, byte_scale);
   if (spec.obs != nullptr) fabric_->set_obs(spec.obs);
 
-  // Elastic membership: compute.size() is the slot *capacity*; only the
-  // first initial_workers slots start live, the rest dormant.
-  elastic_ = spec.elastic.has_value();
-  std::vector<bool> initial_members(n, true);
-  if (elastic_) {
-    const std::size_t live = spec.elastic->initial_workers == 0
-                                 ? n
-                                 : std::min(spec.elastic->initial_workers, n);
-    if (live == 0) throw std::invalid_argument("Cluster: empty roster");
-    for (std::size_t i = live; i < n; ++i) initial_members[i] = false;
-  }
-
   common::Rng seeder(spec.seed ^ 0x5eedULL);
   for (std::size_t i = 0; i < n; ++i) {
     common::Rng model_rng(spec.seed);  // identical init on every worker
@@ -65,7 +53,6 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
     if (faults_ != nullptr && spec.auto_fault_tolerance) {
       options.fault_tolerance = true;
     }
-    if (elastic_) options.initial_members = initial_members;
     workers_.push_back(std::make_unique<Worker>(
         i, engine_, *fabric_,
         sim::ComputeResource(spec.compute[i], built.profile,
@@ -73,15 +60,6 @@ Cluster::Cluster(const ClusterSpec& spec, const data::Dataset& train,
         std::move(built), data::shard(train, n, i), &test,
         spec.strategy_factory(i), std::move(options), seeder.next()));
     if (spec.obs != nullptr) workers_.back()->set_obs(spec.obs);
-  }
-
-  if (elastic_) {
-    std::vector<Worker*> raw;
-    raw.reserve(workers_.size());
-    for (auto& w : workers_) raw.push_back(w.get());
-    membership_ = std::make_unique<MembershipController>(
-        engine_, *fabric_, std::move(raw), spec.elastic->schedule,
-        initial_members, spec_duration_);
   }
 
   // Crash windows drive the workers directly: the worker object crashes
@@ -102,12 +80,7 @@ double Cluster::byte_scale() const { return fabric_->byte_scale(); }
 void Cluster::run_until(common::SimTime t) {
   if (!started_) {
     started_ = true;
-    // Dormant slots do not start training; a membership event starts them
-    // through Worker::join.
-    for (auto& w : workers_) {
-      if (!w->dormant()) w->start(spec_duration_);
-    }
-    if (membership_ != nullptr) membership_->start();
+    for (auto& w : workers_) w->start(spec_duration_);
   }
   engine_.run_until(std::min(t, spec_duration_));
 }
@@ -115,26 +88,18 @@ void Cluster::run_until(common::SimTime t) {
 void Cluster::run() { run_until(spec_duration_); }
 
 double Cluster::mean_accuracy() const {
-  // Elastic runs average over workers that ever trained (slots that stayed
-  // dormant would otherwise drag the cluster mean toward zero); legacy runs
-  // keep the all-worker denominator bit-identically.
   double s = 0.0;
-  std::size_t counted = 0;
   for (const auto& w : workers_) {
-    if (elastic_ && w->accuracy_trace().points().empty()) continue;
     const double a = w->accuracy_trace().last();
     s += std::isnan(a) ? 0.0 : a;
-    ++counted;
   }
-  if (counted == 0) return 0.0;
-  return s / static_cast<double>(counted);
+  return s / static_cast<double>(workers_.size());
 }
 
 double Cluster::accuracy_stddev() const {
   std::vector<double> accs;
   accs.reserve(workers_.size());
   for (const auto& w : workers_) {
-    if (elastic_ && w->accuracy_trace().points().empty()) continue;
     const double a = w->accuracy_trace().last();
     accs.push_back(std::isnan(a) ? 0.0 : a);
   }
@@ -155,18 +120,11 @@ sim::Trace Cluster::mean_accuracy_trace() const {
   sim::Trace merged("mean_accuracy");
   for (const common::SimTime t : times) {
     double s = 0.0;
-    std::size_t counted = 0;
     for (const auto& w : workers_) {
-      // Elastic runs: a worker enters the mean only once it has evaluated
-      // at least once by time t (its trace has a point at or before t), so
-      // the cluster curve has no artificial cliff at each join.
-      if (elastic_ && std::isnan(w->accuracy_trace().value_at(t))) continue;
       const double a = w->accuracy_trace().value_at(t);
       s += std::isnan(a) ? 0.0 : a;
-      ++counted;
     }
-    if (counted == 0) counted = workers_.size();
-    merged.record(t, s / static_cast<double>(counted));
+    merged.record(t, s / static_cast<double>(workers_.size()));
   }
   return merged;
 }

@@ -5,27 +5,14 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/membership.h"
 #include "core/worker.h"
 #include "data/synthetic.h"
 #include "sim/fault_injector.h"
 
 namespace dlion::core {
-
-/// Elastic-membership configuration for a cluster (DESIGN.md, "Elastic
-/// membership"). `compute.size()` becomes the slot *capacity*; only the
-/// first `initial_workers` slots start as members, the rest sit dormant
-/// until a scripted membership event activates them.
-struct ElasticSpec {
-  /// Slots that are members at t=0 (0 = all of them).
-  std::size_t initial_workers = 0;
-  /// Scripted joins and leaves.
-  sim::MembershipSchedule schedule;
-};
 
 struct ClusterSpec {
   /// Model zoo name ("cipher-lite", "cipher", "mobilenet", ...).
@@ -56,10 +43,6 @@ struct ClusterSpec {
   /// nothing and leaves the run's hot paths untouched beyond a pointer
   /// check per potential record site.
   obs::Observability* obs = nullptr;
-  /// Elastic membership: dormant slots and scripted churn.
-  /// Disabled (nullopt, the default) leaves every run bit-identical to the
-  /// pre-elastic cluster.
-  std::optional<ElasticSpec> elastic;
 };
 
 class Cluster {
@@ -81,9 +64,6 @@ class Cluster {
   comm::Fabric& fabric() { return *fabric_; }
   /// The attached fault injector, or nullptr when the schedule is empty.
   sim::FaultInjector* fault_injector() { return faults_.get(); }
-  /// The membership controller, or nullptr when elastic is disabled.
-  MembershipController* membership() { return membership_.get(); }
-  const MembershipController* membership() const { return membership_.get(); }
   double duration() const { return spec_duration_; }
 
   /// Ratio nominal-model-bytes / trained-model-bytes charged by the fabric.
@@ -106,13 +86,11 @@ class Cluster {
  private:
   double spec_duration_;
   bool started_ = false;
-  bool elastic_ = false;
   sim::Engine engine_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<sim::FaultInjector> faults_;
   std::unique_ptr<comm::Fabric> fabric_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<MembershipController> membership_;
 };
 
 }  // namespace dlion::core

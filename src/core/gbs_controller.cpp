@@ -46,9 +46,4 @@ std::size_t GbsController::tick() {
   return gbs_;
 }
 
-std::size_t GbsController::fast_forward(std::size_t ticks) {
-  while (ticks_ < ticks) tick();
-  return gbs_;
-}
-
 }  // namespace dlion::core

@@ -39,13 +39,6 @@ class GbsController {
   /// Advance one controller tick; returns the (possibly unchanged) GBS.
   std::size_t tick();
 
-  /// Replay ticks until the counter reaches `ticks` (no-op when already
-  /// there or past). Because the schedule is a pure function of the tick
-  /// index, a joiner that fast-forwards to a donor's tick count lands on
-  /// exactly the donor's GBS — the decentralized-agreement property extends
-  /// to workers that were not present from the start.
-  std::size_t fast_forward(std::size_t ticks);
-
   std::size_t gbs() const { return gbs_; }
   std::size_t ticks() const { return ticks_; }
   bool in_warmup() const { return ticks_ < config_.warmup_ticks; }

@@ -83,32 +83,4 @@ std::vector<std::size_t> allocate_lbs(std::size_t gbs,
   return out;
 }
 
-std::vector<std::size_t> allocate_lbs_live(std::size_t gbs,
-                                           std::span<const double> rcps,
-                                           const std::vector<bool>& live,
-                                           std::size_t min_lbs) {
-  if (live.size() != rcps.size()) {
-    throw std::invalid_argument("allocate_lbs_live: live mask size mismatch");
-  }
-  // Gather the live slots, allocate over them, scatter back: the gathered
-  // order is ascending slot id, so the result is independent of how the
-  // roster reached its current shape.
-  std::vector<std::size_t> slots;
-  std::vector<double> live_rcps;
-  for (std::size_t i = 0; i < rcps.size(); ++i) {
-    if (live[i]) {
-      slots.push_back(i);
-      live_rcps.push_back(rcps[i]);
-    }
-  }
-  if (slots.empty()) {
-    throw std::invalid_argument("allocate_lbs_live: no live workers");
-  }
-  const std::vector<std::size_t> packed =
-      allocate_lbs(gbs, live_rcps, min_lbs);
-  std::vector<std::size_t> out(rcps.size(), 0);
-  for (std::size_t i = 0; i < slots.size(); ++i) out[slots[i]] = packed[i];
-  return out;
-}
-
 }  // namespace dlion::core

@@ -37,14 +37,4 @@ std::vector<std::size_t> allocate_lbs(std::size_t gbs,
                                       std::span<const double> rcps,
                                       std::size_t min_lbs = 1);
 
-/// Membership-aware Eq. 5: allocates `gbs` over the workers flagged live,
-/// leaving every other slot at 0. The live entries sum exactly to `gbs`
-/// and each is >= min_lbs when gbs allows; dormant slots never receive
-/// batch and their (stale) RCP entries are ignored entirely, so a roster
-/// change renormalizes the GBS over exactly the current live set.
-std::vector<std::size_t> allocate_lbs_live(std::size_t gbs,
-                                           std::span<const double> rcps,
-                                           const std::vector<bool>& live,
-                                           std::size_t min_lbs = 1);
-
 }  // namespace dlion::core

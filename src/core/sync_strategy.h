@@ -37,11 +37,11 @@ struct SyncPolicy {
 /// latest iteration number received from each peer (self entry ignored).
 /// `peer_latest[j]` is the highest iteration j has delivered a gradient
 /// update for, or -1 if none yet. Peers flagged in `excluded` (suspected
-/// crashed by the heartbeat failure detector, or outside the roster) are
-/// left out of the wait-set entirely - they neither count toward the
-/// required quorum nor can satisfy it. This is what keeps synchronous and
-/// bounded-staleness training from deadlocking on a dead peer: with every
-/// peer excluded the worker trains solo. An empty or all-false `excluded`
+/// crashed by the heartbeat failure detector) are left out of the wait-set
+/// entirely - they neither count toward the required quorum nor can
+/// satisfy it. This is what keeps synchronous and bounded-staleness
+/// training from deadlocking on a dead peer: with every peer excluded the
+/// worker trains solo. An empty or all-false `excluded`
 /// waits on every peer.
 bool can_start_iteration(const SyncPolicy& policy, std::uint64_t next_iter,
                          std::span<const std::int64_t> peer_latest,

@@ -7,11 +7,10 @@
 // weight is 1 and Eq. 7 reduces to the standard distributed update (Eq. 4) -
 // a property the tests assert.
 //
-// Under elastic membership, n and the LBS/GBS split are defined over the
-// *live roster*: every join/leave renormalizes the LBS allocation so that
-// sum(LBS_live) == GBS (dormant slots hold zero batch), and the n in the
-// update is the live worker count. The weights below take those live-set
-// values as inputs; they never look at the roster themselves.
+// Under fault tolerance, n is the live worker count: the worker leaves
+// suspected peers out of n and out of the LBS allocation. The weights
+// below take those live-set values as inputs; they never look at liveness
+// themselves.
 #pragma once
 
 #include "comm/message.h"
@@ -44,8 +43,7 @@ void apply_own_gradients(nn::Model& model, double eta, std::size_t n_workers,
 /// Overwrite the model's weights from a received snapshot payload (one part
 /// per variable, model order) - the payload-view counterpart of
 /// nn::Model::set_weights, reading the wire views directly so adopting a
-/// peer's weights (catch-up, bootstrap) never builds an intermediate
-/// Snapshot.
+/// peer's weights (DKT catch-up) never builds an intermediate Snapshot.
 void assign_weights(nn::Model& model, const comm::WeightPayload& weights);
 
 }  // namespace dlion::core

@@ -54,6 +54,8 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
       scheduled_gbs_(options_.gbs.initial_gbs),
       iter_interval_(0.3),
       last_heard_(fabric.size(), 0.0),
+      excluded_(fabric.size(), false),
+      live_workers_(fabric.size()),
       accuracy_trace_("accuracy"),
       loss_trace_("loss"),
       lbs_trace_("lbs"),
@@ -67,18 +69,7 @@ Worker::Worker(std::size_t id, sim::Engine& engine, comm::Fabric& fabric,
     for (std::size_t i = 0; i < n; ++i) idx[i] = i;
     eval_batch_ = data::gather(*test_set_, idx);
   }
-  // Roster (all-member at epoch 0 unless the elastic layer narrows it) and
-  // the merged exclusion mask derived from it.
-  if (elastic()) {
-    roster_ = RosterView(fabric.size(), options_.initial_members, 0);
-  } else {
-    roster_ = RosterView(fabric.size());
-  }
-  excluded_.resize(fabric.size());
-  live_workers_ = fabric.size();
-  reset_exclusions();
-  dormant_ = elastic() && !options_.initial_members.at(id_);
-  if (!dormant_) attach_to_fabric();
+  attach_to_fabric();
 }
 
 template <void (Worker::*Fn)()>
@@ -90,12 +81,9 @@ void Worker::after(double delay) {
   engine_->after(delay, call);
 }
 
-template <typename OnResult>
-void Worker::send_control(std::size_t to, comm::Message msg,
-                          OnResult on_result) {
+void Worker::send_control(std::size_t to, comm::Message msg) {
   if (ft()) {
-    fabric_->send_reliable(id_, to, std::move(msg), kControlRetry,
-                           std::move(on_result));
+    fabric_->send_reliable(id_, to, std::move(msg), kControlRetry);
   } else {
     fabric_->send(id_, to, std::move(msg));
   }
@@ -116,15 +104,12 @@ void Worker::attach_to_fabric() {
 }
 
 void Worker::reset_exclusions() {
-  for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    set_excluded(j, !roster_.is_member(j));
-  }
+  for (std::size_t j = 0; j < excluded_.size(); ++j) set_excluded(j, false);
 }
 
 void Worker::set_excluded(std::size_t j, bool excluded) {
   if (excluded_[j] == excluded) return;
   excluded_[j] = excluded;
-  if (j == id_) return;  // the worker always counts itself live
   if (excluded) {
     --live_workers_;
   } else {
@@ -164,10 +149,8 @@ std::size_t Worker::current_gbs() const {
 }
 
 std::size_t Worker::live_worker_count() const {
-  DLION_DCHECK(live_workers_ ==
-                   static_cast<std::size_t>(std::count(
-                       excluded_.begin(), excluded_.end(), false)) +
-                       (excluded_[id_] ? 1 : 0),
+  DLION_DCHECK(live_workers_ == static_cast<std::size_t>(std::count(
+                                   excluded_.begin(), excluded_.end(), false)),
                "cached live-worker count out of sync with the exclusion mask");
   return live_workers_;
 }
@@ -219,15 +202,15 @@ void Worker::batch_tick() {
 
 void Worker::heartbeat_tick() {
   if (engine_->now() >= end_time_) return;
-  broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_), iteration_});
+  fabric_->broadcast(
+      id_, comm::Heartbeat{static_cast<std::uint32_t>(id_), iteration_});
   // Suspicion sweep: a peer unheard-from past the timeout is excluded from
   // wait-sets, renormalization, and weight-pull targeting until it speaks
-  // again (on_message clears suspicion on any received message). Dormant
-  // non-members are already excluded and never swept.
+  // again (on_message clears suspicion on any received message).
   const common::SimTime now = engine_->now();
   bool changed = false;
   for (std::size_t j = 0; j < excluded_.size(); ++j) {
-    if (j == id_ || !roster_.is_member(j)) continue;
+    if (j == id_) continue;
     const bool sus = (now - last_heard_[j]) > kSuspicionTimeoutS;
     if (sus != excluded_[j]) {
       set_excluded(j, sus);
@@ -271,15 +254,11 @@ void Worker::crash() {
                            {{"iteration", static_cast<double>(iteration_)}});
   }
   ++crash_count_;
-  end_tenure();
-}
-
-void Worker::end_tenure() {
   ++incarnation_;  // cancels every lambda scheduled by the old incarnation
   running_ = false;
   waiting_ = false;
   catching_up_ = false;
-  stall_start_ = -1.0;  // the tenure's end voids any open stall/pull span
+  stall_start_ = -1.0;  // the crash voids any open stall/pull span
   pull_start_ = -1.0;
   fabric_->detach(id_);  // in-flight messages to this worker dead-letter
 }
@@ -311,8 +290,8 @@ void Worker::recover() {
   // Re-announce compute power and liveness to peers.
   if (lbs_controlled()) announce_rcp();
   if (ft()) {
-    broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_),
-                                  iteration_});
+    fabric_->broadcast(
+        id_, comm::Heartbeat{static_cast<std::uint32_t>(id_), iteration_});
   }
   schedule_ticks();
   request_catch_up();
@@ -322,11 +301,8 @@ void Worker::recover() {
 void Worker::request_catch_up() {
   if (!ft()) return;
   // Pull fresh weights + iteration state from a live peer; until the
-  // snapshot arrives the worker trains from its (stale) checkpoint. The
-  // wait-set is recomputed from the *current* roster (merged suspicion +
-  // membership mask), not the boot-time peer list: a peer that left after
-  // this worker crashed is never targeted, and attempts are bounded by the
-  // number of workers actually live right now.
+  // snapshot arrives the worker trains from its (stale) checkpoint.
+  // Attempts are bounded by the number of workers live right now.
   catching_up_ = true;
   send_weight_pull(excluded_, live_worker_count(), /*catch_up=*/true);
 }
@@ -347,42 +323,28 @@ void Worker::profile_rcp(bool broadcast_if_changed) {
   rcp_table_[id_] = rcp;
   if (broadcast_if_changed &&
       std::fabs(rcp - old) > kRcpChangeThreshold * std::max(old, 1.0)) {
-    broadcast_msg(comm::RcpReport{static_cast<std::uint32_t>(id_), rcp});
+    fabric_->broadcast(id_,
+                       comm::RcpReport{static_cast<std::uint32_t>(id_), rcp});
   }
 }
 
 void Worker::announce_rcp() {
   profile_rcp(/*broadcast_if_changed=*/false);
-  broadcast_msg(
-      comm::RcpReport{static_cast<std::uint32_t>(id_), rcp_table_[id_]});
+  fabric_->broadcast(
+      id_, comm::RcpReport{static_cast<std::uint32_t>(id_), rcp_table_[id_]});
   recompute_lbs();
 }
 
 void Worker::recompute_lbs() {
-  std::vector<std::size_t> allocation;
-  if (elastic()) {
-    // Membership-aware Eq. 5: the GBS renormalizes over exactly the live
-    // roster — dormant slots get zero batch (not the min-LBS floor the
-    // kDeadRcp path below would hand them), so a 4->64 scale-out spreads
-    // the same GBS across 64 live shares and a scale-in concentrates it.
-    std::vector<bool> live(excluded_.size());
-    for (std::size_t j = 0; j < excluded_.size(); ++j) {
-      live[j] = (j == id_) || !excluded_[j];
-    }
-    allocation =
-        allocate_lbs_live(current_gbs(), rcp_table_, live, options_.lbs.min_lbs);
-  } else {
-    // Suspected peers contribute (effectively) zero compute power, so their
-    // batch share is redistributed across live workers. With no suspicion
-    // the table is used verbatim - identical to the non-fault-tolerant path.
-    // (Every slot is a member here, so excluded_ holds exactly the
-    // suspicions.)
-    std::vector<double> rcp = rcp_table_;
-    for (std::size_t j = 0; j < rcp.size(); ++j) {
-      if (j != id_ && excluded_[j]) rcp[j] = kDeadRcp;
-    }
-    allocation = allocate_lbs(current_gbs(), rcp, options_.lbs.min_lbs);
+  // Suspected peers contribute (effectively) zero compute power, so their
+  // batch share is redistributed across live workers. With no suspicion
+  // the table is used verbatim - identical to the non-fault-tolerant path.
+  std::vector<double> rcp = rcp_table_;
+  for (std::size_t j = 0; j < rcp.size(); ++j) {
+    if (excluded_[j]) rcp[j] = kDeadRcp;
   }
+  const std::vector<std::size_t> allocation =
+      allocate_lbs(current_gbs(), rcp, options_.lbs.min_lbs);
   DLION_ASSERT(allocation.size() == rcp_table_.size(),
                "LBS allocation lost a worker");
   const std::size_t lbs = std::max<std::size_t>(1, allocation[id_]);
@@ -396,21 +358,20 @@ void Worker::recompute_lbs() {
 }
 
 void Worker::try_start_iteration() {
-  if (crashed_ || dormant_ || bootstrapping_ || running_ ||
-      engine_->now() >= end_time_ || iteration_ >= options_.max_iterations) {
+  if (crashed_ || running_ || engine_->now() >= end_time_ ||
+      iteration_ >= options_.max_iterations) {
     return;
   }
   // Wait-set ⊆ live-set contract: the worker itself is always live (a
   // crashed worker never reaches this point — crash() clears running state
   // and detaches), so the synchronization wait-set below, which excludes
-  // every suspected or non-member peer, can never contain a dead
-  // participant or demand a wait on ourselves.
+  // every suspected peer, can never contain a dead participant or demand a
+  // wait on ourselves.
   DLION_DCHECK(!crashed_ && !excluded_[id_],
                "wait-set would include a dead participant");
   DLION_DCHECK(live_worker_count() >= 1, "live-set lost the worker itself");
-  // Suspected and non-member peers are excluded from the wait-set entirely,
-  // so a crashed or departed peer cannot deadlock synchronous or bounded-
-  // staleness training.
+  // Suspected peers are excluded from the wait-set entirely, so a crashed
+  // peer cannot deadlock synchronous or bounded-staleness training.
   if (!can_start_iteration(options_.sync, iteration_, peer_latest_, id_,
                            excluded_)) {
     waiting_ = true;
@@ -599,21 +560,19 @@ void Worker::run_dkt_boundary() {
                            {{"iteration", static_cast<double>(iteration_)},
                             {"avg_loss", dkt_.avg_loss()}});
   }
-  broadcast_msg(comm::LossReport{static_cast<std::uint32_t>(id_), iteration_,
-                                 dkt_.avg_loss()});
+  fabric_->broadcast(id_, comm::LossReport{static_cast<std::uint32_t>(id_),
+                                          iteration_, dkt_.avg_loss()});
   if (!dkt_.should_request(iteration_)) return;
   if (ft()) {
     // Reliable pull with next-best fallback: an unacked request (crashed or
     // partitioned best worker) falls through to the next-best candidate.
-    // The exclusion mask keeps departed members out of the chain.
     send_weight_pull(excluded_, live_worker_count(), /*catch_up=*/false);
     return;
   }
-  // Without fault tolerance only roster changes exclude peers. With every
-  // slot a member the mask is all false and should_request has already
-  // ruled out pulling from ourselves.
+  // Without fault tolerance nothing excludes peers: the mask is all false
+  // and should_request has already ruled out pulling from ourselves.
   const std::size_t best = dkt_.best_worker(iteration_, excluded_);
-  if (best == id_) return;  // no usable member to pull from
+  if (best == id_) return;  // no usable peer to pull from
   if (obs::on(obs_)) {
     obs_h_.dkt_pulls->inc();
     if (pull_start_ < 0.0) pull_start_ = engine_->now();
@@ -683,21 +642,10 @@ double Worker::evaluate_accuracy() {
 void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
   DLION_DCHECK(from < fabric_->size() && from != id_,
                "message from impossible sender " + std::to_string(from));
-  if (dormant_) return;  // defensive: dormant workers are detached
-  // Membership gate (second line of defense behind the fabric's epoch
-  // floor): traffic from a non-member is rejected — except RosterUpdate,
-  // which may be the sender's own join announcement.
-  const bool is_roster_update =
-      std::holds_alternative<comm::RosterUpdate>(*msg);
-  if (elastic() && !is_roster_update && !roster_.is_member(from)) return;
   // Any message is proof of life: refresh the liveness stamp and clear
-  // suspicion (a no-op whenever fault tolerance is disabled). The
-  // exclusion bit clears only for members (a RosterUpdate from a joiner
-  // clears it inside apply_roster once the roster is adopted).
-  if (from < last_heard_.size()) {
-    last_heard_[from] = engine_->now();
-    if (roster_.is_member(from)) set_excluded(from, false);
-  }
+  // suspicion (a no-op whenever fault tolerance is disabled).
+  last_heard_[from] = engine_->now();
+  set_excluded(from, false);
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -731,7 +679,7 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
           snap.from = static_cast<std::uint32_t>(id_);
           snap.iteration = iteration_;
           snap.loss = dkt_.avg_loss();
-          snap.weights = stage_weights(0, built_.model.num_variables());
+          snap.weights = stage_weights();
           send_control(from, std::move(snap));
         } else if constexpr (std::is_same_v<T, comm::WeightSnapshot>) {
           if (obs::on(obs_) && pull_start_ >= 0.0) {
@@ -758,309 +706,27 @@ void Worker::on_message(std::size_t from, comm::MessagePtr msg) {
           if (lbs_controlled()) recompute_lbs();
         } else if constexpr (std::is_same_v<T, comm::Heartbeat>) {
           // Liveness handled above; the beacon carries no training payload.
-        } else if constexpr (std::is_same_v<T, comm::RosterUpdate>) {
-          DLION_DCHECK(m.capacity == fabric_->size(),
-                       "RosterUpdate capacity mismatch");
-          apply_roster(m.epoch,
-                       comm::unpack_members(m.member_words, m.capacity));
-        } else if constexpr (std::is_same_v<T, comm::BootstrapRequest>) {
-          // Serve our slice of the model to a joiner. The epoch may lag our
-          // roster (other members joined while the request was in flight);
-          // a chunk for a genuinely superseded join attempt dies at the
-          // joiner's transport epoch floor, not here. Requests from the
-          // future would mean a broken epoch authority.
-          if (m.epoch <= roster_.epoch() &&
-              static_cast<std::size_t>(m.first_var) + m.var_count <=
-                  built_.model.num_variables()) {
-            comm::BootstrapChunk chunk;
-            chunk.from = static_cast<std::uint32_t>(id_);
-            chunk.epoch = m.epoch;
-            chunk.first_var = m.first_var;
-            chunk.iteration = iteration_;
-            chunk.gbs_ticks = gbs_ctrl_.ticks();
-            chunk.loss = dkt_.avg_loss();
-            // Only the requested slice is staged - serving a chunk never
-            // snapshots (or copies) the rest of the model.
-            chunk.weights = stage_weights(m.first_var, m.var_count);
-            send_control(from, std::move(chunk));
-          }
-        } else if constexpr (std::is_same_v<T, comm::BootstrapChunk>) {
-          // Accept chunks from this bootstrap tenure (epoch >= the epoch we
-          // joined at) even if the roster advanced while they were in
-          // flight; chunks addressed to a previous tenure of this slot
-          // carry an older epoch and are rejected.
-          if (bootstrapping_ && m.epoch >= bootstrap_epoch_ &&
-              static_cast<std::size_t>(m.first_var) +
-                      m.weights.parts.size() <=
-                  bootstrap_values_.size()) {
-            for (std::size_t i = 0; i < m.weights.parts.size(); ++i) {
-              const std::size_t v = m.first_var + i;
-              if (bootstrap_have_[v]) continue;  // duplicate range
-              // View into the chunk's payload block (incref, no copy);
-              // the block stays pinned until finish_bootstrap applies it.
-              bootstrap_values_[v] = m.weights.parts[i];
-              bootstrap_have_[v] = true;
-              ++bootstrap_received_;
-            }
-            if (!bootstrap_donor_seen_[from]) {
-              bootstrap_donor_seen_[from] = true;
-              ++bootstrap_donor_count_;
-            }
-            bootstrap_iteration_ = std::max(bootstrap_iteration_, m.iteration);
-            bootstrap_gbs_ticks_ =
-                std::max(bootstrap_gbs_ticks_,
-                         static_cast<std::size_t>(m.gbs_ticks));
-            bootstrap_bytes_ += static_cast<std::uint64_t>(
-                fabric_->charged_bytes(*msg));
-            if (bootstrap_received_ == bootstrap_values_.size()) {
-              finish_bootstrap();
-            }
-          }
         }
       },
       *msg);
 }
 
-comm::WeightPayload Worker::stage_weights(std::size_t first_var,
-                                          std::size_t var_count) {
+comm::WeightPayload Worker::stage_weights() {
   const auto& vars = built_.model.variables();
-  DLION_ASSERT(first_var + var_count <= vars.size(),
-               "stage_weights: variable range out of bounds");
-  // Size the writer's block hint to the whole slice so the parts land in
+  // Size the writer's block hint to the whole model so the parts land in
   // one block whenever the arena can serve it.
   std::size_t total_bytes = 0;
-  for (std::size_t v = first_var; v < first_var + var_count; ++v) {
-    total_bytes += vars[v]->size() * sizeof(float);
-  }
+  for (const auto* var : vars) total_bytes += var->size() * sizeof(float);
   comm::PayloadWriter writer(
       arena_, std::max(total_bytes, comm::PayloadArena::kMinBlockBytes));
   comm::WeightPayload out;
-  out.parts.reserve(var_count);
-  for (std::size_t v = first_var; v < first_var + var_count; ++v) {
-    const tensor::Tensor& t = vars[v]->value();
+  out.parts.reserve(vars.size());
+  for (const auto* var : vars) {
+    const tensor::Tensor& t = var->value();
     out.parts.push_back(
         writer.copy(std::span<const float>(t.data(), t.size())));
   }
   return out;
-}
-
-// --- Elastic membership (DESIGN.md, "Elastic membership") ---
-
-void Worker::broadcast_msg(const comm::Message& msg) {
-  if (elastic()) {
-    fabric_->broadcast(id_, msg, roster_.members());
-  } else {
-    fabric_->broadcast(id_, msg);
-  }
-}
-
-void Worker::apply_roster(std::uint64_t epoch,
-                          const std::vector<bool>& members) {
-  const std::vector<bool> prev = roster_.members();
-  if (!roster_.adopt(epoch, members)) return;
-  // Every member re-stamps its outgoing traffic at every roster change, so
-  // a joiner's epoch floor never rejects current traffic from legitimate
-  // members.
-  fabric_->set_epoch(id_, epoch);
-  for (std::size_t j = 0; j < members.size(); ++j) {
-    if (j == id_) {
-      set_excluded(j, false);
-      continue;
-    }
-    if (members[j] && !prev[j]) {
-      // Newly joined member: fresh liveness stamp and an optimistic
-      // staleness baseline — it catches up to about our iteration via
-      // bootstrap before sending its first gradient, so bounded-staleness
-      // training must not stall on its (empty) history.
-      last_heard_[j] = engine_->now();
-      peer_latest_[j] = std::max(peer_latest_[j],
-                                 static_cast<std::int64_t>(iteration_));
-    }
-    // Leavers are excluded, joiners start live, and a member who stays
-    // keeps its suspicion bit.
-    set_excluded(j, !members[j] || (prev[j] && excluded_[j]));
-  }
-  if (obs::on(obs_)) {
-    obs_->tracer().instant(
-        obs_track_, "roster", engine_->now(),
-        {{"epoch", static_cast<double>(epoch)},
-         {"members", static_cast<double>(roster_.member_count())}});
-  }
-  // GBS/LBS renormalization over the new live set (Eq. 5 across members).
-  if (!dormant_ && lbs_controlled()) recompute_lbs();
-  if (waiting_) after<&Worker::try_start_iteration>(0.0);
-}
-
-void Worker::broadcast_roster(std::uint64_t epoch,
-                              const std::vector<bool>& members) {
-  comm::RosterUpdate ru;
-  ru.from = static_cast<std::uint32_t>(id_);
-  ru.epoch = epoch;
-  ru.capacity = static_cast<std::uint32_t>(fabric_->size());
-  ru.member_words = comm::pack_members(members);
-  broadcast_msg(ru);
-}
-
-void Worker::join(std::uint64_t epoch, const std::vector<bool>& members,
-                  common::SimTime until) {
-  DLION_ASSERT(elastic(),
-               "Worker::join requires the elastic membership layer");
-  if (!dormant_) return;
-  dormant_ = false;
-  crashed_ = false;
-  running_ = false;
-  waiting_ = false;
-  catching_up_ = false;
-  end_time_ = until;
-  ++incarnation_;  // a previous tenure's scheduled lambdas become no-ops
-  attach_to_fabric();
-  // Raising the floor to the join epoch makes in-flight traffic addressed
-  // to this slot's previous tenure undeliverable — deterministically.
-  fabric_->set_epoch_floor(id_, epoch);
-  // Fresh liveness, as after recover(): suspicions from a previous tenure
-  // do not carry over.
-  std::fill(last_heard_.begin(), last_heard_.end(), engine_->now());
-  reset_exclusions();
-  apply_roster(epoch, members);
-  if (obs::on(obs_)) {
-    obs_->tracer().instant(obs_track_, "join", engine_->now(),
-                           {{"epoch", static_cast<double>(epoch)}});
-  }
-  // Announce the roster FIRST: per-link FIFO delivery guarantees every
-  // member admits us before any of our subsequent traffic arrives.
-  broadcast_roster(epoch, members);
-  if (lbs_controlled()) {
-    announce_rcp();
-  } else {
-    current_lbs_ = options_.fixed_lbs;
-    record_batch(lbs_trace_, current_lbs_);
-  }
-  if (ft()) {
-    broadcast_msg(comm::Heartbeat{static_cast<std::uint32_t>(id_),
-                                  iteration_});
-  }
-  schedule_ticks();
-  begin_bootstrap();
-  if (!bootstrapping_) try_start_iteration();
-}
-
-void Worker::leave(std::uint64_t epoch, const std::vector<bool>& members) {
-  DLION_ASSERT(elastic(),
-               "Worker::leave requires the elastic membership layer");
-  if (dormant_) return;
-  // Adopt + stamp the shrunken roster, then say goodbye to the remaining
-  // members (the farewell carries the new epoch, so nobody's floor rejects
-  // it).
-  apply_roster(epoch, members);
-  broadcast_roster(epoch, members);
-  if (obs::on(obs_)) {
-    obs_->tracer().instant(obs_track_, "leave", engine_->now(),
-                           {{"epoch", static_cast<double>(epoch)}});
-  }
-  bootstrapping_ = false;
-  end_tenure();
-  dormant_ = true;
-}
-
-void Worker::begin_bootstrap() {
-  bootstrapping_ = false;
-  std::vector<std::size_t> donors;
-  for (std::size_t j : roster_.member_ids()) {
-    if (j != id_) donors.push_back(j);
-  }
-  const std::size_t nvars = built_.model.num_variables();
-  if (donors.empty() || nvars == 0) return;  // first member: nothing to copy
-  bootstrapping_ = true;
-  bootstrap_epoch_ = roster_.epoch();
-  bootstrap_values_.assign(nvars, comm::Payload<float>{});
-  bootstrap_have_.assign(nvars, false);
-  bootstrap_received_ = 0;
-  bootstrap_iteration_ = 0;
-  bootstrap_gbs_ticks_ = 0;
-  bootstrap_donor_seen_.assign(fabric_->size(), false);
-  bootstrap_donor_count_ = 0;
-  bootstrap_bytes_ = 0;
-  bootstrap_complete_time_ = -1.0;
-  const std::vector<BootstrapRange> ranges =
-      plan_bootstrap(nvars, donors, kBootstrapFanout);
-  if (obs::on(obs_)) {
-    obs_->tracer().instant(obs_track_, "bootstrap_begin", engine_->now(),
-                           {{"ranges", static_cast<double>(ranges.size())}});
-  }
-  for (const BootstrapRange& r : ranges) {
-    send_bootstrap_request(r, excluded_, live_worker_count());
-  }
-}
-
-void Worker::send_bootstrap_request(BootstrapRange range,
-                                    std::vector<bool> excluded,
-                                    std::size_t attempts_left) {
-  if (!bootstrapping_ || attempts_left == 0) return;
-  excluded[id_] = true;  // never download from ourselves
-  std::size_t donor = range.donor;
-  if (donor >= excluded.size() || excluded[donor] ||
-      !roster_.is_member(donor)) {
-    // Planned donor unusable (failed earlier attempt, or left the roster):
-    // fall through to the lowest-id live member.
-    donor = excluded.size();
-    for (std::size_t j = 0; j < excluded.size(); ++j) {
-      if (!excluded[j] && roster_.is_member(j)) {
-        donor = j;
-        break;
-      }
-    }
-    if (donor == excluded.size()) return;  // nobody left to serve this range
-    range.donor = donor;
-  }
-  comm::BootstrapRequest req;
-  req.from = static_cast<std::uint32_t>(id_);
-  req.epoch = roster_.epoch();
-  req.first_var = range.first_var;
-  req.var_count = range.var_count;
-  send_control(donor, req,
-               [this, inc = incarnation_, range, excluded = std::move(excluded),
-                attempts_left, donor](bool acked) mutable {
-                 if (inc != incarnation_ || acked) return;
-                 excluded[donor] = true;
-                 send_bootstrap_request(range, std::move(excluded),
-                                        attempts_left - 1);
-               });
-}
-
-void Worker::finish_bootstrap() {
-  // Apply the assembled snapshot straight from the chunks' payload views;
-  // clearing the assembly afterwards drops the pins, releasing the blocks.
-  comm::WeightPayload snap;
-  snap.parts = std::move(bootstrap_values_);
-  assign_weights(built_.model, snap);
-  bootstrap_values_.clear();
-  bootstrap_have_.clear();
-  iteration_ = std::max(iteration_, bootstrap_iteration_);
-  // Replay the deterministic GBS schedule to the donors' tick count: the
-  // joiner lands on exactly the cluster's current GBS without any further
-  // coordination (the §3.2 agreement property extended to late joiners).
-  gbs_ctrl_.fast_forward(bootstrap_gbs_ticks_);
-  epochs_ticked_ = static_cast<double>(gbs_ctrl_.ticks());
-  epoch_progress_ = epochs_ticked_;
-  // Optimistic staleness baseline at the adopted iteration (mirrors what
-  // apply_roster granted us on the receiving side).
-  for (std::size_t j = 0; j < peer_latest_.size(); ++j) {
-    if (j == id_ || excluded_[j]) continue;
-    peer_latest_[j] = std::max(peer_latest_[j],
-                               static_cast<std::int64_t>(iteration_));
-  }
-  bootstrapping_ = false;
-  bootstrap_complete_time_ = engine_->now();
-  if (lbs_controlled()) recompute_lbs();
-  if (ft()) take_checkpoint();
-  if (obs::on(obs_)) {
-    obs_->tracer().instant(
-        obs_track_, "bootstrap_done", engine_->now(),
-        {{"donors", static_cast<double>(bootstrap_donor_count_)},
-         {"bytes", static_cast<double>(bootstrap_bytes_)},
-         {"iteration", static_cast<double>(iteration_)}});
-  }
-  try_start_iteration();
 }
 
 }  // namespace dlion::core

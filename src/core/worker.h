@@ -19,7 +19,6 @@
 #include "obs/obs.h"
 #include "core/gbs_controller.h"
 #include "core/lbs_controller.h"
-#include "core/roster.h"
 #include "core/strategy.h"
 #include "core/sync_strategy.h"
 #include "data/dataset.h"
@@ -48,20 +47,6 @@ inline constexpr double kSuspicionTimeoutS = 6.0;
 inline constexpr double kCheckpointPeriodS = 20.0;
 inline constexpr comm::RetryPolicy kControlRetry{};
 
-/// Elastic-membership layer (DESIGN.md, "Elastic membership"), switched on
-/// by a non-empty WorkerOptions::initial_members.
-///
-/// When enabled the worker keeps a RosterView (epoch + member bitmap over
-/// the cluster's fixed slot capacity), addresses every broadcast to the
-/// current roster only, excludes non-members from synchronization wait-sets
-/// and batch-share renormalization, and — when joining mid-run — bootstraps
-/// its weights from kBootstrapFanout live peers via disjoint variable-range
-/// chunks before training its first iteration.
-///
-/// Disabled (the default) the roster is the all-member view at epoch 0 and
-/// every code path reduces bit-identically to the non-elastic worker.
-inline constexpr std::size_t kBootstrapFanout = 2;
-
 struct WorkerOptions {
   double learning_rate = 0.05;
   /// Weighted dynamic batching (§3.2): GBS + LBS controllers. When false,
@@ -87,12 +72,6 @@ struct WorkerOptions {
   std::function<std::size_t(std::uint64_t iteration, double now)> gbs_schedule;
   /// Fault-tolerance layer; disabled by default (see kHeartbeatPeriodS).
   bool fault_tolerance = false;
-  /// Roster at construction time (epoch 0). Empty (the default) is the
-  /// static all-member roster with the elastic layer off; non-empty turns
-  /// the layer on (see kBootstrapFanout), and the worker starts dormant —
-  /// detached, not training, waiting for a MembershipController join() —
-  /// iff its own slot is false.
-  std::vector<bool> initial_members;
 };
 
 class Worker {
@@ -156,42 +135,15 @@ class Worker {
   void recover();
   bool crashed() const { return crashed_; }
   /// Workers not currently excluded, self included. Equals the fabric
-  /// size whenever fault tolerance and elastic membership are disabled.
-  /// O(1): the count is kept in step with every exclusion write.
+  /// size whenever fault tolerance is disabled. O(1): the count is kept in
+  /// step with every exclusion write.
   std::size_t live_worker_count() const;
-  /// Per-slot exclusion mask: peers suspected crashed or outside the
-  /// roster (self is false while this worker is a member).
+  /// Per-worker exclusion mask: peers suspected crashed (self is always
+  /// false).
   const std::vector<bool>& excluded_peers() const { return excluded_; }
   std::uint64_t crash_count() const { return crash_count_; }
   std::uint64_t recover_count() const { return recover_count_; }
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
-
-  // --- Elastic membership (DESIGN.md, "Elastic membership") ---
-
-  /// Join the cluster at roster `epoch` with the given member bitmap
-  /// (called by the MembershipController; requires the elastic layer). The
-  /// joiner announces the roster to every member first — per-link FIFO
-  /// delivery guarantees receivers admit it before any of its other
-  /// traffic — then requests disjoint weight-range chunks from >= 2 live
-  /// donors and starts training once the snapshot is reassembled.
-  void join(std::uint64_t epoch, const std::vector<bool>& members,
-            common::SimTime until);
-  /// Leave the cluster: broadcast the shrunken roster at `epoch` to the
-  /// remaining members, then detach and go dormant.
-  void leave(std::uint64_t epoch, const std::vector<bool>& members);
-  bool dormant() const { return dormant_; }
-  /// Still reassembling the multi-peer bootstrap snapshot.
-  bool bootstrapping() const { return bootstrapping_; }
-  const RosterView& roster() const { return roster_; }
-  /// Distinct donors that contributed bootstrap chunks (>= 2 on any roster
-  /// with two live peers).
-  std::size_t bootstrap_donor_count() const { return bootstrap_donor_count_; }
-  /// Network bytes charged for received bootstrap chunks.
-  std::uint64_t bootstrap_bytes() const { return bootstrap_bytes_; }
-  /// Simulated time the last bootstrap completed (-1 = never).
-  common::SimTime bootstrap_complete_time() const {
-    return bootstrap_complete_time_;
-  }
 
  private:
   /// Cached observability handles (resolved once in set_obs). Histograms
@@ -218,7 +170,6 @@ class Worker {
   void run_dkt_boundary();
 
   bool ft() const { return options_.fault_tolerance; }
-  bool elastic() const { return !options_.initial_members.empty(); }
   /// LBS comes from the LBS controller (dynamic batching or a scripted
   /// GBS), not from fixed_lbs.
   bool lbs_controlled() const {
@@ -229,25 +180,19 @@ class Worker {
   /// std::function's small buffer.
   template <void (Worker::*Fn)()>
   void after(double delay);
-  /// Control-plane send: reliable (ack + retry, outcome to `on_result`)
-  /// under fault tolerance, a plain send otherwise. `on_result` is a
-  /// template argument so the plain path never builds a std::function.
-  template <typename OnResult = std::nullptr_t>
-  void send_control(std::size_t to, comm::Message msg,
-                    OnResult on_result = nullptr);
+  /// Control-plane send: reliable (ack + retry) under fault tolerance, a
+  /// plain send otherwise.
+  void send_control(std::size_t to, comm::Message msg);
   /// Record `value` on `trace` and, when observing, as the same-named
   /// counter sample on this worker's track.
   void record_batch(sim::Trace& trace, std::size_t value);
   /// Profile compute power, announce it to peers, and re-derive LBS.
   void announce_rcp();
   void attach_to_fabric();
-  /// Exclude exactly the non-members (clears every suspicion).
+  /// Clear every suspicion.
   void reset_exclusions();
   /// Set peer `j`'s exclusion bit, keeping the live-worker count in step.
   void set_excluded(std::size_t j, bool excluded);
-  /// End this tenure (crash or leave): cancel the incarnation's scheduled
-  /// lambdas, drop in-progress training state and open spans, and detach.
-  void end_tenure();
   /// Schedule the periodic modules (batch tick; plus heartbeat + checkpoint
   /// ticks when fault tolerance is enabled) under the current incarnation.
   void schedule_ticks();
@@ -261,26 +206,10 @@ class Worker {
                         bool catch_up);
   void request_catch_up();
 
-  /// Stage the values of variables [first_var, first_var + var_count) into
-  /// the data-plane arena as one payload part per variable (one production
-  /// write; every message carrying the result shares the same blocks).
-  comm::WeightPayload stage_weights(std::size_t first_var,
-                                    std::size_t var_count);
-  /// Roster-targeted broadcast when elastic membership is on; the legacy
-  /// everyone-but-self broadcast otherwise.
-  void broadcast_msg(const comm::Message& msg);
-  /// Adopt a (strictly newer) roster: stamp outgoing traffic with the new
-  /// epoch, refresh the exclusion mask, give newly added members an
-  /// optimistic liveness/staleness baseline, renormalize LBS, and re-check
-  /// a pending synchronization wait.
-  void apply_roster(std::uint64_t epoch, const std::vector<bool>& members);
-  void broadcast_roster(std::uint64_t epoch, const std::vector<bool>& members);
-  void begin_bootstrap();
-  /// Reliable chunk request with next-donor fallback (mirrors
-  /// send_weight_pull's retry shape).
-  void send_bootstrap_request(BootstrapRange range, std::vector<bool> excluded,
-                              std::size_t attempts_left);
-  void finish_bootstrap();
+  /// Stage every variable's values into the data-plane arena as one
+  /// payload part per variable (one production write; every message
+  /// carrying the result shares the same blocks).
+  comm::WeightPayload stage_weights();
 
   std::size_t id_;
   sim::Engine* engine_;
@@ -294,9 +223,9 @@ class Worker {
   data::MinibatchSampler sampler_;
   data::Batch eval_batch_;
   /// Data-plane payload arena: everything this worker ships on the data
-  /// lane (gradient selections, weight snapshots, bootstrap chunks) is
-  /// staged here; in-flight messages pin their blocks, recycled blocks are
-  /// reused once delivery drops the last view (comm/payload.h).
+  /// lane (gradient selections, weight snapshots) is staged here; in-flight
+  /// messages pin their blocks, recycled blocks are reused once delivery
+  /// drops the last view (comm/payload.h).
   comm::PayloadArena arena_;
 
   GbsController gbs_ctrl_;
@@ -337,34 +266,12 @@ class Worker {
   std::uint64_t crash_count_ = 0;
   std::uint64_t recover_count_ = 0;
   std::uint64_t checkpoints_taken_ = 0;
-
-  // Elastic-membership state. With the layer disabled, roster_ is the
-  // all-member epoch-0 view, so the shared training paths below behave
-  // bit-identically to the pre-elastic worker.
-  RosterView roster_;
-  /// Per-peer exclusion mask: peers suspected crashed (heartbeat sweep) or
-  /// outside the roster; self is false while this worker is a member.
-  /// Maintained incrementally (never rebuilt on the iteration hot path);
-  /// every write goes through set_excluded().
+  /// Per-peer exclusion mask: peers suspected crashed (heartbeat sweep);
+  /// self is always false. Maintained incrementally (never rebuilt on the
+  /// iteration hot path); every write goes through set_excluded().
   std::vector<bool> excluded_;
-  /// live_worker_count(): slots whose exclusion bit is clear, plus self.
+  /// live_worker_count(): workers whose exclusion bit is clear.
   std::size_t live_workers_ = 0;
-  bool dormant_ = false;
-  bool bootstrapping_ = false;
-  /// Roster epoch when this bootstrap began: chunks from this tenure carry
-  /// epoch >= this, chunks from a superseded join attempt carry less.
-  std::uint64_t bootstrap_epoch_ = 0;
-  /// Per-variable assembly of the incoming snapshot: views into the
-  /// received chunks' payload blocks (pinned until the bootstrap finishes).
-  std::vector<comm::Payload<float>> bootstrap_values_;
-  std::vector<bool> bootstrap_have_;
-  std::size_t bootstrap_received_ = 0;
-  std::uint64_t bootstrap_iteration_ = 0;
-  std::size_t bootstrap_gbs_ticks_ = 0;
-  std::vector<bool> bootstrap_donor_seen_;
-  std::size_t bootstrap_donor_count_ = 0;
-  std::uint64_t bootstrap_bytes_ = 0;
-  common::SimTime bootstrap_complete_time_ = -1.0;
 
   sim::Trace accuracy_trace_;
   sim::Trace loss_trace_;

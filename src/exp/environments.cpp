@@ -178,44 +178,6 @@ Environment make_churn_environment(const std::string& base,
   return env;
 }
 
-Environment make_elastic_environment(const std::string& kind,
-                                     double phase_s) {
-  Environment env;
-  env.name = kind;
-  if (kind == "flash-crowd") {
-    // 4 -> 64 scale-out, then scale-in to 8. Slots are modest machines: the
-    // point is roster churn, not per-worker horsepower.
-    env.compute = std::vector<sim::ComputeSpec>(64, cpu_cores(12));
-    env.initial_workers = 4;
-    const double stagger = phase_s / 80.0;
-    env.membership.flash_crowd(4, 60, 0.3 * phase_s, stagger);
-    env.membership.scale_in(8, 56, 2.0 * phase_s, stagger);
-  } else if (kind == "diurnal") {
-    // Capacity waves: slots 6..11 join through the "day", leave at "night",
-    // and rejoin the next day.
-    env.compute = std::vector<sim::ComputeSpec>(12, cpu_cores(24));
-    env.initial_workers = 6;
-    const double stagger = phase_s / 12.0;
-    env.membership.flash_crowd(6, 6, 0.25 * phase_s, stagger);
-    env.membership.scale_in(6, 6, 1.25 * phase_s, stagger);
-    env.membership.flash_crowd(6, 6, 2.25 * phase_s, stagger);
-  } else if (kind == "scale-in") {
-    // Graceful 8 -> 4 departure; the survivors' GBS/LBS renormalize on
-    // every leave, so the cluster keeps converging without a cliff.
-    env.compute = std::vector<sim::ComputeSpec>(8, cpu_cores(24));
-    env.initial_workers = 8;
-    env.membership.scale_in(4, 4, phase_s, phase_s / 8.0);
-  } else {
-    throw std::invalid_argument(
-        "make_elastic_environment: unknown scenario '" + kind + "'");
-  }
-  return env;
-}
-
-std::vector<std::string> elastic_environment_names() {
-  return {"flash-crowd", "diurnal", "scale-in"};
-}
-
 Environment make_scale_environment(std::size_t n_workers,
                                    std::size_t group_size, double inter_mbps,
                                    double cores) {

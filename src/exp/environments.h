@@ -25,17 +25,6 @@ struct Environment {
   /// Deterministic fault schedule (empty for all Table 3 environments;
   /// non-empty in the churn environments below).
   sim::FaultSchedule faults;
-  /// Scripted elastic-membership schedule (empty for every static
-  /// environment). When non-empty, `compute.size()` is the slot *capacity*
-  /// and `initial_workers` slots are live at t=0.
-  sim::MembershipSchedule membership;
-  /// Members at t=0 for elastic environments (0 = all slots live).
-  std::size_t initial_workers = 0;
-
-  bool elastic() const {
-    return !membership.empty() ||
-           (initial_workers > 0 && initial_workers < compute.size());
-  }
 };
 
 /// Number of workers in every paper environment.
@@ -90,24 +79,6 @@ struct ChurnSpec {
 Environment make_churn_environment(const std::string& base,
                                    const ChurnSpec& churn,
                                    double phase_s = 500.0);
-
-/// Elastic-membership scenario family (DESIGN.md, "Elastic membership").
-/// All three run the join/leave protocol with multi-peer bootstrap:
-///   "flash-crowd" — 4 live slots of a 64-slot capacity; 60 joiners arrive
-///     one every phase_s/80 s from 0.3*phase_s, then the roster scales back
-///     in to 8 members starting at 2*phase_s (highest ids leave first).
-///   "diurnal"     — 12-slot capacity, 6 live; slots 6..11 join through the
-///     "day" (from 0.25*phase_s), leave at "night" (from 1.25*phase_s), and
-///     rejoin the next "day" (from 2.25*phase_s) — capacity waves.
-///   "scale-in"    — 8 live slots; 4 leave one-by-one from phase_s on,
-///     exercising GBS/LBS renormalization without an accuracy cliff.
-/// `phase_s` scales every event time (same knob as the dynamic
-/// environments); schedules are deterministic functions of it.
-Environment make_elastic_environment(const std::string& kind,
-                                     double phase_s = 100.0);
-
-/// The elastic scenario names, in documentation order.
-std::vector<std::string> elastic_environment_names();
 
 /// Homogeneous N-worker hierarchical micro-cloud topology for scale runs
 /// (ROADMAP item 1; the paper stops at 6 nodes, the architecture doesn't):

@@ -78,17 +78,6 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
   cluster_spec.faults = std::move(faults);
   cluster_spec.auto_fault_tolerance = spec.auto_fault_tolerance;
 
-  // Elastic membership: the per-run override wins; otherwise an elastic
-  // environment supplies its schedule + initial roster size.
-  if (spec.elastic.has_value()) {
-    cluster_spec.elastic = spec.elastic;
-  } else if (env.elastic()) {
-    core::ElasticSpec elastic;
-    elastic.initial_workers = env.initial_workers;
-    elastic.schedule = env.membership;
-    cluster_spec.elastic = std::move(elastic);
-  }
-
   // Observability: prefer the caller's observer; otherwise a watchdog gets
   // a run-local one to feed it, whose summary survives in
   // RunResult::telemetry.
@@ -140,32 +129,6 @@ RunResult run_experiment(const RunSpec& spec, const Workload& workload) {
   result.reliable_retries = cluster.fabric().reliable_retries();
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     result.worker_recoveries += cluster.worker(i).recover_count();
-  }
-  result.stale_epoch_rejected = cluster.fabric().stale_epoch_rejected();
-  if (const core::MembershipController* mc = cluster.membership()) {
-    core::ElasticStats stats = mc->stats();
-    result.joins = stats.joins;
-    result.leaves = stats.leaves;
-    result.roster_epoch = stats.epoch;
-    result.final_members = stats.final_members;
-    double latency_sum = 0.0;
-    std::size_t completed = 0;
-    for (const core::JoinRecord& rec : stats.join_log) {
-      result.bootstrap_bytes += rec.bootstrap_bytes;
-      if (rec.completed < 0.0) continue;
-      const double latency = rec.completed - rec.requested;
-      latency_sum += latency;
-      result.join_latency_max_s = std::max(result.join_latency_max_s, latency);
-      result.min_bootstrap_donors =
-          completed == 0 ? rec.donors
-                         : std::min(result.min_bootstrap_donors, rec.donors);
-      ++completed;
-    }
-    if (completed > 0) {
-      result.join_latency_mean_s =
-          latency_sum / static_cast<double>(completed);
-    }
-    result.join_log = std::move(stats.join_log);
   }
   if (run_obs != nullptr) {
     result.telemetry = obs::summarize(*run_obs);

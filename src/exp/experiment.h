@@ -80,11 +80,6 @@ struct RunSpec {
   /// and a run-local observer to feed it if `obs` is unset. A fired
   /// detector only reports; the run is the same as an unwatched one.
   std::optional<obs::WatchdogConfig> watchdog;
-  /// Elastic membership override: used verbatim when set. When unset and
-  /// the (resolved) environment is elastic — make_elastic_environment, or
-  /// any Environment with a membership schedule — an ElasticSpec is built
-  /// from the environment's schedule and initial_workers.
-  std::optional<core::ElasticSpec> elastic;
 };
 
 struct RunResult {
@@ -106,17 +101,6 @@ struct RunResult {
   /// observer attached via RunSpec::obs or RunSpec::watchdog;
   /// `telemetry.collected` is false otherwise).
   obs::RunTelemetry telemetry;
-  // Elastic membership accounting (all zero / empty for static rosters).
-  std::uint64_t joins = 0;
-  std::uint64_t leaves = 0;
-  std::uint64_t roster_epoch = 0;        ///< final roster epoch
-  std::size_t final_members = 0;         ///< live members at the end
-  double join_latency_mean_s = 0.0;      ///< join event -> bootstrap done
-  double join_latency_max_s = 0.0;
-  std::size_t min_bootstrap_donors = 0;  ///< over completed joins (>= 2 goal)
-  std::uint64_t bootstrap_bytes = 0;     ///< total charged bootstrap traffic
-  std::uint64_t stale_epoch_rejected = 0;
-  std::vector<core::JoinRecord> join_log;
 };
 
 /// Run one simulation.

@@ -1,6 +1,5 @@
 #include "sim/fault_injector.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace dlion::sim {
@@ -74,61 +73,6 @@ FaultSchedule& FaultSchedule::lossy(std::size_t from, std::size_t to,
   }
   losses.push_back({from, to, probability, start, end});
   return *this;
-}
-
-namespace {
-void check_event_time(common::SimTime t, const char* what) {
-  if (!(t >= 0.0)) {
-    throw std::invalid_argument(std::string(what) + ": time must be >= 0");
-  }
-}
-}  // namespace
-
-MembershipSchedule& MembershipSchedule::join(std::size_t worker,
-                                             common::SimTime time) {
-  check_event_time(time, "MembershipSchedule::join");
-  events.push_back({worker, time, /*join=*/true});
-  return *this;
-}
-
-MembershipSchedule& MembershipSchedule::leave(std::size_t worker,
-                                              common::SimTime time) {
-  check_event_time(time, "MembershipSchedule::leave");
-  events.push_back({worker, time, /*join=*/false});
-  return *this;
-}
-
-MembershipSchedule& MembershipSchedule::flash_crowd(std::size_t first,
-                                                    std::size_t count,
-                                                    common::SimTime start,
-                                                    double stagger_s) {
-  check_event_time(start, "MembershipSchedule::flash_crowd");
-  for (std::size_t k = 0; k < count; ++k) {
-    join(first + k, start + static_cast<double>(k) * stagger_s);
-  }
-  return *this;
-}
-
-MembershipSchedule& MembershipSchedule::scale_in(std::size_t first,
-                                                 std::size_t count,
-                                                 common::SimTime start,
-                                                 double stagger_s) {
-  check_event_time(start, "MembershipSchedule::scale_in");
-  for (std::size_t k = 0; k < count; ++k) {
-    leave(first + count - 1 - k, start + static_cast<double>(k) * stagger_s);
-  }
-  return *this;
-}
-
-std::vector<MembershipEvent> MembershipSchedule::sorted_events() const {
-  std::vector<MembershipEvent> out = events;
-  // Stable: simultaneous events replay in insertion order, so a schedule is
-  // a total order and the controller's epoch sequence is reproducible.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const MembershipEvent& a, const MembershipEvent& b) {
-                     return a.time < b.time;
-                   });
-  return out;
 }
 
 FaultInjector::FaultInjector(FaultSchedule schedule)

@@ -72,44 +72,6 @@ struct FaultSchedule {
                        common::SimTime start, common::SimTime end);
 };
 
-/// One elastic-membership change: worker `worker` joins (spins up and
-/// bootstraps) or leaves (gracefully departs) the roster at `time`.
-struct MembershipEvent {
-  std::size_t worker = 0;
-  common::SimTime time = 0.0;
-  bool join = true;
-};
-
-/// Declarative churn schedule for elastic membership, the roster-change
-/// sibling of FaultSchedule: a crash is an involuntary failure the
-/// fault-tolerance layer defends against, a membership event is a
-/// *deliberate* roster change executed through the join/leave protocol
-/// (roster epochs, multi-peer bootstrap). Events are replayed by the
-/// MembershipController in (time, insertion) order, so a schedule is
-/// bit-for-bit reproducible. Kept separate from FaultSchedule on purpose:
-/// membership churn neither attaches a fault injector nor auto-enables the
-/// fault-tolerance layer.
-struct MembershipSchedule {
-  std::vector<MembershipEvent> events;
-
-  bool empty() const { return events.empty(); }
-
-  /// Builder helpers (all return *this for chaining).
-  MembershipSchedule& join(std::size_t worker, common::SimTime time);
-  MembershipSchedule& leave(std::size_t worker, common::SimTime time);
-  /// Flash crowd: workers [first, first+count) join one every `stagger_s`
-  /// starting at `start`.
-  MembershipSchedule& flash_crowd(std::size_t first, std::size_t count,
-                                  common::SimTime start, double stagger_s);
-  /// Scale-in: workers [first, first+count) leave (highest id first), one
-  /// every `stagger_s` starting at `start`.
-  MembershipSchedule& scale_in(std::size_t first, std::size_t count,
-                               common::SimTime start, double stagger_s);
-  /// Events sorted by (time, insertion order) — the deterministic replay
-  /// order the MembershipController executes.
-  std::vector<MembershipEvent> sorted_events() const;
-};
-
 /// Evaluates a FaultSchedule against the simulation clock. Pure queries
 /// (worker_down / link_blacked_out / loss_probability) are stateless; the
 /// drop decision `should_drop` consumes the seeded RNG stream only when a

@@ -21,7 +21,6 @@ constexpr double kDefaultLatency = 0.0002;  // 0.2 ms LAN RTT/2
 Network::Network(Engine& engine, std::size_t n_workers)
     : engine_(&engine),
       n_(n_workers),
-      active_(n_workers),
       egress_(n_workers, Schedule(kDefaultLanMbps)),
       link_(n_workers, std::vector<Schedule>(n_workers,
                                              Schedule(kDefaultLanMbps))),
@@ -110,18 +109,10 @@ void Network::record_drop(std::size_t from, std::size_t to,
   }
 }
 
-void Network::set_active_workers(std::size_t active) {
-  if (active == 0 || active > n_) {
-    throw std::out_of_range("Network::set_active_workers");
-  }
-  active_ = active;
-}
-
 double Network::available_mbps(std::size_t from, std::size_t to) const {
   const common::SimTime t = engine_->now();
-  // Fair share across the sender's *active* peers: with 4 live workers in a
-  // 64-slot elastic cluster a sender splits its uplink 3 ways, not 63.
-  const double peers = static_cast<double>(active_ > 1 ? active_ - 1 : 1);
+  // Fair share of the sender's uplink across its n-1 peers.
+  const double peers = static_cast<double>(n_ > 1 ? n_ - 1 : 1);
   return std::min(egress_.at(from).at(t) / peers,
                   link_.at(from).at(to).at(t));
 }

@@ -68,14 +68,6 @@ class Network {
   /// to the partial gradient generation module).
   double available_mbps(std::size_t from, std::size_t to) const;
 
-  /// Number of workers currently participating in training, used as the
-  /// egress fair-share divisor (a sender fans out to active-1 peers, not to
-  /// every capacity slot). Defaults to the construction size, so networks
-  /// that never call this behave exactly as before; the elastic-membership
-  /// controller updates it on every roster change.
-  void set_active_workers(std::size_t active);
-  std::size_t active_workers() const { return active_; }
-
   /// Current egress shaping of a worker (Mbps) and raw link rate.
   double egress_mbps(std::size_t from) const;
   double link_mbps(std::size_t from, std::size_t to) const;
@@ -175,7 +167,6 @@ class Network {
 
   Engine* engine_;
   std::size_t n_;
-  std::size_t active_;  ///< egress fair-share divisor basis (default n_)
   std::vector<Schedule> egress_;
   std::vector<std::vector<Schedule>> link_;     // [from][to]
   std::vector<std::vector<double>> latency_;    // [from][to]

@@ -2,11 +2,18 @@
 // and lossy links injected into full training clusters, exercising the
 // heartbeat failure detector, wait-set degradation, checkpoint restore,
 // state catch-up, and the deterministic-replay guarantee.
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "data/synthetic.h"
 #include "exp/environments.h"
+#include "obs/obs.h"
 #include "systems/registry.h"
 
 namespace dlion::core {
@@ -34,6 +41,53 @@ ClusterSpec spec_for(const std::string& system_name, std::size_t n_workers,
   system.configure(options);
   spec.worker_options = options;
   return spec;
+}
+
+/// Four workers under a crash, a 2|2 partition and a lossy link.
+ClusterSpec fault_schedule_spec() {
+  ClusterSpec spec = spec_for("dlion", 4, 90.0);
+  spec.faults.crash(3, 20.0, 40.0).partition({0, 1}, {2, 3}, 50.0, 60.0);
+  spec.faults.lossy(0, 1, 0.3, 10.0, 70.0);
+  return spec;
+}
+
+/// Everything an observed fault_schedule_spec() run produces that the
+/// determinism contract covers.
+struct FaultRunOut {
+  std::vector<std::uint64_t> iterations;
+  std::vector<std::vector<float>> weights;  // per worker, flattened
+  std::vector<sim::TracePoint> curve;
+  std::uint64_t messages_dropped = 0;
+  std::uint64_t dead_letters = 0;
+  std::uint64_t reliable_retries = 0;
+  std::uint64_t reliable_failures = 0;
+  std::string metrics_json;
+};
+
+FaultRunOut run_observed_fault_schedule() {
+  const data::TrainTest data = blobs_data();
+  obs::Observability o;
+  ClusterSpec spec = fault_schedule_spec();
+  spec.obs = &o;
+  Cluster cluster(spec, data.train, data.test);
+  cluster.run();
+  FaultRunOut out;
+  for (std::size_t w = 0; w < cluster.size(); ++w) {
+    out.iterations.push_back(cluster.worker(w).iterations());
+    const nn::Snapshot snap = cluster.worker(w).model().weights();
+    std::vector<float> flat;
+    for (const tensor::Tensor& t : snap.values) {
+      flat.insert(flat.end(), t.data(), t.data() + t.size());
+    }
+    out.weights.push_back(std::move(flat));
+  }
+  out.curve = cluster.mean_accuracy_trace().points();
+  out.messages_dropped = cluster.network().total_stats().messages_dropped;
+  out.dead_letters = cluster.fabric().dead_letters();
+  out.reliable_retries = cluster.fabric().reliable_retries();
+  out.reliable_failures = cluster.fabric().reliable_failures();
+  out.metrics_json = o.metrics().to_json();
+  return out;
 }
 
 TEST(FaultTolerance, CrashTwoOfSixPlusPartitionKeepsTrainingWithoutDeadlock) {
@@ -150,9 +204,7 @@ TEST(FaultTolerance, DeterministicReplayUnderFaultSchedule) {
   // seed, same fault schedule incl. probabilistic loss) replays to
   // bit-identical traces and statistics.
   const data::TrainTest data = blobs_data();
-  ClusterSpec spec = spec_for("dlion", 4, 90.0);
-  spec.faults.crash(3, 20.0, 40.0).partition({0, 1}, {2, 3}, 50.0, 60.0);
-  spec.faults.lossy(0, 1, 0.3, 10.0, 70.0);
+  const ClusterSpec spec = fault_schedule_spec();
   Cluster a(spec, data.train, data.test);
   Cluster b(spec, data.train, data.test);
   a.run();
@@ -179,6 +231,36 @@ TEST(FaultTolerance, DeterministicReplayUnderFaultSchedule) {
       EXPECT_DOUBLE_EQ(la[i].value, lb[i].value);
     }
   }
+}
+
+TEST(FaultTolerance, FaultScheduleIsDeterministicAcrossThreadCounts) {
+  // The same seed and fault schedule, observed, give bit-identical weights,
+  // curves, tallies and metrics whether the thread pool runs 1 or 4
+  // workers.
+  common::ThreadPool::reset_global_for_testing(1);
+  const FaultRunOut single = run_observed_fault_schedule();
+  common::ThreadPool::reset_global_for_testing(4);
+  const FaultRunOut pooled = run_observed_fault_schedule();
+  common::ThreadPool::reset_global_for_testing(0);  // restore the default
+
+  EXPECT_EQ(single.iterations, pooled.iterations);
+  ASSERT_EQ(single.weights.size(), pooled.weights.size());
+  for (std::size_t w = 0; w < single.weights.size(); ++w) {
+    // Exact float equality: the contract is bit-identical, not close.
+    EXPECT_EQ(single.weights[w], pooled.weights[w]) << "worker " << w;
+  }
+  ASSERT_EQ(single.curve.size(), pooled.curve.size());
+  for (std::size_t i = 0; i < single.curve.size(); ++i) {
+    EXPECT_EQ(single.curve[i].time, pooled.curve[i].time);
+    EXPECT_EQ(single.curve[i].value, pooled.curve[i].value);
+  }
+  EXPECT_EQ(single.messages_dropped, pooled.messages_dropped);
+  EXPECT_EQ(single.dead_letters, pooled.dead_letters);
+  EXPECT_EQ(single.reliable_retries, pooled.reliable_retries);
+  EXPECT_EQ(single.reliable_failures, pooled.reliable_failures);
+  EXPECT_EQ(single.metrics_json, pooled.metrics_json);
+  // The schedule did bite: the crash and the lossy link dropped traffic.
+  EXPECT_GT(single.messages_dropped, 0u);
 }
 
 TEST(FaultTolerance, EmptyScheduleAttachesNothingAndTouchesNoFaultState) {

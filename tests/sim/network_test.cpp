@@ -83,14 +83,6 @@ TEST(Network, AvailableMbpsIsMinOfEgressShareAndLink) {
   Network net3(e, 3);
   net3.set_egress(0, Schedule(50.0));
   EXPECT_DOUBLE_EQ(net3.available_mbps(0, 1), 25.0);
-  // The divisor counts active workers, not capacity slots: 3 live workers
-  // in a 5-slot network share the uplink 2 ways, not 4.
-  Network net5(e, 5);
-  net5.set_egress(0, Schedule(60.0));
-  net5.set_active_workers(3);
-  EXPECT_DOUBLE_EQ(net5.available_mbps(0, 1), 30.0);
-  EXPECT_THROW(net5.set_active_workers(0), std::out_of_range);
-  EXPECT_THROW(net5.set_active_workers(6), std::out_of_range);
 }
 
 TEST(Network, BandwidthScheduleChangesOverTime) {
